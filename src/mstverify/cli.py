@@ -18,7 +18,7 @@ from .generate import GenError, random_connected_graph, tree_of_kind
 from .graph import GraphError, load_graph, load_tree, serialize_graph, serialize_tree, tree_weight
 from .grover import DEFAULT_STATEVECTOR_CAP
 from .oracle import InstrumentedOracle, OracleModel
-from .verify import DEFAULT_DELTA, classical_verify, kruskal_mst, quantum_verify
+from .verify import DEFAULT_DELTA, classical_verify, kruskal_mst, quantum_verify, validate_search_settings
 
 EXIT_MINIMAL = 0
 EXIT_ERROR = 1
@@ -67,20 +67,14 @@ def _load_instance(graph_path: str, tree_path: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not (0.0 < args.delta < 0.5):
-        raise ValueError(f"--delta must be in (0, 0.5), got {args.delta}")
-    cap = args.statevector_cap
-    if cap < 2 or cap & (cap - 1):
-        raise ValueError(f"--statevector-cap must be a power of two >= 2, got {cap}")
+    validate_search_settings(args.delta, args.statevector_cap)
     g, t = _load_instance(args.graph, args.tree)
     if args.mode == "classical":
-        oracle = InstrumentedOracle(g, OracleModel.EDGE_LIST)
-        verdict, report = classical_verify(g, t, oracle)
+        verdict, report = classical_verify(g, t, InstrumentedOracle(g, OracleModel.EDGE_LIST))
     else:
-        model = OracleModel.ADJACENCY if args.mode == "adjacency" else OracleModel.EDGE_LIST
-        oracle = InstrumentedOracle(g, model)
+        oracle = InstrumentedOracle(g, OracleModel(args.mode))
         verdict, report = quantum_verify(
-            g, t, oracle, args.mode, args.seed, delta=args.delta, statevector_cap=cap
+            g, t, oracle, args.mode, args.seed, delta=args.delta, statevector_cap=args.statevector_cap
         )
 
     doc = {

@@ -72,6 +72,10 @@ def random_spanning_tree(g: Graph, rng: np.random.Generator) -> SpanningTree:
     n = g.n
     if n == 1:
         return spanning_tree(g, ())
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for e in g.edges:
+        incident[e.u].append(e.id)
+        incident[e.v].append(e.id)
     root = int(rng.integers(n))
     in_tree = [False] * n
     in_tree[root] = True
@@ -79,7 +83,7 @@ def random_spanning_tree(g: Graph, rng: np.random.Generator) -> SpanningTree:
     for start in range(n):
         v = start
         while not in_tree[v]:
-            ids = g.incident(v)
+            ids = incident[v]
             eid = ids[int(rng.integers(len(ids)))]
             via[v] = eid
             v = g.edges[eid].other(v)

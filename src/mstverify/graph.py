@@ -112,15 +112,11 @@ class Graph:
         self.edges: tuple[Edge, ...] = tuple(built)
         self.m = len(self.edges)
 
-        incidence: list[list[int]] = [[] for _ in range(n)]
         pair_min: dict[tuple[int, int], Edge] = {}
         for e in self.edges:
-            incidence[e.u].append(e.id)
-            incidence[e.v].append(e.id)
             best = pair_min.get((e.u, e.v))
             if best is None or e.key < best.key:
                 pair_min[(e.u, e.v)] = e
-        self._incidence: tuple[tuple[int, ...], ...] = tuple(tuple(ids) for ids in incidence)
         self._pair_min = pair_min
 
         uf = UnionFind(n)
@@ -128,10 +124,6 @@ class Graph:
             uf.union(e.u, e.v)
         if uf.components != 1:
             raise DisconnectedError(f"graph has {uf.components} components, expected 1")
-
-    def incident(self, vertex: int) -> tuple[int, ...]:
-        """Ids of the edges touching a vertex."""
-        return self._incidence[vertex]
 
     def pair_min(self, a: int, b: int) -> Edge | None:
         """Minimum-(w, id) edge between a and b, or None for a non-edge pair."""
@@ -217,6 +209,9 @@ def load_graph(text: str) -> Graph:
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"header declares {m} edges but file has {len(body)}")
+    if m < n - 1:
+        # checked before Graph allocates per-vertex state, so a huge n costs nothing
+        raise DisconnectedError(f"{m} edges cannot connect {n} vertices")
     edges: list[tuple[int, int, float]] = []
     for lineno, fields in body:
         if len(fields) != 3:
@@ -226,8 +221,6 @@ def load_graph(text: str) -> Graph:
             w = float(fields[2])
         except ValueError as exc:
             raise ParseError(f"line {lineno}: malformed edge") from exc
-        if not math.isfinite(w) or w < 0.0:
-            raise ParseError(f"line {lineno}: weight must be finite and >= 0")
         edges.append((u, v, w))
     return Graph(n, edges)
 

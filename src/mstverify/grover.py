@@ -58,10 +58,6 @@ class SearchSpace:
             self._marked = np.asarray(hits, dtype=np.int64)
         return self._marked
 
-    def unmarked_indices(self) -> np.ndarray:
-        """Complement of marked_indices over the padded domain."""
-        return np.setdiff1d(np.arange(self.domain_size, dtype=np.int64), self.marked_indices())
-
     @property
     def marked_count(self) -> int:
         return int(self.marked_indices().size)
@@ -179,7 +175,7 @@ def _closed_form_round(space: SearchSpace, iterations: int, rng: np.random.Gener
         idx = int(rng.integers(n))
         if not space.marker(idx):
             return idx
-    unmarked = space.unmarked_indices()
+    unmarked = np.setdiff1d(np.arange(n, dtype=np.int64), space.marked_indices())
     return int(unmarked[rng.integers(unmarked.size)])
 
 

@@ -91,7 +91,13 @@ class InstrumentedOracle:
         return (e.u, e.v, e.w)
 
     def edge_weight(self, e: Edge, *, quantum: bool = False) -> float:
-        """Weight of a known edge through whichever model this oracle speaks."""
+        """Weight of a known edge, charged as one lookup in this oracle's model.
+
+        e's own weight is returned: the adjacency model serves a pair by its
+        minimum edge, which is not e when e is a heavier parallel edge.
+        """
         if self.model is OracleModel.ADJACENCY:
-            return self.weight(e.u, e.v, quantum=quantum)
-        return self.edge(e.id, quantum=quantum)[2]
+            self.weight(e.u, e.v, quantum=quantum)
+        else:
+            self.edge(e.id, quantum=quantum)
+        return e.w

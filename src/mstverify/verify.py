@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree, direct_path_max, tree_path_edges
-from .graph import Edge, Graph, SpanningTree, UnionFind, spanning_tree, tree_weight
+from .graph import Edge, Graph, SpanningTree, UnionFind, spanning_tree
 from .grover import DEFAULT_STATEVECTOR_CAP, BbhtStats, SearchSpace, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
@@ -60,24 +61,34 @@ class QueryReport:
     work_ops: int
 
 
+def validate_search_settings(delta: float, statevector_cap: int) -> None:
+    """Raise ValueError unless delta is in (0, 0.5) and the cap is a power of two >= 2."""
+    if not (0.0 < delta < 0.5):
+        raise ValueError(f"delta must be in (0, 0.5), got {delta}")
+    if statevector_cap < 2 or statevector_cap & (statevector_cap - 1):
+        raise ValueError(f"statevector cap must be a power of two >= 2, got {statevector_cap}")
+
+
 def is_violating(
     g: Graph,
     t: SpanningTree,
     b: BoruvkaTree,
     e: Edge,
-    oracle: InstrumentedOracle,
+    oracle: InstrumentedOracle | None = None,
     *,
     quantum: bool = False,
 ) -> bool:
     """True iff e is outside T and strictly lighter than its T-path maximum.
 
-    Costs one weight-oracle call for w(e) and none for the path maximum.
-    Equal weight does not violate: an equally heavy alternative never
-    refutes minimality.
+    With an oracle, w(e) costs one weight-oracle call; without one (inside
+    a search marker, whose applications the search engine charges) the
+    stored weight is used. The path maximum never costs a call. Equal
+    weight does not violate: an equally heavy alternative never refutes
+    minimality.
     """
     if e.id in t:
         return False
-    w = oracle.edge_weight(e, quantum=quantum)
+    w = e.w if oracle is None else oracle.edge_weight(e, quantum=quantum)
     return w < b.path_max(e.u, e.v).max_weight
 
 
@@ -130,6 +141,80 @@ def _not_minimal(g: Graph, t: SpanningTree, in_edge: Edge) -> Verdict:
     )
 
 
+def _search_space(g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str) -> tuple[SearchSpace, Callable]:
+    """The search domain of a quantum mode and its index -> candidate edge map.
+
+    "edgelist" searches edge indices. "adjacency" searches the n(n-1)/2
+    unordered vertex pairs: a non-edge pair has no candidate and is never
+    marked, and a pair with parallel edges is represented by its
+    minimum-(w, id) edge, the only one a violation could ever involve.
+    """
+    if mode == OracleModel.EDGE_LIST.value:
+        size, edge_of = g.m, lambda i: g.edges[i]
+    else:
+        n = g.n
+        size = n * (n - 1) // 2
+        starts = np.array([a * (2 * n - a - 1) // 2 for a in range(n)], dtype=np.int64)
+
+        def edge_of(p: int) -> Edge | None:
+            a = int(np.searchsorted(starts, p, side="right")) - 1
+            return g.pair_min(a, a + 1 + (p - int(starts[a])))
+
+    def marker(i: int) -> bool:
+        e = edge_of(i)
+        return e is not None and is_violating(g, t, b, e)
+
+    return SearchSpace(size, marker), edge_of
+
+
+def _verify(
+    g: Graph,
+    t: SpanningTree,
+    oracle: InstrumentedOracle,
+    mode: str,
+    rng_seed=0,
+    delta: float = DEFAULT_DELTA,
+    statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
+) -> tuple[Verdict, QueryReport]:
+    """Build the Boruvka tree, find a violating edge, certify it, report the cost.
+
+    Mode "classical" scans the candidates in (w, id) order, charging one
+    weight query each; a quantum mode runs up to ceil(log2(1/delta)) BBHT
+    schedules over its search space.
+    """
+    c0 = oracle.classical_queries
+    b = build_boruvka_tree(g, t, oracle)
+    c_build = oracle.classical_queries
+    found: Edge | None = None
+    stats = BbhtStats()
+    if mode == "classical":
+        candidates = sorted(g.edges, key=lambda e: e.key)
+        found = next((e for e in candidates if is_violating(g, t, b, e, oracle)), None)
+    else:
+        space, edge_of = _search_space(g, t, b, mode)
+        if space.logical_size > 0:
+            rng = np.random.default_rng(rng_seed)
+            for _ in range(math.ceil(math.log2(1.0 / delta))):
+                index, run = bbht_search(space, rng, oracle, statevector_cap=statevector_cap)
+                stats.merge(run)
+                if index is not None:
+                    found = edge_of(index)
+                    break
+    verdict = Verdict(minimal=True) if found is None else _not_minimal(g, t, found)
+    # every predicate evaluation is one oracle query, classical in the scan and
+    # quantum in the search, and costs one ascent plus one compare
+    evaluations = oracle.classical_queries - c_build + stats.oracle_applications
+    report = QueryReport(
+        classical_weight_queries=oracle.classical_queries - c0,
+        quantum_oracle_applications=stats.oracle_applications,
+        grover_iterations=stats.grover_iterations,
+        mode=mode,
+        analytic_mode=stats.analytic,
+        work_ops=b.build_work + evaluations * (2 * b.height + 1),
+    )
+    return verdict, report
+
+
 def classical_verify(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) -> tuple[Verdict, QueryReport]:
     """Scan every non-tree edge against the Boruvka path maximum.
 
@@ -137,68 +222,7 @@ def classical_verify(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) -> t
     candidate. Candidates are scanned in (w, id) order and the first
     violating edge becomes the witness, so the verdict is deterministic.
     """
-    c0 = oracle.classical_queries
-    b = build_boruvka_tree(g, t, oracle)
-    work = b.build_work
-    verdict = Verdict(minimal=True)
-    for e in sorted(g.edges, key=lambda e: e.key):
-        if e.id in t:
-            continue
-        w = oracle.edge_weight(e)
-        answer = b.path_max(e.u, e.v)
-        work += answer.ascent_steps + 1
-        if w < answer.max_weight:
-            verdict = _not_minimal(g, t, e)
-            break
-    report = QueryReport(
-        classical_weight_queries=oracle.classical_queries - c0,
-        quantum_oracle_applications=0,
-        grover_iterations=0,
-        mode="classical",
-        analytic_mode=False,
-        work_ops=work,
-    )
-    return verdict, report
-
-
-def _edgelist_space(g: Graph, t: SpanningTree, b: BoruvkaTree):
-    """Search domain over edge indices; marker is the violation predicate."""
-
-    def marker(i: int) -> bool:
-        e = g.edges[i]
-        if e.id in t:
-            return False
-        return e.w < b.path_max(e.u, e.v).max_weight
-
-    return SearchSpace(g.m, marker), lambda i: g.edges[i]
-
-
-def _adjacency_space(g: Graph, t: SpanningTree, b: BoruvkaTree):
-    """Search domain over the n(n-1)/2 unordered vertex pairs.
-
-    Non-edge pairs have weight +inf and are never marked; pairs with
-    parallel edges are represented by their minimum-(w, id) edge, which
-    is the only one a violation could ever involve.
-    """
-    n = g.n
-    starts = np.array([a * (2 * n - a - 1) // 2 for a in range(n)], dtype=np.int64)
-
-    def pair_of(p: int) -> tuple[int, int]:
-        a = int(np.searchsorted(starts, p, side="right")) - 1
-        return a, a + 1 + (p - int(starts[a]))
-
-    def edge_of(p: int) -> Edge | None:
-        a, bb = pair_of(p)
-        return g.pair_min(a, bb)
-
-    def marker(p: int) -> bool:
-        e = edge_of(p)
-        if e is None:
-            return False
-        a, bb = pair_of(p)
-        return e.w < b.path_max(a, bb).max_weight
-
-    return SearchSpace(n * (n - 1) // 2, marker), edge_of
+    return _verify(g, t, oracle, "classical")
 
 
 def quantum_verify(
@@ -222,46 +246,11 @@ def quantum_verify(
 
     mode selects the search domain: "edgelist" (over edge indices,
     O(sqrt(m)) applications) or "adjacency" (over vertex pairs, O(n)
-    applications). It defaults to the oracle's own model.
+    applications). It defaults to the oracle's own model and must match it.
     """
-    if not (0.0 < delta < 0.5):
-        raise ValueError(f"delta must be in (0, 0.5), got {delta}")
-    if statevector_cap < 2 or statevector_cap & (statevector_cap - 1):
-        raise ValueError(f"statevector cap must be a power of two >= 2, got {statevector_cap}")
+    validate_search_settings(delta, statevector_cap)
     if mode is None:
         mode = oracle.model.value
-    if mode not in (OracleModel.ADJACENCY.value, OracleModel.EDGE_LIST.value):
-        raise ValueError(f"unknown quantum mode {mode!r}")
     if mode != oracle.model.value:
         raise ValueError(f"mode {mode!r} does not match the oracle model {oracle.model.value!r}")
-
-    c0 = oracle.classical_queries
-    b = build_boruvka_tree(g, t, oracle)
-    if mode == OracleModel.EDGE_LIST.value:
-        space, edge_of = _edgelist_space(g, t, b)
-    else:
-        space, edge_of = _adjacency_space(g, t, b)
-
-    stats = BbhtStats(analytic=space.domain_size > statevector_cap)
-    verdict = Verdict(minimal=True)
-    if space.logical_size > 0:
-        restarts = math.ceil(math.log2(1.0 / delta))
-        rng = np.random.default_rng(rng_seed)
-        for _ in range(restarts):
-            found, run = bbht_search(space, rng, oracle, statevector_cap=statevector_cap)
-            stats.merge(run)
-            if found is not None:
-                verdict = _not_minimal(g, t, edge_of(found))
-                break
-
-    # each application evaluates the predicate once: one ascent plus one compare
-    work = b.build_work + stats.oracle_applications * (2 * b.height + 1)
-    report = QueryReport(
-        classical_weight_queries=oracle.classical_queries - c0,
-        quantum_oracle_applications=stats.oracle_applications,
-        grover_iterations=stats.grover_iterations,
-        mode=mode,
-        analytic_mode=stats.analytic,
-        work_ops=work,
-    )
-    return verdict, report
+    return _verify(g, t, oracle, mode, rng_seed, delta, statevector_cap)

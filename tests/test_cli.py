@@ -96,6 +96,24 @@ class TestVerifyCommand:
         _, second, _ = run(capsys, *argv)
         assert first == second
 
+    def test_heavier_parallel_tree_edge_found_in_every_mode(self, capsys, tmp_path):
+        # tree edge 0 (weight 5.0) has a lighter parallel edge 1 (weight 1.0)
+        graph = tmp_path / "p.graph"
+        graph.write_text("3 3\n0 1 5.0\n0 1 1.0\n1 2 2.0\n")
+        tree = tmp_path / "p.tree"
+        tree.write_text("indices\n0\n2\n")
+        for mode in ("classical", "edgelist", "adjacency"):
+            for seed in range(5):
+                code, out, _ = run(
+                    capsys, "verify", "--graph", str(graph), "--tree", str(tree), "--mode", mode, "--seed", str(seed)
+                )
+                doc = json.loads(out)
+                assert code == 3, (mode, seed)
+                assert (doc["witness"]["in_edge"], doc["witness"]["out_edge"]) == (1, 0)
+                assert doc["improved_tree_indices"] == [1, 2]
+                if mode != "classical":
+                    assert doc["queries"]["classical"] == 2
+
     def test_text_output(self, capsys, triangle_files):
         graph, good, _ = triangle_files
         code, out, _ = run(capsys, "verify", "--graph", str(graph), "--tree", str(good), "--output", "text")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,16 @@ class TestLoadGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
             load_graph("4 2\n0 1 1.0\n2 3 1.0\n")
+
+    def test_too_few_edges_rejected_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError):
+                load_graph("1000000 0\n")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_endpoint_normalized(self):
         g = load_graph("2 1\n1 0 1.0\n")

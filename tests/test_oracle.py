@@ -40,6 +40,12 @@ class TestAdjacencyModel:
         o = InstrumentedOracle(g, OracleModel.ADJACENCY)
         assert o.weight(0, 1) == 1.0
 
+    def test_edge_weight_of_heavier_parallel_edge_is_its_own(self):
+        g = load_graph("2 2\n0 1 2.0\n0 1 1.0\n")
+        o = InstrumentedOracle(g, OracleModel.ADJACENCY)
+        assert o.edge_weight(g.edges[0]) == 2.0
+        assert o.classical_queries == 1
+
     def test_wrong_model_call_rejected(self):
         o = adj_oracle(triangle())
         with pytest.raises(ValueError):
