@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--statevector-cap",
         type=int,
         default=DEFAULT_STATEVECTOR_CAP,
-        help="largest simulated domain; larger searches run in analytic mode",
+        help="largest densely simulated domain, at most 2^22; larger searches run in analytic mode",
     )
 
     p_gen = sub.add_parser("gen", help="generate a random instance")

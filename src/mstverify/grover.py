@@ -1,22 +1,25 @@
 """Exact desk-scale simulation of Grover search and the unknown-count schedule.
 
-The state is a dense real vector (Grover iterations preserve the real
-span of the uniform state). For domains above the statevector cap the
-schedule runs in analytic mode: measurement outcomes are sampled from the
-closed-form two-level distribution, which is exactly the distribution the
-dense simulation produces, without materializing the state.
+From the uniform start a Grover state stays in the span of the uniform
+marked and the uniform unmarked state, so a round's measurement law is
+the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1). For domains above
+the statevector cap the schedule samples that law directly (analytic
+mode, O(1) per round); at or below it a dense real state vector is
+iterated, which costs nothing at that size and serves as the reference
+the closed form is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 BBHT_GROWTH = 6 / 5
-DEFAULT_STATEVECTOR_CAP = 2**22
+DEFAULT_STATEVECTOR_CAP = 2**10
+MAX_STATEVECTOR_CAP = 2**22  # 32 MB of float64 amplitudes
 
 
 class KZeroError(ValueError):
@@ -36,26 +39,39 @@ class SearchSpace:
 
     logical_size L is the real problem size; indices L..N-1 are padding,
     forced unmarked, where N is the least power of two >= max(L, 2).
+    positions, sorted, are the only indices the predicate may mark
+    (default: all of 0..L-1); the predicate is evaluated once at each of
+    them and never anywhere else.
     """
 
-    def __init__(self, logical_size: int, marker: Callable[[int], bool]):
+    def __init__(
+        self,
+        logical_size: int,
+        marker: Callable[[int], bool],
+        positions: Iterable[int] | None = None,
+    ):
         if logical_size < 0:
             raise ValueError("logical size must be >= 0")
         self.logical_size = logical_size
         self.domain_size = 2 if logical_size <= 1 else 1 << (logical_size - 1).bit_length()
         self._raw_marker = marker
+        self._positions = range(logical_size) if positions is None else positions
         self._marked: np.ndarray | None = None
+        self._marked_set: frozenset[int] | None = None
         self._mask: np.ndarray | None = None
 
     def marker(self, index: int) -> bool:
-        """Padding-safe predicate: always False at or beyond logical_size."""
-        return index < self.logical_size and bool(self._raw_marker(index))
+        """Whether index is marked; padding never is. Reads the cached marked set."""
+        if self._marked_set is None:
+            self.marked_indices()
+        return index in self._marked_set
 
     def marked_indices(self) -> np.ndarray:
         """Sorted indices of all marked elements (computed once, then cached)."""
         if self._marked is None:
-            hits = [i for i in range(self.logical_size) if self._raw_marker(i)]
+            hits = [i for i in self._positions if self._raw_marker(i)]
             self._marked = np.asarray(hits, dtype=np.int64)
+            self._marked_set = frozenset(hits)
         return self._marked
 
     @property

@@ -90,14 +90,14 @@ class InstrumentedOracle:
         e = self.graph.edges[i]
         return (e.u, e.v, e.w)
 
-    def edge_weight(self, e: Edge, *, quantum: bool = False) -> float:
-        """Weight of a known edge, charged as one lookup in this oracle's model.
+    def edge_weight(self, e: Edge) -> float:
+        """Weight of a known edge, charged as one classical lookup in this oracle's model.
 
         e's own weight is returned: the adjacency model serves a pair by its
         minimum edge, which is not e when e is a heavier parallel edge.
         """
         if self.model is OracleModel.ADJACENCY:
-            self.weight(e.u, e.v, quantum=quantum)
+            self.weight(e.u, e.v)
         else:
-            self.edge(e.id, quantum=quantum)
+            self.edge(e.id)
         return e.w

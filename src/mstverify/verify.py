@@ -19,7 +19,7 @@ import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree, direct_path_max, tree_path_edges
 from .graph import Edge, Graph, SpanningTree, UnionFind, spanning_tree
-from .grover import DEFAULT_STATEVECTOR_CAP, BbhtStats, SearchSpace, bbht_search
+from .grover import DEFAULT_STATEVECTOR_CAP, MAX_STATEVECTOR_CAP, BbhtStats, SearchSpace, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
 DEFAULT_DELTA = 0.01
@@ -62,11 +62,13 @@ class QueryReport:
 
 
 def validate_search_settings(delta: float, statevector_cap: int) -> None:
-    """Raise ValueError unless delta is in (0, 0.5) and the cap is a power of two >= 2."""
+    """Raise ValueError unless delta is in (0, 0.5) and the cap is a power of two in [2, 2^22]."""
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must be in (0, 0.5), got {delta}")
     if statevector_cap < 2 or statevector_cap & (statevector_cap - 1):
         raise ValueError(f"statevector cap must be a power of two >= 2, got {statevector_cap}")
+    if statevector_cap > MAX_STATEVECTOR_CAP:
+        raise ValueError(f"statevector cap must be at most 2^22 = {MAX_STATEVECTOR_CAP}, got {statevector_cap}")
 
 
 def is_violating(
@@ -75,8 +77,6 @@ def is_violating(
     b: BoruvkaTree,
     e: Edge,
     oracle: InstrumentedOracle | None = None,
-    *,
-    quantum: bool = False,
 ) -> bool:
     """True iff e is outside T and strictly lighter than its T-path maximum.
 
@@ -88,7 +88,7 @@ def is_violating(
     """
     if e.id in t:
         return False
-    w = e.w if oracle is None else oracle.edge_weight(e, quantum=quantum)
+    w = e.w if oracle is None else oracle.edge_weight(e)
     return w < b.path_max(e.u, e.v).max_weight
 
 
@@ -145,26 +145,19 @@ def _search_space(g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str) -> tuple
     """The search domain of a quantum mode and its index -> candidate edge map.
 
     "edgelist" searches edge indices. "adjacency" searches the n(n-1)/2
-    unordered vertex pairs: a non-edge pair has no candidate and is never
-    marked, and a pair with parallel edges is represented by its
-    minimum-(w, id) edge, the only one a violation could ever involve.
+    unordered vertex pairs, pair (a, b) with a < b at index
+    a*(2n-a-1)/2 + b-a-1. Only a pair's minimum-(w, id) edge can be
+    marked: a non-edge pair has no candidate, and a heavier parallel edge
+    never violates where the pair minimum does not. So the predicate runs
+    only at the pair-minimum edges' indices, at most m times.
     """
     if mode == OracleModel.EDGE_LIST.value:
-        size, edge_of = g.m, lambda i: g.edges[i]
+        size, positions, edge_of = g.m, None, g.edges.__getitem__
     else:
         n = g.n
-        size = n * (n - 1) // 2
-        starts = np.array([a * (2 * n - a - 1) // 2 for a in range(n)], dtype=np.int64)
-
-        def edge_of(p: int) -> Edge | None:
-            a = int(np.searchsorted(starts, p, side="right")) - 1
-            return g.pair_min(a, a + 1 + (p - int(starts[a])))
-
-    def marker(i: int) -> bool:
-        e = edge_of(i)
-        return e is not None and is_violating(g, t, b, e)
-
-    return SearchSpace(size, marker), edge_of
+        at = {e.u * (2 * n - e.u - 1) // 2 + e.v - e.u - 1: e for e in g.edges if g.pair_min(e.u, e.v) is e}
+        size, positions, edge_of = n * (n - 1) // 2, sorted(at), at.__getitem__
+    return SearchSpace(size, lambda i: is_violating(g, t, b, edge_of(i)), positions), edge_of
 
 
 def _verify(

@@ -84,6 +84,24 @@ class TestVerifyCommand:
         )
         assert code == 1
 
+    def test_cap_above_ceiling_exits_one(self, capsys, triangle_files):
+        graph, good, _ = triangle_files
+        code, out, err = run(
+            capsys, "verify", "--graph", str(graph), "--tree", str(good),
+            "--mode", "edgelist", "--statevector-cap", str(2**62),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: statevector cap must be at most") and "Traceback" not in err
+
+    def test_analytic_reports_byte_identical_per_seed(self, capsys, tmp_path):
+        prefix = str(tmp_path / "a")
+        run(capsys, "gen", "--n", "64", "--m", "200", "--seed", "4", "--tree-kind", "perturbed", "--out-prefix", prefix)
+        argv = ("verify", "--graph", prefix + ".graph", "--tree", prefix + ".tree", "--mode", "adjacency", "--seed", "6")
+        _, first, _ = run(capsys, *argv)
+        _, second, _ = run(capsys, *argv)
+        assert json.loads(first)["analytic_mode"] is True  # 2016 pairs: N = 2^11 > default cap
+        assert first == second
+
     def test_usage_error_exits_one(self, capsys, triangle_files):
         graph, good, _ = triangle_files
         code, _, _ = run(capsys, "verify", "--graph", str(graph), "--tree", str(good), "--mode", "warp")

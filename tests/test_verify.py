@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from mstverify import grover, verify
 from mstverify import (
     Graph,
     InvalidWitnessError,
@@ -274,3 +275,87 @@ class TestQuantumVerify:
         verdict, report = quantum_verify(g, spanning_tree(g, ()), edge_oracle(g), "edgelist", 0)
         assert verdict.minimal
         assert report.quantum_oracle_applications == 0
+
+
+def multigraph(rng, n: int) -> Graph:
+    """Random connected graph with parallel edges and weights tied in {1, 2, 3}."""
+    edges = [(int(rng.integers(i)), i, float(rng.integers(1, 4))) for i in range(1, n)]
+    for _ in range(int(rng.integers(n, 3 * n))):
+        a, c = rng.choice(n, 2, replace=False)
+        edges.append((int(a), int(c), float(rng.integers(1, 4))))
+    for _ in range(n // 2):  # a heavier, lighter or equal twin of an existing edge
+        a, c, _ = edges[int(rng.integers(len(edges)))]
+        edges.append((c, a, float(rng.integers(1, 4))))
+    return Graph(n, [edges[i] for i in rng.permutation(len(edges))])
+
+
+def all_pairs_marked(g: Graph, t, b) -> dict:
+    """Reference adjacency marked set: every vertex pair in (a, b) order, a < b."""
+    marked, p = {}, 0
+    for a in range(g.n):
+        for c in range(a + 1, g.n):
+            e = g.pair_min(a, c)
+            if e is not None and is_violating(g, t, b, e):
+                marked[p] = e
+            p += 1
+    return marked
+
+
+class TestSearchDomain:
+    def test_adjacency_marks_exactly_the_all_pairs_set(self, rng):
+        marked_total = parallel_graphs = 0
+        for _ in range(40):
+            g = multigraph(rng, 2 + int(rng.integers(15)))
+            parallel_graphs += len({(e.u, e.v) for e in g.edges}) < g.m
+            for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
+                b = build_boruvka_tree(g, t, edge_oracle(g))
+                space, edge_of = verify._search_space(g, t, b, "adjacency")
+                expected = all_pairs_marked(g, t, b)
+                assert space.logical_size == g.n * (g.n - 1) // 2
+                assert space.marked_indices().tolist() == sorted(expected)
+                assert all(edge_of(p) is e for p, e in expected.items())
+                marked_total += len(expected)
+        assert marked_total > 0 and parallel_graphs > 0
+
+    @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
+    def test_predicate_evaluated_at_most_m_times(self, rng, monkeypatch, mode):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return is_violating(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "is_violating", counting)
+        for i in range(12):
+            g = multigraph(rng, 3 + int(rng.integers(20)))
+            t = kruskal_mst(g) if i % 2 else perturbed_mst(g, rng)  # minimal runs every check
+            oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
+            calls.clear()
+            quantum_verify(g, t, oracle, mode, i)
+            assert len(calls) <= g.m
+            assert len({e.id for e in calls}) == len(calls)
+
+    def test_dense_at_cap_analytic_above(self, rng):
+        for n, analytic in ((45, False), (64, True)):  # 990 -> N=2^10, 2016 -> N=2^11
+            g = random_connected_graph(n, 3 * n, rng)
+            _, report = quantum_verify(g, kruskal_mst(g), adj_oracle(g), "adjacency", 3)
+            assert report.analytic_mode is analytic
+
+    def test_default_flags_never_build_a_state_vector_above_cap(self, rng, monkeypatch):
+        def refuse(self, domain_size):
+            raise AssertionError(f"dense state of {domain_size} amplitudes built")
+
+        monkeypatch.setattr(grover.StateVector, "__init__", refuse)
+        adjacency = random_connected_graph(64, 200, rng)
+        edgelist = random_connected_graph(300, 1100, rng)
+        for g, oracle, mode in ((adjacency, adj_oracle, "adjacency"), (edgelist, edge_oracle, "edgelist")):
+            for t in (kruskal_mst(g), perturbed_mst(g, rng)):
+                _, report = quantum_verify(g, t, oracle(g), mode, 5)
+                assert report.analytic_mode
+
+    def test_cap_above_ceiling_rejected(self):
+        g = triangle()
+        t = spanning_tree(g, (0, 1))
+        quantum_verify(g, t, edge_oracle(g), "edgelist", 0, statevector_cap=2**22)
+        with pytest.raises(ValueError, match="at most"):
+            quantum_verify(g, t, edge_oracle(g), "edgelist", 0, statevector_cap=2**23)
