@@ -13,8 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
-from .graph import Edge, Graph, SpanningTree, UnionFind
+import numpy as np
+
+from .graph import Edge, Graph, SpanningTree, UnionFind, _read_only
 from .oracle import InstrumentedOracle
 
 
@@ -22,9 +26,8 @@ class SameVertexError(ValueError):
     """A path query needs two distinct vertices."""
 
 
-@dataclass
-class BNode:
-    """One aggregate in the Boruvka tree.
+class BNode(NamedTuple):
+    """One aggregate in the Boruvka tree, as read from the tree's arrays.
 
     branch_edge_id / branch_weight describe the tree edge this node
     selected when it merged into its parent; both are None for the root.
@@ -48,19 +51,37 @@ class PathMaxAnswer:
 
 
 class BoruvkaTree:
-    """Full branching tree over vertex aggregates; immutable after build."""
+    """Full branching tree over vertex aggregates; immutable after build.
 
-    def __init__(self, nodes: list[BNode], root: int, height: int, build_work: int):
-        self.nodes = nodes
-        self.root = root
+    Node i < n is leaf (vertex) i; internal nodes follow in creation order,
+    the root last. parent[i] is node i's parent (-1 at the root), and
+    branch_w[i] / branch_id[i] the weight and id of the tree edge node i
+    selected when it merged into its parent (-inf and -1 at the root).
+    Every leaf sits at depth `height`, so all queries can climb together
+    level by level.
+    """
+
+    def __init__(self, parent: list[int], branch_w: list[float], branch_id: list[int], height: int, build_work: int):
+        self.root = len(parent) - 1
         self.height = height
         self.build_work = build_work
-        # leaf i is node i by construction
-        self.leaf_of = tuple(range(sum(1 for node in nodes if node.level == 0)))
+        # the scalar ascent indexes tuples, which is faster than indexing arrays
+        self._up, self._bw, self._bid = tuple(parent), tuple(branch_w), tuple(branch_id)
 
-    @property
-    def n_leaves(self) -> int:
-        return len(self.leaf_of)
+    @cached_property
+    def parent(self) -> np.ndarray:
+        """Parent node id of every node, -1 at the root (read-only, made on first use)."""
+        return _read_only(np.array(self._up, dtype=np.int64))
+
+    @cached_property
+    def branch_w(self) -> np.ndarray:
+        """Weight of every node's branch edge, -inf at the root (read-only, made on first use)."""
+        return _read_only(np.array(self._bw, dtype=np.float64))
+
+    @cached_property
+    def branch_id(self) -> np.ndarray:
+        """Id of every node's branch edge, -1 at the root (read-only, made on first use)."""
+        return _read_only(np.array(self._bid, dtype=np.int64))
 
     def path_max(self, u: int, v: int) -> PathMaxAnswer:
         """Maximum branch on the two synchronized ascents from u and v to their LCA.
@@ -70,20 +91,56 @@ class BoruvkaTree:
         """
         if u == v:
             raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
-        nodes = self.nodes
-        a, b = self.leaf_of[u], self.leaf_of[v]
+        up, bw, bid = self._up, self._bw, self._bid
+        a, b = u, v
         best_w = -math.inf
         best_id = -1
         steps = 0
         while a != b:
-            for node in (nodes[a], nodes[b]):
-                w, eid = node.branch_weight, node.branch_edge_id
-                if (w, eid) > (best_w, best_id):
-                    best_w, best_id = w, eid
-            a = nodes[a].parent
-            b = nodes[b].parent
+            for x in (a, b):
+                if (bw[x], bid[x]) > (best_w, best_id):
+                    best_w, best_id = bw[x], bid[x]
+            a = up[a]
+            b = up[b]
             steps += 2
         return PathMaxAnswer(best_w, best_id, steps)
+
+    def path_max_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
+        """path_max for many vertex pairs at once: (max weights, max edge ids).
+
+        All pairs climb together, one gather per level for `height` levels;
+        a pair stops taking maxima once its two ascents meet at the LCA.
+        Branches are compared by their rank in (w, id) order, so each level
+        costs one integer maximum. No oracle queries.
+        """
+        a = np.asarray(us, dtype=np.int64)
+        b = np.asarray(vs, dtype=np.int64)
+        same = a == b
+        if same.any():
+            raise SameVertexError(f"path query needs distinct vertices, got {int(a[same.argmax()])} twice")
+        by_rank = np.lexsort((self.branch_id, self.branch_w))
+        rank = np.empty_like(by_rank)
+        rank[by_rank] = np.arange(by_rank.size)
+        best = np.full(a.shape, -1, dtype=np.int64)
+        for _ in range(self.height):
+            apart = a != b
+            best = np.where(apart, np.maximum(best, np.maximum(rank[a], rank[b])), best)
+            a, b = self.parent[a], self.parent[b]
+        node = by_rank[best]
+        return self.branch_w[node], self.branch_id[node]
+
+    @cached_property
+    def nodes(self) -> tuple[BNode, ...]:
+        """The tree as one BNode per node id, derived from the arrays."""
+        up = self._up
+        children: list[list[int]] = [[] for _ in up]
+        level = [0] * len(up)
+        for i, p in enumerate(up[:-1]):  # children come before their parent
+            children[p].append(i)
+            level[p] = level[i] + 1
+        nodes = list(map(BNode, range(len(up)), level, up, self._bid, self._bw, map(tuple, children)))
+        nodes[self.root] = BNode(self.root, level[self.root], children=tuple(children[self.root]))
+        return tuple(nodes)
 
     def dump(self) -> str:
         """Debug outline, one node per line: id level parent branch_weight branch_edge_id."""
@@ -105,58 +162,55 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     ceil(log2 n).
     """
     n = g.n
-    tree_edges = [g.edges[i] for i in t.edge_ids]
-    weight_of = {e.id: oracle.edge_weight(e) for e in tree_edges}
+    ids = list(t.edge_ids)
+    weights = [oracle.lookup_weight(i) for i in ids]
+    # tree edges in (w, id) order, so the first edge an aggregate meets is its lightest
+    order = sorted(range(len(ids)), key=lambda j: (weights[j], ids[j]))
+    ids = [ids[j] for j in order]
+    ew = [weights[j] for j in order]
+    us, vs, _ = g.columns
+    eu, ev = [us[i] for i in ids], [vs[i] for i in ids]
 
-    nodes = [BNode(id=i, level=0) for i in range(n)]
+    parent = [-1] * n
+    branch_w = [-math.inf] * n
+    branch_id = [-1] * n
     comp = list(range(n))  # vertex -> current aggregate node id
-    current = list(range(n))
-    active = tree_edges
+    current = range(n)  # the aggregates of this level: always a contiguous id range
+    active = list(range(len(ids)))  # tree edges joining two different aggregates, in (w, id) order
     level = 0
     work = 0
 
     while len(current) > 1:
         level += 1
         # each aggregate selects its minimum-(w, id) incident tree edge
-        best: dict[int, Edge] = {}
-        for e in active:
-            k = (weight_of[e.id], e.id)
-            for node_id in (comp[e.u], comp[e.v]):
-                cur = best.get(node_id)
-                if cur is None or k < (weight_of[cur.id], cur.id):
-                    best[node_id] = e
-            work += 2
-        # components of the selected edges become the next level's nodes
-        uf = UnionFind(len(nodes))
-        for node_id in current:
-            e = best[node_id]
-            uf.union(comp[e.u], comp[e.v])
-            work += 1
+        best: dict[int, int] = {}
+        for j in active:
+            best.setdefault(comp[eu[j]], j)
+            best.setdefault(comp[ev[j]], j)
+        work += 2 * len(active)
+        # components of the selected edges become the next level's nodes,
+        # numbered in order of their smallest member
+        base = current.start
+        uf = UnionFind(len(current))
+        for j in best.values():
+            uf.union(comp[eu[j]] - base, comp[ev[j]] - base)
+        work += len(current)
+        first = base + len(current)
         group: dict[int, int] = {}
-        children: dict[int, list[int]] = {}
         for node_id in current:
-            root = uf.find(node_id)
-            new_id = group.get(root)
-            if new_id is None:
-                new_id = len(nodes) + len(group)
-                group[root] = new_id
-                children[new_id] = []
-            e = best[node_id]
-            node = nodes[node_id]
-            node.parent = new_id
-            node.branch_edge_id = e.id
-            node.branch_weight = weight_of[e.id]
-            children[new_id].append(node_id)
-        for new_id in sorted(children):
-            nodes.append(BNode(id=new_id, level=level, children=tuple(children[new_id])))
-        for vertex in range(n):
-            comp[vertex] = nodes[comp[vertex]].parent
-        current = sorted(children)
-        active = [e for e in active if comp[e.u] != comp[e.v]]
+            j = best[node_id]
+            parent[node_id] = group.setdefault(uf.find(node_id - base), first + len(group))
+            branch_w[node_id] = ew[j]
+            branch_id[node_id] = ids[j]
+        parent += [-1] * len(group)
+        branch_w += [-math.inf] * len(group)
+        branch_id += [-1] * len(group)
+        comp = [parent[c] for c in comp]
+        current = range(first, first + len(group))
+        active = [j for j in active if comp[eu[j]] != comp[ev[j]]]
         work += n + len(active)
 
-    root = current[0] if n > 1 else 0
-    return BoruvkaTree(nodes, root=root, height=level, build_work=work)
+    return BoruvkaTree(parent, branch_w, branch_id, height=level, build_work=work)
 
 
 def validate_structure(b: BoruvkaTree, n: int) -> None:
@@ -187,15 +241,15 @@ def validate_structure(b: BoruvkaTree, n: int) -> None:
 
 
 def tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]:
-    """The unique T-path between u and v, as a list of edges. O(n)."""
+    """The unique T-path between u and v, as a list of edges. O(n), reads only tree edges."""
     if u == v:
         raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
-    adjacency: list[list[Edge]] = [[] for _ in range(g.n)]
+    us, vs, _ = g.columns
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # vertex -> (neighbor, edge id)
     for i in t.edge_ids:
-        e = g.edges[i]
-        adjacency[e.u].append(e)
-        adjacency[e.v].append(e)
-    via: list[Edge | None] = [None] * g.n
+        adjacency[us[i]].append((vs[i], i))
+        adjacency[vs[i]].append((us[i], i))
+    via: list[tuple[int, int] | None] = [None] * g.n  # vertex -> (previous vertex, edge id)
     stack = [u]
     seen = [False] * g.n
     seen[u] = True
@@ -203,18 +257,16 @@ def tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]:
         x = stack.pop()
         if x == v:
             break
-        for e in adjacency[x]:
-            y = e.other(x)
+        for y, i in adjacency[x]:
             if not seen[y]:
                 seen[y] = True
-                via[y] = e
+                via[y] = (x, i)
                 stack.append(y)
     path: list[Edge] = []
     x = v
     while x != u:
-        e = via[x]
-        path.append(e)
-        x = e.other(x)
+        x, i = via[x]
+        path.append(g.edge(i))
     path.reverse()
     return path
 

@@ -6,8 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .boruvka import direct_path_max
-from .graph import Graph, SpanningTree, spanning_tree
+from .boruvka import build_boruvka_tree
+from .graph import Graph, SpanningTree, non_tree_mask, spanning_tree
+from .oracle import InstrumentedOracle, OracleModel
 from .verify import Witness, improve, kruskal_mst
 
 TREE_KINDS = ("mst", "perturbed", "random")
@@ -72,10 +73,11 @@ def random_spanning_tree(g: Graph, rng: np.random.Generator) -> SpanningTree:
     n = g.n
     if n == 1:
         return spanning_tree(g, ())
+    us, vs, _ = g.columns
     incident: list[list[int]] = [[] for _ in range(n)]
-    for e in g.edges:
-        incident[e.u].append(e.id)
-        incident[e.v].append(e.id)
+    for i, (a, b) in enumerate(zip(us, vs)):
+        incident[a].append(i)
+        incident[b].append(i)
     root = int(rng.integers(n))
     in_tree = [False] * n
     in_tree[root] = True
@@ -86,11 +88,11 @@ def random_spanning_tree(g: Graph, rng: np.random.Generator) -> SpanningTree:
             ids = incident[v]
             eid = ids[int(rng.integers(len(ids)))]
             via[v] = eid
-            v = g.edges[eid].other(v)
+            v = us[eid] + vs[eid] - v  # the edge's other endpoint
         v = start
         while not in_tree[v]:
             in_tree[v] = True
-            v = g.edges[via[v]].other(v)
+            v = us[via[v]] + vs[via[v]] - v
     return spanning_tree(g, sorted(via[v] for v in range(n) if v != root))
 
 
@@ -103,13 +105,13 @@ def perturbed_mst(g: Graph, rng: np.random.Generator) -> SpanningTree:
     (for example when the graph is a tree).
     """
     mst = kruskal_mst(g)
-    candidates = []
-    for e in g.edges:
-        if e.id in mst:
-            continue
-        answer = direct_path_max(g, mst, e.u, e.v)
-        if e.w > answer.max_weight:
-            candidates.append((e.id, answer.max_edge_id))
+    # one batched path-max over the non-tree edges, in id order; the build's
+    # n-1 weight lookups go to a throwaway oracle
+    outside = np.flatnonzero(non_tree_mask(g, mst))
+    b = build_boruvka_tree(g, mst, InstrumentedOracle(g, OracleModel.EDGE_LIST))
+    max_w, max_id = b.path_max_batch(g.u[outside], g.v[outside])
+    increasing = g.w[outside] > max_w
+    candidates = list(zip(outside[increasing].tolist(), max_id[increasing].tolist()))
     if not candidates:
         return mst
     in_id, out_id = candidates[int(rng.integers(len(candidates)))]

@@ -77,8 +77,8 @@ class InstrumentedOracle:
         self._count(quantum)
         if a == b:
             return INFINITE_WEIGHT
-        e = self.graph.pair_min(a, b)
-        return e.w if e is not None else INFINITE_WEIGHT
+        i = self.graph.pair_min_ids().get((a, b) if a < b else (b, a))
+        return INFINITE_WEIGHT if i is None else self.graph.columns[2][i]
 
     def edge(self, i: int, *, quantum: bool = False) -> tuple[int, int, float]:
         """Edge-list-model lookup: endpoints and weight of edge i."""
@@ -87,17 +87,22 @@ class InstrumentedOracle:
         if not (0 <= i < self.graph.m):
             raise IndexError(f"edge index {i} outside [0, {self.graph.m - 1}]")
         self._count(quantum)
-        e = self.graph.edges[i]
-        return (e.u, e.v, e.w)
+        us, vs, ws = self.graph.columns
+        return (us[i], vs[i], ws[i])
+
+    def lookup_weight(self, i: int) -> float:
+        """Weight of edge i, charged as one classical lookup in this oracle's model.
+
+        Edge i's own weight is returned: the adjacency model serves a pair by
+        its minimum edge, which is not edge i when it is a heavier parallel edge.
+        """
+        us, vs, ws = self.graph.columns
+        if self.model is OracleModel.ADJACENCY:
+            self.weight(us[i], vs[i])
+        else:
+            self.edge(i)
+        return ws[i]
 
     def edge_weight(self, e: Edge) -> float:
-        """Weight of a known edge, charged as one classical lookup in this oracle's model.
-
-        e's own weight is returned: the adjacency model serves a pair by its
-        minimum edge, which is not e when e is a heavier parallel edge.
-        """
-        if self.model is OracleModel.ADJACENCY:
-            self.weight(e.u, e.v)
-        else:
-            self.edge(e.id)
-        return e.w
+        """Weight of a known edge, charged as one classical lookup in this oracle's model."""
+        return self.lookup_weight(e.id)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree, direct_path_max, tree_path_edges
-from .graph import Edge, Graph, SpanningTree, UnionFind, spanning_tree
+from .graph import SMALL_GRAPH_EDGES, Edge, Graph, SpanningTree, UnionFind, non_tree_mask, spanning_tree
 from .grover import DEFAULT_STATEVECTOR_CAP, MAX_STATEVECTOR_CAP, BbhtStats, SearchSpace, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
@@ -86,19 +86,43 @@ def is_violating(
     weight does not violate: an equally heavy alternative never refutes
     minimality.
     """
-    if e.id in t:
+    return _violates(g, t, b, e.id, oracle)
+
+
+def _violates(g: Graph, t: SpanningTree, b: BoruvkaTree, i: int, oracle: InstrumentedOracle | None = None) -> bool:
+    """is_violating for edge id i, without building its Edge."""
+    if i in t:
         return False
-    w = e.w if oracle is None else oracle.edge_weight(e)
-    return w < b.path_max(e.u, e.v).max_weight
+    us, vs, ws = g.columns
+    w = ws[i] if oracle is None else oracle.lookup_weight(i)
+    return w < b.path_max(us[i], vs[i]).max_weight
+
+
+def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree) -> np.ndarray:
+    """is_violating for every edge at once, from stored weights: a boolean mask over edge ids.
+
+    One batched path-max over the non-tree edges (edge by edge on a small
+    graph); tree edges never violate. No oracle calls: callers charge the
+    lookups their query model requires.
+    """
+    if g.m <= SMALL_GRAPH_EDGES:
+        return np.array([_violates(g, t, b, i) for i in range(g.m)], dtype=bool)
+    outside = np.flatnonzero(non_tree_mask(g, t))
+    mask = np.zeros(g.m, dtype=bool)
+    max_w, _ = b.path_max_batch(g.u[outside], g.v[outside])
+    mask[outside] = g.w[outside] < max_w
+    return mask
 
 
 def kruskal_mst(g: Graph) -> SpanningTree:
     """Ground-truth minimum spanning tree: (w, id)-sorted edges + union-find."""
     uf = UnionFind(g.n)
+    us, vs, ws = g.columns
     ids = []
-    for e in sorted(g.edges, key=lambda e: e.key):
-        if uf.union(e.u, e.v):
-            ids.append(e.id)
+    # a stable sort by weight is the (w, id) order, edge ids being positions
+    for i in sorted(range(g.m), key=ws.__getitem__):
+        if uf.union(us[i], vs[i]):
+            ids.append(i)
             if len(ids) == g.n - 1:
                 break
     return spanning_tree(g, sorted(ids))
@@ -119,11 +143,11 @@ def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
         raise InvalidWitnessError(f"incoming edge {in_id} is already in the tree")
     if out_id not in t:
         raise InvalidWitnessError(f"outgoing edge {out_id} is not in the tree")
-    e_in = g.edges[in_id]
+    e_in = g.edge(in_id)
     if all(p.id != out_id for p in tree_path_edges(g, t, e_in.u, e_in.v)):
         raise InvalidWitnessError(f"edge {out_id} is not on the tree path of edge {in_id}")
-    if not e_in.w < g.edges[out_id].w:
-        raise InvalidWitnessError(f"swap does not decrease weight ({e_in.w} >= {g.edges[out_id].w})")
+    if not e_in.w < g.edge(out_id).w:
+        raise InvalidWitnessError(f"swap does not decrease weight ({e_in.w} >= {g.edge(out_id).w})")
     ids = sorted([i for i in t.edge_ids if i != out_id] + [in_id])
     return spanning_tree(g, ids)
 
@@ -141,23 +165,46 @@ def _not_minimal(g: Graph, t: SpanningTree, in_edge: Edge) -> Verdict:
     )
 
 
-def _search_space(g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str) -> tuple[SearchSpace, Callable]:
+def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle) -> Edge | None:
+    """The first violating non-tree edge in (w, id) order, or None.
+
+    Each candidate up to and including the first violation is charged one
+    weight lookup, in scan order, exactly as an edge-by-edge scan calling
+    is_violating charges it; the batched scan evaluates the predicate for
+    all candidates first and then charges that prefix. A small graph is
+    scanned edge by edge: the batch costs some 40 numpy calls however few
+    the edges, more than the whole scan of a graph this small.
+    """
+    # a stable sort by weight is the (w, id) order, edge ids being positions
+    if g.m <= SMALL_GRAPH_EDGES:
+        order = sorted(range(g.m), key=g.columns[2].__getitem__)
+        found = next((i for i in order if _violates(g, t, b, i, oracle)), None)
+        return None if found is None else g.edge(found)
+    order = np.argsort(g.w, kind="stable")
+    candidates = order[non_tree_mask(g, t)[order]]
+    hits = np.flatnonzero(_violations(g, t, b)[candidates])
+    stop = int(hits[0]) if hits.size else candidates.size - 1
+    for i in candidates[: stop + 1].tolist():
+        oracle.lookup_weight(i)
+    return g.edge(int(candidates[stop])) if hits.size else None
+
+
+def _search_space(g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str) -> tuple[SearchSpace, Callable[[int], Edge]]:
     """The search domain of a quantum mode and its index -> candidate edge map.
 
     "edgelist" searches edge indices. "adjacency" searches the n(n-1)/2
     unordered vertex pairs, pair (a, b) with a < b at index
     a*(2n-a-1)/2 + b-a-1. Only a pair's minimum-(w, id) edge can be
     marked: a non-edge pair has no candidate, and a heavier parallel edge
-    never violates where the pair minimum does not. So the predicate runs
-    only at the pair-minimum edges' indices, at most m times.
+    never violates where the pair minimum does not. So the marker reads
+    the batched predicate only at the pair-minimum edges' indices.
     """
+    marks = _violations(g, t, b).tolist()
     if mode == OracleModel.EDGE_LIST.value:
-        size, positions, edge_of = g.m, None, g.edges.__getitem__
-    else:
-        n = g.n
-        at = {e.u * (2 * n - e.u - 1) // 2 + e.v - e.u - 1: e for e in g.edges if g.pair_min(e.u, e.v) is e}
-        size, positions, edge_of = n * (n - 1) // 2, sorted(at), at.__getitem__
-    return SearchSpace(size, lambda i: is_violating(g, t, b, edge_of(i)), positions), edge_of
+        return SearchSpace(g.m, marks.__getitem__), g.edge
+    n = g.n
+    at = {a * (2 * n - a - 1) // 2 + b - a - 1: i for (a, b), i in g.pair_min_ids().items()}
+    return SearchSpace(n * (n - 1) // 2, lambda i: marks[at[i]], sorted(at)), lambda i: g.edge(at[i])
 
 
 def _verify(
@@ -173,7 +220,8 @@ def _verify(
 
     Mode "classical" scans the candidates in (w, id) order, charging one
     weight query each; a quantum mode runs up to ceil(log2(1/delta)) BBHT
-    schedules over its search space.
+    schedules over its search space. Both evaluate the violation
+    predicate in one batch, or edge by edge on a small graph.
     """
     c0 = oracle.classical_queries
     b = build_boruvka_tree(g, t, oracle)
@@ -181,8 +229,7 @@ def _verify(
     found: Edge | None = None
     stats = BbhtStats()
     if mode == "classical":
-        candidates = sorted(g.edges, key=lambda e: e.key)
-        found = next((e for e in candidates if is_violating(g, t, b, e, oracle)), None)
+        found = _scan(g, t, b, oracle)
     else:
         space, edge_of = _search_space(g, t, b, mode)
         if space.logical_size > 0:
