@@ -58,10 +58,13 @@ class BoruvkaTree:
     branch_w[i] / branch_id[i] the weight and id of the tree edge node i
     selected when it merged into its parent (-inf and -1 at the root).
     Every leaf sits at depth `height`, so all queries can climb together
-    level by level.
+    level by level. Path queries take vertices, the leaves 0..n-1.
     """
 
-    def __init__(self, parent: list[int], branch_w: list[float], branch_id: list[int], height: int, build_work: int):
+    def __init__(
+        self, n: int, parent: list[int], branch_w: list[float], branch_id: list[int], height: int, build_work: int
+    ):
+        self.n = n
         self.root = len(parent) - 1
         self.height = height
         self.build_work = build_work
@@ -91,6 +94,9 @@ class BoruvkaTree:
         """
         if u == v:
             raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
+        for x in (u, v):
+            if not (0 <= x < self.n):
+                raise IndexError(f"vertex {x} out of range [0, {self.n - 1}]")
         up, bw, bid = self._up, self._bw, self._bid
         a, b = u, v
         best_w = -math.inf
@@ -118,6 +124,11 @@ class BoruvkaTree:
         same = a == b
         if same.any():
             raise SameVertexError(f"path query needs distinct vertices, got {int(a[same.argmax()])} twice")
+        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
+        if outside.any():
+            k = int(outside.argmax())
+            x = int(a[k]) if not (0 <= a[k] < self.n) else int(b[k])
+            raise IndexError(f"vertex {x} out of range [0, {self.n - 1}]")
         by_rank = np.lexsort((self.branch_id, self.branch_w))
         rank = np.empty_like(by_rank)
         rank[by_rank] = np.arange(by_rank.size)
@@ -210,7 +221,7 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
         active = [j for j in active if comp[eu[j]] != comp[ev[j]]]
         work += n + len(active)
 
-    return BoruvkaTree(parent, branch_w, branch_id, height=level, build_work=work)
+    return BoruvkaTree(n, parent, branch_w, branch_id, height=level, build_work=work)
 
 
 def validate_structure(b: BoruvkaTree, n: int) -> None:

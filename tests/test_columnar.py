@@ -12,6 +12,7 @@ from mstverify import (
     DisconnectedError,
     Graph,
     GraphError,
+    NotInGraphError,
     SameVertexError,
     build_boruvka_tree,
     classical_verify,
@@ -84,7 +85,7 @@ class TestColumnarGraph:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("m", [5, 80])  # below and above the small-graph cutoff
+    @pytest.mark.parametrize("m", [5, 80])
     def test_first_invalid_edge_named_at_every_size(self, m):
         good = [(i, i + 1, 1.0) for i in range(m)]
         cases = [
@@ -104,12 +105,88 @@ class TestColumnarGraph:
     def test_bulk_parse_matches_line_by_line(self, rng, n, extra):
         g = tied_multigraph(rng, n, extra)
         text = "\n\n".join(["  %d %d" % (g.n, g.m)] + [f"{u}\t{v}  {w!r} " for u, v, w in zip(*g.columns)])
-        bulk, by_line = load_graph(text), graph._load_graph_by_line(text)
+        lines = [line.split() for line in text.splitlines() if line.split()]
+        by_line = Graph(int(lines[0][0]), [(int(u), int(v), float(w)) for u, v, w in lines[1:]])
+        bulk = load_graph(text)
         for a, b in ((bulk.u, by_line.u), (bulk.v, by_line.v), (bulk.w, by_line.w)):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
         t = random_spanning_tree(g, rng)
         tree_text = "indices\n" + "\n".join(map(str, t.edge_ids)) + "\n"
-        assert load_tree(tree_text, g).edge_ids == graph._load_tree_by_line(tree_text, g).edge_ids == t.edge_ids
+        assert load_tree(tree_text, g).edge_ids == t.edge_ids
+        pairs_text = "pairs\n" + "".join(f"{g.v[i]} {g.u[i]}\n" for i in t.edge_ids)
+        expected = tuple(g.pair_min(int(g.u[i]), int(g.v[i])).id for i in t.edge_ids)
+        assert load_tree(pairs_text, g).edge_ids == expected
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (["0 1 1", "1 2 x", "2 3 1", "3 4"], "line 3: malformed edge"),
+            (["0 1 1", "1 2", "2 3 1", "3 4 x"], "line 3: expected 'u v w'"),
+            (["0 1 1", "1 2 1", "2 3 1", "3 4 1 1"], "line 5: expected 'u v w'"),
+            (["0 1 1", "1 2 1", "2 3 1", "3 4 1e"], "line 5: malformed edge"),
+        ],
+    )
+    def test_graph_error_names_first_bad_line(self, body, message):
+        with pytest.raises(GraphError, match=message):
+            load_graph("5 4\n" + "\n".join(body) + "\n")
+
+    @pytest.mark.parametrize(
+        "body,error,message",
+        [
+            (["indices", "0", "9", "x", "3"], NotInGraphError, "line 3: index 9 is not an edge"),
+            (["indices", "0", "x", "9", "3"], GraphError, "line 3: non-integer index"),
+            (["indices", "0", "1", "2", "3 3"], GraphError, "line 5: expected one edge index"),
+            (["pairs", "0 1", "0 7", "1 x", "3 4"], NotInGraphError, "line 3: vertex out of range"),
+            (["pairs", "0 1", "0 2", "1 x", "3 4"], NotInGraphError, r"line 3: \(0, 2\) is not an edge"),
+            (["pairs", "0 1", "1 x", "0 2", "3 4"], GraphError, "line 3: non-integer endpoint"),
+            (["pairs", "0 1", "2", "0 7", "3 4"], GraphError, "line 3: expected 'u v'"),
+        ],
+    )
+    def test_tree_error_names_first_bad_line(self, body, error, message):
+        g = load_graph("5 4\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n")
+        with pytest.raises(error, match=message):
+            load_tree("\n".join(body) + "\n", g)
+
+
+def planted_components(rng, sizes: list[int], extra: int) -> tuple[int, list[tuple[int, int, float]]]:
+    """A multigraph whose components are random connected blocks of the given sizes, vertices shuffled."""
+    label = rng.permutation(sum(sizes))
+    edges, first = [], 0
+    for size in sizes:
+        block = [(first + int(rng.integers(i)), first + i) for i in range(1, size)]
+        block += [tuple(first + rng.choice(size, 2, replace=False)) for _ in range(extra if size > 1 else 0)]
+        edges += [(int(label[a]), int(label[b]), float(rng.integers(1, 4))) for a, b in block]
+        first += size
+    return sum(sizes), [edges[i] for i in rng.permutation(len(edges))]
+
+
+class TestConnectivity:
+    def test_two_blocks_rejected_above_small_graph_cutoff(self, rng):
+        n, edges = planted_components(rng, [20, 20], 21)
+        assert len(edges) == 80 > graph.SMALL_GRAPH_EDGES
+        with pytest.raises(DisconnectedError, match="graph has 2 components, expected 1"):
+            Graph(n, edges)
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v} {w}\n" for u, v, w in edges)
+        with pytest.raises(DisconnectedError, match="graph has 2 components, expected 1"):
+            load_graph(text)
+
+    def test_component_count_matches_union_find(self, rng):
+        checked = 0
+        for _ in range(60):
+            k = int(rng.integers(1, 8))
+            sizes = [int(x) for x in rng.integers(1, 30, size=k)]
+            n, edges = planted_components(rng, sizes, int(rng.integers(0, 40)))
+            u = np.array([min(a, b) for a, b, _ in edges], dtype=np.int64)
+            v = np.array([max(a, b) for a, b, _ in edges], dtype=np.int64)
+            uf = graph.UnionFind(n)
+            for a, b in zip(u.tolist(), v.tolist()):
+                uf.union(a, b)
+            assert graph._component_count(n, u, v) == uf.components == k
+            if u.size > graph.SMALL_GRAPH_EDGES and u.size >= n - 1 and k > 1:
+                checked += 1
+                with pytest.raises(DisconnectedError, match=f"graph has {k} components"):
+                    Graph(n, edges)
+        assert checked >= 20
 
 
 class TestPathMaxBatch:
@@ -152,6 +229,20 @@ class TestPathMaxBatch:
         assert max_w.size == max_id.size == 0
         with pytest.raises(SameVertexError):
             b.path_max_batch([0, 3], [1, 3])
+
+    def test_vertex_outside_tree_rejected(self, rng):
+        g = random_tree_graph(rng, 9)
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        assert len(b.parent) > g.n  # ids n.. are internal nodes, not vertices
+        for bad in (9, len(b.parent) - 1, -1):
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
+                b.path_max(0, bad)
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
+                b.path_max(bad, 0)
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
+                b.path_max_batch([0, 1, bad], [1, 2, 3])
+            with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
+                b.path_max_batch([0, 1, 3], [1, 2, bad])
 
     def test_tree_arrays_read_only_and_match_nodes(self, rng):
         g = random_tree_graph(rng, 30)
