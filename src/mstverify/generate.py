@@ -46,9 +46,13 @@ def random_connected_graph(
     extra = m - (n - 1)
     if extra > 0:
         if max_m <= 4 * m or max_m < 100_000:
-            free = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in used]
-            take = rng.choice(len(free), size=extra, replace=False)
-            pairs.extend(free[i] for i in sorted(int(i) for i in take))
+            # the unused pairs in (a, b) order; pair (a, b) is entry a*(2n-a-1)/2 + b-a-1 of triu_indices
+            a_s, b_s = np.triu_indices(n, 1)
+            free = np.ones(max_m, dtype=bool)
+            free[[a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in pairs]] = False
+            free = np.flatnonzero(free)
+            take = free[np.sort(rng.choice(free.size, size=extra, replace=False))]
+            pairs.extend(zip(a_s[take].tolist(), b_s[take].tolist()))
         else:
             while extra > 0:
                 a, b = int(rng.integers(n)), int(rng.integers(n))

@@ -281,9 +281,16 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
 
     Raises NotInGraphError for unknown ids and NotSpanningError when the
     edge count is wrong or the edges contain a cycle (equivalently, fail
-    to connect all vertices).
+    to connect all vertices). Above SMALL_GRAPH_EDGES ids the checks run
+    on whole arrays, and the ids are walked one by one only after one
+    fails, to raise the first error.
     """
     ids = tuple(int(i) for i in edge_ids)
+    if len(ids) > SMALL_GRAPH_EDGES and 0 <= min(ids) and max(ids) < g.m and len(ids) == g.n - 1:
+        at = np.array(ids, dtype=np.int64)
+        if _component_count(g.n, g.u[at], g.v[at]) == 1:
+            # n-1 edges connecting n vertices are necessarily acyclic
+            return SpanningTree(ids)
     for i in ids:
         if not (0 <= i < g.m):
             raise NotInGraphError(f"edge index {i} out of range [0, {g.m - 1}]")

@@ -5,8 +5,8 @@ marked and the uniform unmarked state, so a round's measurement law is
 the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1). For domains above
 the statevector cap the schedule samples that law directly (analytic
 mode, O(1) per round); at or below it a dense real state vector is
-iterated, which costs nothing at that size and serves as the reference
-the closed form is tested against.
+iterated, at O(N) per iteration, and serves as the reference the closed
+form is tested against.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ class StateVector:
     def grover_iteration(self, marked_mask: np.ndarray) -> None:
         """Phase-flip the marked amplitudes, then invert about the mean."""
         a = self.amplitudes
-        a[marked_mask] *= -1.0
-        np.subtract(2.0 * a.mean(), a, out=a)
+        # in place, bit-identical to a[mask] *= -1 and a.mean(): the same float operations and pairwise sum
+        np.negative(a, out=a, where=marked_mask)
+        np.subtract(2.0 * (np.add.reduce(a) / a.size), a, out=a)
 
     def norm(self) -> float:
         a = self.amplitudes
@@ -110,7 +111,8 @@ class StateVector:
     def sample(self, rng: np.random.Generator) -> int:
         """Measure: one index drawn from the squared amplitudes."""
         a = self.amplitudes
-        cum = np.cumsum(a * a)
+        cum = a * a
+        np.cumsum(cum, out=cum)
         idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         return min(idx, a.size - 1)
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boruvka import BoruvkaTree, build_boruvka_tree, direct_path_max, tree_path_edges
+from .boruvka import BoruvkaTree, build_boruvka_tree, tree_path_edges
 from .graph import SMALL_GRAPH_EDGES, Edge, Graph, SpanningTree, UnionFind, non_tree_mask, spanning_tree
 from .grover import DEFAULT_STATEVECTOR_CAP, MAX_STATEVECTOR_CAP, BbhtStats, SearchSpace, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
@@ -128,13 +128,14 @@ def kruskal_mst(g: Graph) -> SpanningTree:
     return spanning_tree(g, sorted(ids))
 
 
-def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
+def improve(g: Graph, t: SpanningTree, witness: Witness, *, path: list[Edge] | None = None) -> SpanningTree:
     """Apply a certified swap, producing a strictly lighter spanning tree.
 
     Certification re-checks, from stored data: the incoming edge is not in
     T, the outgoing edge is, the outgoing edge lies on the T-path between
     the incoming edge's endpoints, and the swap strictly decreases weight.
-    Raises InvalidWitnessError otherwise.
+    Raises InvalidWitnessError otherwise. path, when given, is that T-path
+    as tree_path_edges returns it, for a caller that has already walked it.
     """
     in_id, out_id = witness.violating_edge_id, witness.replaced_edge_id
     if not (0 <= in_id < g.m and 0 <= out_id < g.m):
@@ -144,7 +145,9 @@ def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
     if out_id not in t:
         raise InvalidWitnessError(f"outgoing edge {out_id} is not in the tree")
     e_in = g.edge(in_id)
-    if all(p.id != out_id for p in tree_path_edges(g, t, e_in.u, e_in.v)):
+    if path is None:
+        path = tree_path_edges(g, t, e_in.u, e_in.v)
+    if all(p.id != out_id for p in path):
         raise InvalidWitnessError(f"edge {out_id} is not on the tree path of edge {in_id}")
     if not e_in.w < g.edge(out_id).w:
         raise InvalidWitnessError(f"swap does not decrease weight ({e_in.w} >= {g.edge(out_id).w})")
@@ -153,15 +156,20 @@ def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
 
 
 def _not_minimal(g: Graph, t: SpanningTree, in_edge: Edge) -> Verdict:
-    """Build the certified NotMinimal verdict for a violating edge."""
-    replaced = direct_path_max(g, t, in_edge.u, in_edge.v)
-    witness = Witness(in_edge.id, replaced.max_edge_id)
-    improved = improve(g, t, witness)
+    """Build the certified NotMinimal verdict for a violating edge.
+
+    The T-path is walked once: its brute-force (w, id) maximum is the
+    replaced edge, and improve certifies the swap against the same path.
+    """
+    path = tree_path_edges(g, t, in_edge.u, in_edge.v)
+    replaced = max(path, key=lambda e: e.key)
+    witness = Witness(in_edge.id, replaced.id)
+    improved = improve(g, t, witness, path=path)
     return Verdict(
         minimal=False,
         witness=witness,
         improved_tree=improved,
-        weight_delta=in_edge.w - replaced.max_weight,
+        weight_delta=in_edge.w - replaced.w,
     )
 
 

@@ -25,11 +25,53 @@ from mstverify import (
 from .conftest import edge_oracle, triangle
 
 
+def reference_connected_graph(n: int, m: int, rng: np.random.Generator) -> list[tuple[int, int, float]]:
+    """The edges random_connected_graph drew with its original pair loops, for fixed n and m."""
+    max_m = n * (n - 1) // 2
+    pairs: list[tuple[int, int]] = []
+    used: set[tuple[int, int]] = set()
+    for v in range(1, n):
+        u = int(rng.integers(v))
+        pairs.append((u, v))
+        used.add((u, v))
+    extra = m - (n - 1)
+    if extra > 0:
+        if max_m <= 4 * m or max_m < 100_000:
+            free = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in used]
+            take = rng.choice(len(free), size=extra, replace=False)
+            pairs.extend(free[i] for i in sorted(int(i) for i in take))
+        else:
+            while extra > 0:
+                a, b = int(rng.integers(n)), int(rng.integers(n))
+                if a == b:
+                    continue
+                if a > b:
+                    a, b = b, a
+                if (a, b) in used:
+                    continue
+                used.add((a, b))
+                pairs.append((a, b))
+                extra -= 1
+    weights = [float(w) for w in rng.uniform(0.0, 1.0, size=m)]
+    return [(u, v, w) for (u, v), w in zip(pairs, weights)]
+
+
 class TestRandomGraph:
     def test_deterministic_per_seed(self):
         a = random_connected_graph(20, 45, np.random.default_rng(3))
         b = random_connected_graph(20, 45, np.random.default_rng(3))
         assert serialize_graph(a) == serialize_graph(b)
+
+    @pytest.mark.parametrize(
+        "n, m",
+        # free-pair list: small graphs, a complete one, and max_m >= 100k with max_m <= 4m;
+        # rejection sampling: max_m >= 100k with max_m > 4m
+        [(2, 1), (3, 3), (5, 7), (12, 30), (40, 200), (60, 1770), (450, 26_000), (450, 500), (1000, 1500)],
+    )
+    def test_edges_equal_the_pair_loop_reference(self, n, m):
+        for seed in range(3):
+            g = random_connected_graph(n, m, np.random.default_rng(seed))
+            assert list(zip(*g.columns)) == reference_connected_graph(n, m, np.random.default_rng(seed))
 
     def test_output_passes_loader_validation(self, rng):
         for _ in range(20):
