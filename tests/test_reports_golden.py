@@ -9,13 +9,20 @@ reports; do that only when a report change is intended.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
+import math
 from pathlib import Path
 
+from mstverify import SearchSpace, Witness, bbht_cutoff, improve, kruskal_mst, load_graph, load_tree
 from mstverify.cli import main
+from mstverify.verify import DEFAULT_DELTA
 
 FIXTURE = Path(__file__).parent / "data" / "reports_golden.json"
+# sha256 of the classical runs (instance texts, args, exit code, stdout), which
+# no change to the quantum search may move; see test_reports_hold_ground_truth
+CLASSICAL_RUNS_SHA256 = "ab113ce94a1bf41e3b05c7c4ab89fadef4924bb5fc53e565b8e3c2bf5c7405c6"
 
 
 def _load():
@@ -47,6 +54,43 @@ def test_reports_byte_identical(tmp_path, capsys):
         assert (code, out) == (run["exit"], run["stdout"]), run
         statuses.add(code)
     assert statuses == {0, 3}
+
+
+def _flag(args, name, default):
+    return args[args.index(name) + 1] if name in args else default
+
+
+def test_reports_hold_ground_truth():
+    """What every recorded report must satisfy, whatever seeds a re-record draws.
+
+    Classical reports are pinned by digest. Each quantum report matches
+    Kruskal's verdict, its witness certifies, the build costs n-1 classical
+    queries and the iterations stay within the restarts' cutoffs.
+    """
+    golden = _load()
+    instances = golden["instances"]
+    classical = []
+    for run in golden["runs"]:
+        mode = _flag(run["args"], "--mode", "classical")
+        if mode == "classical":
+            classical.append([instances[run["instance"]], run["args"], run["exit"], run["stdout"]])
+            continue
+        doc = json.loads(run["stdout"])
+        g = load_graph(instances[run["instance"]]["graph"])
+        t = load_tree(instances[run["instance"]]["tree"], g)
+        weight = lambda tree: math.fsum(g.w[list(tree.edge_ids)])  # exact, so equal sums compare equal
+        minimal = weight(t) == weight(kruskal_mst(g))
+        assert (doc["status"], run["exit"]) == (("minimal", 0) if minimal else ("not_minimal", 3)), run
+        if not minimal:
+            witness = Witness(doc["witness"]["in_edge"], doc["witness"]["out_edge"])
+            assert list(improve(g, t, witness).edge_ids) == doc["improved_tree_indices"], run
+        assert doc["queries"]["classical"] == g.n - 1, run
+        logical = g.m if mode == "edgelist" else g.n * (g.n - 1) // 2
+        restarts = math.ceil(math.log2(1 / float(_flag(run["args"], "--delta", DEFAULT_DELTA))))
+        domain = SearchSpace(logical, lambda i: False).domain_size
+        assert doc["queries"]["grover_iterations"] <= restarts * bbht_cutoff(domain), run
+    digest = hashlib.sha256(json.dumps(classical, sort_keys=True).encode()).hexdigest()
+    assert (len(classical), digest) == (48, CLASSICAL_RUNS_SHA256)
 
 
 def _record():
