@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from .generate import GenError, random_connected_graph, tree_of_kind
 from .graph import GraphError, load_graph, load_tree, serialize_graph, serialize_tree, tree_weight
-from .grover import DEFAULT_STATEVECTOR_CAP
 from .oracle import InstrumentedOracle, OracleModel
 from .verify import DEFAULT_DELTA, classical_verify, kruskal_mst, quantum_verify, validate_search_settings
 
@@ -39,12 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     p_verify.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="completeness error in (0, 0.5)")
     p_verify.add_argument("--output", choices=["json", "text"], default="json")
-    p_verify.add_argument(
-        "--statevector-cap",
-        type=int,
-        default=DEFAULT_STATEVECTOR_CAP,
-        help="largest densely simulated domain, at most 2^22; larger searches run in analytic mode",
-    )
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
     p_gen.add_argument("--n", type=int, required=True)
@@ -67,15 +61,13 @@ def _load_instance(graph_path: str, tree_path: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    validate_search_settings(args.delta, args.statevector_cap)
+    validate_search_settings(args.delta)
     g, t = _load_instance(args.graph, args.tree)
     if args.mode == "classical":
         verdict, report = classical_verify(g, t, InstrumentedOracle(g, OracleModel.EDGE_LIST))
     else:
         oracle = InstrumentedOracle(g, OracleModel(args.mode))
-        verdict, report = quantum_verify(
-            g, t, oracle, args.mode, args.seed, delta=args.delta, statevector_cap=args.statevector_cap
-        )
+        verdict, report = quantum_verify(g, t, oracle, args.mode, args.seed, delta=args.delta)
 
     doc = {
         "status": verdict.status,
@@ -120,8 +112,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError as exc:
         raise GenError(f"--weights expects LO:HI, got {args.weights!r}") from exc
-    if not (0.0 <= lo < hi):
-        raise GenError(f"--weights needs 0 <= LO < HI, got {args.weights!r}")
+    if not (0.0 <= lo < hi < math.inf):
+        raise GenError(f"--weights needs finite 0 <= LO < HI, got {args.weights!r}")
     rng = np.random.default_rng(args.seed)
     g = random_connected_graph(args.n, args.m, rng, weight_low=lo, weight_high=hi)
     t = tree_of_kind(g, args.tree_kind, rng)

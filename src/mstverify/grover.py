@@ -2,11 +2,11 @@
 
 From the uniform start a Grover state stays in the span of the uniform
 marked and the uniform unmarked state, so a round's measurement law is
-the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1). For domains above
-the statevector cap the schedule samples that law directly (analytic
-mode, O(1) per round); at or below it a dense real state vector is
-iterated, at O(N) per iteration, and serves as the reference the closed
-form is tested against.
+the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1). Every round of the
+schedule samples that law directly, at O(1) per round plus the draw of
+an index, whatever the domain size. The dense state-vector simulation
+that the closed form is tested against lives with the tests, in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from typing import Callable, Iterable
 import numpy as np
 
 BBHT_GROWTH = 6 / 5
-DEFAULT_STATEVECTOR_CAP = 2**10
-MAX_STATEVECTOR_CAP = 2**22  # 32 MB of float64 amplitudes
 
 
 class KZeroError(ValueError):
@@ -58,7 +56,6 @@ class SearchSpace:
         self._positions = range(logical_size) if positions is None else positions
         self._marked: np.ndarray | None = None
         self._marked_set: frozenset[int] | None = None
-        self._mask: np.ndarray | None = None
 
     def marker(self, index: int) -> bool:
         """Whether index is marked; padding never is. Reads the cached marked set."""
@@ -78,54 +75,6 @@ class SearchSpace:
     def marked_count(self) -> int:
         return int(self.marked_indices().size)
 
-    def marked_mask(self) -> np.ndarray:
-        if self._mask is None:
-            self._mask = np.zeros(self.domain_size, dtype=bool)
-            self._mask[self.marked_indices()] = True
-        return self._mask
-
-
-class StateVector:
-    """Dense real amplitudes of a Grover register."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, domain_size: int):
-        self.amplitudes = np.full(domain_size, domain_size**-0.5)
-
-    def grover_iteration(self, marked_mask: np.ndarray) -> None:
-        """Phase-flip the marked amplitudes, then invert about the mean."""
-        a = self.amplitudes
-        # in place, bit-identical to a[mask] *= -1 and a.mean(): the same float operations and pairwise sum
-        np.negative(a, out=a, where=marked_mask)
-        np.subtract(2.0 * (np.add.reduce(a) / a.size), a, out=a)
-
-    def norm(self) -> float:
-        a = self.amplitudes
-        return float(math.sqrt(a @ a))
-
-    def marked_probability(self, marked_mask: np.ndarray) -> float:
-        a = self.amplitudes[marked_mask]
-        return float(a @ a)
-
-    def sample(self, rng: np.random.Generator) -> int:
-        """Measure: one index drawn from the squared amplitudes."""
-        a = self.amplitudes
-        cum = a * a
-        np.cumsum(cum, out=cum)
-        idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        return min(idx, a.size - 1)
-
-
-@dataclass(frozen=True)
-class GroverRunStats:
-    """Outcome of one fixed-iteration-count Grover run."""
-
-    iterations: int
-    oracle_applications: int
-    measured_index: int
-    success: bool
-
 
 @dataclass
 class BbhtStats:
@@ -134,7 +83,6 @@ class BbhtStats:
     grover_iterations: int = 0
     checks: int = 0
     rounds: int = 0
-    analytic: bool = False
 
     @property
     def oracle_applications(self) -> int:
@@ -144,7 +92,6 @@ class BbhtStats:
         self.grover_iterations += other.grover_iterations
         self.checks += other.checks
         self.rounds += other.rounds
-        self.analytic = self.analytic or other.analytic
 
 
 def success_probability(domain_size: int, marked: int, iterations: int) -> float:
@@ -169,14 +116,6 @@ def optimal_iterations(domain_size: int, marked: int) -> int:
     return int(math.pi / 4 * math.sqrt(domain_size / marked))
 
 
-def _dense_round(space: SearchSpace, iterations: int, rng: np.random.Generator) -> int:
-    state = StateVector(space.domain_size)
-    mask = space.marked_mask()
-    for _ in range(iterations):
-        state.grover_iteration(mask)
-    return state.sample(rng)
-
-
 def _closed_form_round(space: SearchSpace, iterations: int, rng: np.random.Generator) -> int:
     """Sample a measurement outcome without the dense state.
 
@@ -197,32 +136,7 @@ def _closed_form_round(space: SearchSpace, iterations: int, rng: np.random.Gener
     return int(unmarked[rng.integers(unmarked.size)])
 
 
-def grover_search(space: SearchSpace, iterations: int, rng_seed) -> GroverRunStats:
-    """Run one exact Grover search with a fixed iteration count.
-
-    Starts from the uniform superposition, applies `iterations` rounds of
-    phase flip + inversion about the mean, then measures once. One oracle
-    application per iteration. Deterministic for a given rng_seed.
-    """
-    if iterations < 0:
-        raise ValueError("iteration count must be >= 0")
-    rng = np.random.default_rng(rng_seed)
-    measured = _dense_round(space, iterations, rng)
-    return GroverRunStats(
-        iterations=iterations,
-        oracle_applications=iterations,
-        measured_index=measured,
-        success=space.marker(measured),
-    )
-
-
-def bbht_search(
-    space: SearchSpace,
-    rng_seed,
-    oracle=None,
-    *,
-    statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
-) -> tuple[int | None, BbhtStats]:
+def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, BbhtStats]:
     """Search with an unknown number of marked elements (BBHT schedule).
 
     Rounds draw a random iteration count below a bound that grows by 6/5
@@ -235,16 +149,12 @@ def bbht_search(
     rng = np.random.default_rng(rng_seed)
     n = space.domain_size
     cutoff = bbht_cutoff(n)
-    analytic = n > statevector_cap
-    stats = BbhtStats(analytic=analytic)
+    stats = BbhtStats()
     bound = 1.0
     while stats.grover_iterations < cutoff:
         r = int(rng.integers(0, math.ceil(bound)))
         r = min(r, cutoff - stats.grover_iterations)
-        if analytic:
-            measured = _closed_form_round(space, r, rng)
-        else:
-            measured = _dense_round(space, r, rng)
+        measured = _closed_form_round(space, r, rng)
         stats.grover_iterations += r
         stats.rounds += 1
         if oracle is not None:

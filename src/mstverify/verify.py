@@ -19,7 +19,7 @@ import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree, tree_path_edges
 from .graph import SMALL_GRAPH_EDGES, Edge, Graph, SpanningTree, UnionFind, non_tree_mask, spanning_tree
-from .grover import DEFAULT_STATEVECTOR_CAP, MAX_STATEVECTOR_CAP, BbhtStats, SearchSpace, bbht_search
+from .grover import BbhtStats, SearchSpace, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
 DEFAULT_DELTA = 0.01
@@ -57,18 +57,14 @@ class QueryReport:
     quantum_oracle_applications: int
     grover_iterations: int
     mode: str
-    analytic_mode: bool
+    analytic_mode: bool  # a quantum mode's rounds sample the closed-form law: true unless classical
     work_ops: int
 
 
-def validate_search_settings(delta: float, statevector_cap: int) -> None:
-    """Raise ValueError unless delta is in (0, 0.5) and the cap is a power of two in [2, 2^22]."""
+def validate_search_settings(delta: float) -> None:
+    """Raise ValueError unless delta is in (0, 0.5)."""
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must be in (0, 0.5), got {delta}")
-    if statevector_cap < 2 or statevector_cap & (statevector_cap - 1):
-        raise ValueError(f"statevector cap must be a power of two >= 2, got {statevector_cap}")
-    if statevector_cap > MAX_STATEVECTOR_CAP:
-        raise ValueError(f"statevector cap must be at most 2^22 = {MAX_STATEVECTOR_CAP}, got {statevector_cap}")
 
 
 def is_violating(
@@ -222,7 +218,6 @@ def _verify(
     mode: str,
     rng_seed=0,
     delta: float = DEFAULT_DELTA,
-    statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
 ) -> tuple[Verdict, QueryReport]:
     """Build the Boruvka tree, find a violating edge, certify it, report the cost.
 
@@ -243,7 +238,7 @@ def _verify(
         if space.logical_size > 0:
             rng = np.random.default_rng(rng_seed)
             for _ in range(math.ceil(math.log2(1.0 / delta))):
-                index, run = bbht_search(space, rng, oracle, statevector_cap=statevector_cap)
+                index, run = bbht_search(space, rng, oracle)
                 stats.merge(run)
                 if index is not None:
                     found = edge_of(index)
@@ -257,7 +252,7 @@ def _verify(
         quantum_oracle_applications=stats.oracle_applications,
         grover_iterations=stats.grover_iterations,
         mode=mode,
-        analytic_mode=stats.analytic,
+        analytic_mode=mode != "classical",
         work_ops=b.build_work + evaluations * (2 * b.height + 1),
     )
     return verdict, report
@@ -281,7 +276,6 @@ def quantum_verify(
     rng_seed=0,
     *,
     delta: float = DEFAULT_DELTA,
-    statevector_cap: int = DEFAULT_STATEVECTOR_CAP,
 ) -> tuple[Verdict, QueryReport]:
     """Verify with a simulated Grover search over the candidate domain.
 
@@ -296,9 +290,9 @@ def quantum_verify(
     O(sqrt(m)) applications) or "adjacency" (over vertex pairs, O(n)
     applications). It defaults to the oracle's own model and must match it.
     """
-    validate_search_settings(delta, statevector_cap)
+    validate_search_settings(delta)
     if mode is None:
         mode = oracle.model.value
     if mode != oracle.model.value:
         raise ValueError(f"mode {mode!r} does not match the oracle model {oracle.model.value!r}")
-    return _verify(g, t, oracle, mode, rng_seed, delta, statevector_cap)
+    return _verify(g, t, oracle, mode, rng_seed, delta)

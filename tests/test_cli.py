@@ -76,22 +76,14 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--graph", str(graph), "--tree", str(good), "--delta", "0.9")
         assert code == 1
 
-    def test_bad_cap_exits_one(self, capsys, triangle_files):
-        graph, good, _ = triangle_files
-        code, _, _ = run(
-            capsys, "verify", "--graph", str(graph), "--tree", str(good),
-            "--mode", "edgelist", "--statevector-cap", "100",
-        )
-        assert code == 1
-
-    def test_cap_above_ceiling_exits_one(self, capsys, triangle_files):
+    def test_removed_statevector_cap_is_a_usage_error(self, capsys, triangle_files):
         graph, good, _ = triangle_files
         code, out, err = run(
             capsys, "verify", "--graph", str(graph), "--tree", str(good),
-            "--mode", "edgelist", "--statevector-cap", str(2**62),
+            "--mode", "edgelist", "--statevector-cap", "4",
         )
         assert code == 1 and out == ""
-        assert err.startswith("error: statevector cap must be at most") and "Traceback" not in err
+        assert "unrecognized arguments: --statevector-cap" in err and "Traceback" not in err
 
     def test_analytic_reports_byte_identical_per_seed(self, capsys, tmp_path):
         prefix = str(tmp_path / "a")
@@ -99,7 +91,7 @@ class TestVerifyCommand:
         argv = ("verify", "--graph", prefix + ".graph", "--tree", prefix + ".tree", "--mode", "adjacency", "--seed", "6")
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
-        assert json.loads(first)["analytic_mode"] is True  # 2016 pairs: N = 2^11 > default cap
+        assert json.loads(first)["analytic_mode"] is True  # every quantum round samples the closed form
         assert first == second
 
     def test_usage_error_exits_one(self, capsys, triangle_files):
@@ -175,6 +167,14 @@ class TestGenCommand:
             capsys, "gen", "--n", "5", "--m", "6", "--weights", "5:1", "--out-prefix", str(tmp_path / "x")
         )
         assert code == 1
+
+    @pytest.mark.parametrize("weights", ["0:inf", "0:nan", "nan:1", "inf:inf", "1:1e999"])
+    def test_non_finite_weight_bound_exits_one(self, capsys, tmp_path, weights):
+        prefix = tmp_path / "x"
+        code, out, err = run(capsys, "gen", "--n", "5", "--m", "6", "--weights", weights, "--out-prefix", str(prefix))
+        assert code == 1 and out == ""
+        assert err.startswith("error: --weights needs finite") and err.count("\n") == 1
+        assert not prefix.with_suffix(".graph").exists()
 
 
 class TestOracleCommand:

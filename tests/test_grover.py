@@ -10,15 +10,15 @@ import pytest
 from mstverify import (
     KZeroError,
     SearchSpace,
-    StateVector,
     bbht_cutoff,
     bbht_search,
-    grover_search,
     optimal_iterations,
     success_probability,
 )
+from mstverify.grover import _closed_form_round
 
 from .conftest import edge_oracle, triangle
+from .reference import StateVector, grover_search, marked_mask
 
 
 def space(logical, marked):
@@ -81,7 +81,7 @@ class TestGroverSearch:
         s = space(16, [])
         sv = StateVector(s.domain_size)
         before = sv.amplitudes.copy()
-        mask = s.marked_mask()
+        mask = marked_mask(s)
         for _ in range(10):
             sv.grover_iteration(mask)
         assert np.abs(sv.amplitudes - before).max() <= 1e-12
@@ -91,7 +91,7 @@ class TestGroverSearch:
         for n in (2, 8, 64, 256):
             for k in range(0, min(n, 5)):
                 s = space(n, range(k))
-                mask = s.marked_mask()
+                mask = marked_mask(s)
                 sv = StateVector(s.domain_size)
                 r_max = 2 * optimal_iterations(n, k) if k else 6
                 for r in range(r_max + 1):
@@ -103,7 +103,7 @@ class TestGroverSearch:
 
     def test_two_level_flatness(self):
         s = space(64, [3, 17, 40])
-        mask = s.marked_mask()
+        mask = marked_mask(s)
         sv = StateVector(64)
         for _ in range(12):
             sv.grover_iteration(mask)
@@ -115,7 +115,7 @@ class TestGroverSearch:
     def test_padding_carries_unmarked_amplitude(self):
         # logical size 5 pads indices 5..7; padding must track the unmarked class
         s = space(5, [1, 4])
-        mask = s.marked_mask()
+        mask = marked_mask(s)
         sv = StateVector(s.domain_size)
         for _ in range(6):
             sv.grover_iteration(mask)
@@ -180,13 +180,38 @@ class TestBbht:
         assert hits / trials >= 0.95
         assert sum(applications) / trials <= 3 * math.sqrt(64 / 4)
 
-    def test_analytic_mode_matches_dense_statistics(self):
-        s = space(64, [5, 9, 33])
-        dense_hits = sum(bbht_search(s, seed)[0] is not None for seed in range(300))
-        analytic = [bbht_search(s, seed, statevector_cap=2)[1] for seed in range(300)]
-        analytic_hits = sum(bbht_search(s, seed, statevector_cap=2)[0] is not None for seed in range(300))
-        assert all(st.analytic for st in analytic)
-        # identical distributions; allow sampling noise between the two paths
-        assert abs(dense_hits - analytic_hits) <= 15
-        found, _ = bbht_search(s, 0, statevector_cap=2)
-        assert found is None or s.marker(found)
+
+class TestClosedFormRound:
+    def test_per_index_frequencies_match_dense_reference(self, monkeypatch):
+        """Each index is drawn as often as the dense state's squared amplitude says.
+
+        Per index, the count of T draws is Binomial(T, p); it must lie
+        within 5 standard deviations of T*p, plus 0.5 so that p = 0 admits
+        no draw. Cases: padding (logical 5 in N=8), nothing marked, all
+        marked, and nearly all marked, where 64 rejected draws in a row are
+        likely and the unmarked index comes from the np.setdiff1d fallback.
+        """
+        fallbacks = []
+        setdiff1d = np.setdiff1d
+        monkeypatch.setattr(np, "setdiff1d", lambda *a, **k: fallbacks.append(1) or setdiff1d(*a, **k))
+        cases = [
+            (5, [1, 4], 1),
+            (5, [1, 4], 2),
+            (6, [], 3),
+            (8, range(8), 2),
+            (16, [3], 2),
+            (63, range(63), 1),  # only the padding index 63 is unmarked
+            (64, set(range(64)) - {10, 50}, 1),
+        ]
+        draws = 4000
+        for logical, marked, r in cases:
+            s = space(logical, marked)
+            state = StateVector(s.domain_size)
+            for _ in range(r):
+                state.grover_iteration(marked_mask(s))
+            p = state.amplitudes**2
+            rng = np.random.default_rng(logical * 100 + r)
+            counts = np.bincount([_closed_form_round(s, r, rng) for _ in range(draws)], minlength=s.domain_size)
+            tolerance = 5 * np.sqrt(draws * p * (1 - p)) + 0.5
+            assert (np.abs(counts - draws * p) <= tolerance).all(), (logical, sorted(marked), r, counts, draws * p)
+        assert fallbacks

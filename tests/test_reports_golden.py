@@ -115,8 +115,6 @@ def _record():
         for mode in ("classical", "edgelist", "adjacency")
         for seed in (0, 5)
     ]
-    analytic = next(i for i, inst in enumerate(instances) if inst["kind"] == "perturbed" and inst["graph"].count("\n") > 20)
-    runs.append({"instance": analytic, "args": ["--mode", "edgelist", "--seed", "3", "--statevector-cap", "2"]})
     with tempfile.TemporaryDirectory() as tmp:
         files = _write_instances(instances, Path(tmp))
         for run in runs:

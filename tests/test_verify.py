@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from mstverify import grover, verify
+from mstverify import verify
 from mstverify import (
     Graph,
     InvalidWitnessError,
@@ -252,11 +252,12 @@ class TestQuantumVerify:
     def test_analytic_mode_same_verdict_and_flag(self, rng):
         g = random_connected_graph(16, 40, rng)
         t = perturbed_mst(g, rng)
-        dense, dr = quantum_verify(g, t, edge_oracle(g), "edgelist", 2)
-        analytic, ar = quantum_verify(g, t, edge_oracle(g), "edgelist", 2, statevector_cap=2)
-        assert not dr.analytic_mode and ar.analytic_mode
-        assert dense.minimal == analytic.minimal == False  # noqa: E712
-        for verdict in (dense, analytic):
+        classical, cr = classical_verify(g, t, edge_oracle(g))
+        assert not cr.analytic_mode and not classical.minimal
+        for mode, oracle in (("edgelist", edge_oracle), ("adjacency", adj_oracle)):
+            verdict, report = quantum_verify(g, t, oracle(g), mode, 2)
+            assert report.analytic_mode
+            assert verdict.minimal == classical.minimal
             e_in = g.edges[verdict.witness.violating_edge_id]
             assert e_in.id not in t
 
@@ -334,28 +335,3 @@ class TestSearchDomain:
             quantum_verify(g, t, oracle, mode, i)
             assert len(calls) <= g.m
             assert len({e.id for e in calls}) == len(calls)
-
-    def test_dense_at_cap_analytic_above(self, rng):
-        for n, analytic in ((45, False), (64, True)):  # 990 -> N=2^10, 2016 -> N=2^11
-            g = random_connected_graph(n, 3 * n, rng)
-            _, report = quantum_verify(g, kruskal_mst(g), adj_oracle(g), "adjacency", 3)
-            assert report.analytic_mode is analytic
-
-    def test_default_flags_never_build_a_state_vector_above_cap(self, rng, monkeypatch):
-        def refuse(self, domain_size):
-            raise AssertionError(f"dense state of {domain_size} amplitudes built")
-
-        monkeypatch.setattr(grover.StateVector, "__init__", refuse)
-        adjacency = random_connected_graph(64, 200, rng)
-        edgelist = random_connected_graph(300, 1100, rng)
-        for g, oracle, mode in ((adjacency, adj_oracle, "adjacency"), (edgelist, edge_oracle, "edgelist")):
-            for t in (kruskal_mst(g), perturbed_mst(g, rng)):
-                _, report = quantum_verify(g, t, oracle(g), mode, 5)
-                assert report.analytic_mode
-
-    def test_cap_above_ceiling_rejected(self):
-        g = triangle()
-        t = spanning_tree(g, (0, 1))
-        quantum_verify(g, t, edge_oracle(g), "edgelist", 0, statevector_cap=2**22)
-        with pytest.raises(ValueError, match="at most"):
-            quantum_verify(g, t, edge_oracle(g), "edgelist", 0, statevector_cap=2**23)
