@@ -117,7 +117,7 @@ def optimal_iterations(domain_size: int, marked: int) -> int:
 
 
 def _closed_form_round(space: SearchSpace, iterations: int, rng: np.random.Generator) -> int:
-    """Sample a measurement outcome without the dense state.
+    """Sample one round's measurement outcome from the closed form, without a state vector.
 
     Amplitudes stay uniform within the marked class and within the
     unmarked class, so the outcome is: marked with the closed-form

@@ -185,9 +185,9 @@ class TestClosedFormRound:
     def test_per_index_frequencies_match_dense_reference(self, monkeypatch):
         """Each index is drawn as often as the dense state's squared amplitude says.
 
-        Per index, the count of T draws is Binomial(T, p); it must lie
-        within 5 standard deviations of T*p, plus 0.5 so that p = 0 admits
-        no draw. Cases: padding (logical 5 in N=8), nothing marked, all
+        Per index, the count over `draws` samples is Binomial(draws, p); it
+        must lie within 5 standard deviations of draws*p, plus 0.5 so that
+        p = 0 admits no sample. Cases: padding (logical 5 in N=8), nothing marked, all
         marked, and nearly all marked, where 64 rejected draws in a row are
         likely and the unmarked index comes from the np.setdiff1d fallback.
         """
