@@ -1,102 +1,44 @@
-"""Minimum spanning tree verification with Boruvka path-max trees and Grover search."""
+"""Minimum spanning tree verification with Boruvka path-max trees and Grover search.
 
-from .boruvka import (
-    BoruvkaTree,
-    SameVertexError,
-    build_boruvka_tree,
-    direct_path_max,
-    tree_path_edges,
-    validate_structure,
-)
-from .generate import (
-    GenError,
-    perturbed_mst,
-    random_connected_graph,
-    random_spanning_tree,
-    tree_of_kind,
-)
+The package exports what the CLI, README and benchmark call; every other
+name is importable from its submodule (for example mstverify.graph.spanning_tree
+or mstverify.grover.SearchSpace).
+"""
+
+from .boruvka import BoruvkaTree
+from .generate import GenError, random_connected_graph, random_spanning_tree, tree_of_kind
 from .graph import (
-    DisconnectedError,
     Edge,
     Graph,
     GraphError,
-    NotInGraphError,
-    NotSpanningError,
-    ParseError,
-    SelfLoopError,
     SpanningTree,
-    UnionFind,
     load_graph,
     load_tree,
     serialize_graph,
     serialize_tree,
-    spanning_tree,
     tree_weight,
 )
-from .grover import (
-    KZeroError,
-    SearchSpace,
-    bbht_cutoff,
-    bbht_search,
-    optimal_iterations,
-    success_probability,
-)
 from .oracle import InstrumentedOracle, OracleModel
-from .verify import (
-    InvalidWitnessError,
-    QueryReport,
-    Verdict,
-    Witness,
-    classical_verify,
-    improve,
-    is_violating,
-    kruskal_mst,
-    quantum_verify,
-)
+from .verify import classical_verify, kruskal_mst, quantum_verify
 
 __all__ = [
     "BoruvkaTree",
-    "DisconnectedError",
     "Edge",
     "GenError",
     "Graph",
     "GraphError",
     "InstrumentedOracle",
-    "InvalidWitnessError",
-    "KZeroError",
-    "NotInGraphError",
-    "NotSpanningError",
     "OracleModel",
-    "ParseError",
-    "QueryReport",
-    "SameVertexError",
-    "SearchSpace",
-    "SelfLoopError",
     "SpanningTree",
-    "UnionFind",
-    "Verdict",
-    "Witness",
-    "bbht_cutoff",
-    "bbht_search",
-    "build_boruvka_tree",
     "classical_verify",
-    "direct_path_max",
-    "improve",
-    "is_violating",
     "kruskal_mst",
     "load_graph",
     "load_tree",
-    "optimal_iterations",
-    "perturbed_mst",
     "quantum_verify",
     "random_connected_graph",
     "random_spanning_tree",
     "serialize_graph",
     "serialize_tree",
-    "spanning_tree",
-    "success_probability",
     "tree_of_kind",
-    "tree_path_edges",
     "tree_weight",
-    "validate_structure",
 ]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,21 +26,6 @@ from .oracle import InstrumentedOracle
 
 class SameVertexError(ValueError):
     """A path query needs two distinct vertices."""
-
-
-class BNode(NamedTuple):
-    """One aggregate in the Boruvka tree, as read from the tree's arrays.
-
-    branch_edge_id / branch_weight describe the tree edge this node
-    selected when it merged into its parent; both are None for the root.
-    """
-
-    id: int
-    level: int
-    parent: int | None = None
-    branch_edge_id: int | None = None
-    branch_weight: float | None = None
-    children: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -149,29 +133,6 @@ class BoruvkaTree:
             a, b = self.parent[a], self.parent[b]
         node = by_rank[best]
         return self.branch_w[node], self.branch_id[node]
-
-    @cached_property
-    def nodes(self) -> tuple[BNode, ...]:
-        """The tree as one BNode per node id, derived from the arrays."""
-        up, bw, bid = self._tuples
-        children: list[list[int]] = [[] for _ in up]
-        level = [0] * len(up)
-        for i, p in enumerate(up[:-1]):  # children come before their parent
-            children[p].append(i)
-            level[p] = level[i] + 1
-        nodes = list(map(BNode, range(len(up)), level, up, bid, bw, map(tuple, children)))
-        nodes[self.root] = BNode(self.root, level[self.root], children=tuple(children[self.root]))
-        return tuple(nodes)
-
-    def dump(self) -> str:
-        """Debug outline, one node per line: id level parent branch_weight branch_edge_id."""
-        lines = []
-        for node in self.nodes:
-            parent = "-" if node.parent is None else str(node.parent)
-            bw = "-" if node.branch_weight is None else repr(node.branch_weight)
-            be = "-" if node.branch_edge_id is None else str(node.branch_edge_id)
-            lines.append(f"{node.id} {node.level} {parent} {bw} {be}")
-        return "\n".join(lines) + "\n"
 
 
 # Trees on at most this many vertices run the Boruvka phases as Python
@@ -315,33 +276,6 @@ def _array_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree
     )
 
 
-def validate_structure(b: BoruvkaTree, n: int) -> None:
-    """Raise ValueError unless b is a full branching tree within the size bounds."""
-    leaves = [node for node in b.nodes if not node.children]
-    if len(leaves) != n or any(node.level != 0 for node in leaves):
-        raise ValueError("leaves must be exactly the n vertices at level 0")
-    if len(b.nodes) > 2 * n:
-        raise ValueError(f"node count {len(b.nodes)} exceeds 2n = {2 * n}")
-    for node in b.nodes:
-        if node.children and len(node.children) < 2:
-            raise ValueError(f"internal node {node.id} has fan-out {len(node.children)}")
-        if node.id != b.root and node.parent is None:
-            raise ValueError(f"non-root node {node.id} has no parent")
-    # equal leaf depth: every leaf must reach the root in exactly `height` hops
-    for leaf in leaves:
-        depth = 0
-        node = leaf
-        while node.parent is not None:
-            node = b.nodes[node.parent]
-            depth += 1
-        if node.id != b.root or depth != b.height:
-            raise ValueError(f"leaf {leaf.id} at depth {depth}, expected height {b.height}")
-    if n > 1 and b.height > math.ceil(math.log2(n)):
-        raise ValueError(f"height {b.height} exceeds ceil(log2 {n})")
-    if n == 1 and b.height != 0:
-        raise ValueError("single-vertex tree must have height 0")
-
-
 def tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]:
     """The unique T-path between u and v, as a list of edges. O(n), reads only tree edges."""
     if u == v:
@@ -372,9 +306,3 @@ def tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]:
     path.reverse()
     return path
 
-
-def direct_path_max(g: Graph, t: SpanningTree, u: int, v: int) -> PathMaxAnswer:
-    """Brute-force reference for path_max: walk the T-path, take the (w, id) max."""
-    path = tree_path_edges(g, t, u, v)
-    best = max(path, key=lambda e: e.key)
-    return PathMaxAnswer(best.w, best.id, ascent_steps=len(path))

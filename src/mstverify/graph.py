@@ -62,9 +62,6 @@ class Edge:
         """Deterministic total order: weight first, id breaks ties."""
         return (self.w, self.id)
 
-    def other(self, vertex: int) -> int:
-        return self.v if vertex == self.u else self.u
-
 
 class UnionFind:
     """Disjoint sets over the integers 0..size-1 (path halving + union by size)."""
@@ -246,11 +243,6 @@ class Graph:
             order = sorted(range(self.m), key=ws.__getitem__)[::-1]
             self._pair_min = MappingProxyType({(us[i], vs[i]): i for i in order})
         return self._pair_min
-
-    def pair_min(self, a: int, b: int) -> Edge | None:
-        """Minimum-(w, id) edge between a and b, or None for a non-edge pair."""
-        i = self.pair_min_ids().get((a, b) if a < b else (b, a))
-        return None if i is None else self.edge(i)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

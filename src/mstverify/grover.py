@@ -20,10 +20,6 @@ import numpy as np
 BBHT_GROWTH = 6 / 5
 
 
-class KZeroError(ValueError):
-    """An operation needs at least one marked element."""
-
-
 def bbht_cutoff(domain_size: int) -> int:
     """Per-schedule ceiling on cumulative Grover iterations: 9 * ceil(sqrt(N))."""
     r = math.isqrt(domain_size)
@@ -105,15 +101,6 @@ def success_probability(domain_size: int, marked: int, iterations: int) -> float
         return 0.0
     theta = math.asin(math.sqrt(marked / domain_size))
     return math.sin((2 * iterations + 1) * theta) ** 2
-
-
-def optimal_iterations(domain_size: int, marked: int) -> int:
-    """floor((pi/4) * sqrt(N/k)), the standard known-count iteration choice."""
-    if marked == 0:
-        raise KZeroError("optimal iteration count undefined for zero marked elements")
-    if not (1 <= marked <= domain_size):
-        raise ValueError(f"need 1 <= k <= N, got k={marked} N={domain_size}")
-    return int(math.pi / 4 * math.sqrt(domain_size / marked))
 
 
 def _closed_form_round(space: SearchSpace, iterations: int, rng: np.random.Generator) -> int:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mstverify import Graph, InstrumentedOracle, OracleModel, spanning_tree
+from mstverify import Graph, InstrumentedOracle, OracleModel
+from mstverify.graph import spanning_tree
 
 TRIANGLE_TEXT = "3 3\n0 1 1.0\n1 2 2.0\n0 2 3.0\n"
 

@@ -1,18 +1,119 @@
-"""Dense state-vector Grover simulation: the reference the closed form is tested against.
+"""Brute-force and debug references the package is tested against.
 
-The package samples every search round from the closed-form law
-sin^2((2r+1)θ). This module iterates the full real amplitude vector
-instead, at O(N) per iteration, so tests can compare the two.
+- Boruvka trees: validate_structure checks a tree's structural bounds, and
+  direct_path_max is the brute-force path maximum that path_max must equal.
+  nodes and dump read a tree's arrays as one BNode per node.
+- Graphs: pair_min, the minimum-(w, id) edge of a vertex pair as an Edge.
+- Grover: the known-count optimal_iterations, and a dense state-vector
+  simulation. The package samples every search round from the closed-form
+  law sin^2((2r+1)θ); StateVector iterates the full real amplitude vector
+  instead, at O(N) per iteration, so tests can compare the two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from mstverify import SearchSpace
+from mstverify.boruvka import BoruvkaTree, PathMaxAnswer, tree_path_edges
+from mstverify.graph import Edge, Graph, SpanningTree
+from mstverify.grover import SearchSpace
+
+
+class BNode(NamedTuple):
+    """One aggregate in the Boruvka tree, as read from the tree's arrays.
+
+    branch_edge_id / branch_weight describe the tree edge this node
+    selected when it merged into its parent; both are None for the root.
+    """
+
+    id: int
+    level: int
+    parent: int | None = None
+    branch_edge_id: int | None = None
+    branch_weight: float | None = None
+    children: tuple[int, ...] = ()
+
+
+def nodes(b: BoruvkaTree) -> tuple[BNode, ...]:
+    """The tree as one BNode per node id, derived from the arrays."""
+    up, bw, bid = b.parent.tolist(), b.branch_w.tolist(), b.branch_id.tolist()
+    children: list[list[int]] = [[] for _ in up]
+    level = [0] * len(up)
+    for i, p in enumerate(up[:-1]):  # children come before their parent
+        children[p].append(i)
+        level[p] = level[i] + 1
+    out = list(map(BNode, range(len(up)), level, up, bid, bw, map(tuple, children)))
+    out[b.root] = BNode(b.root, level[b.root], children=tuple(children[b.root]))
+    return tuple(out)
+
+
+def dump(b: BoruvkaTree) -> str:
+    """Debug outline, one node per line: id level parent branch_weight branch_edge_id."""
+    lines = []
+    for node in nodes(b):
+        parent = "-" if node.parent is None else str(node.parent)
+        bw = "-" if node.branch_weight is None else repr(node.branch_weight)
+        be = "-" if node.branch_edge_id is None else str(node.branch_edge_id)
+        lines.append(f"{node.id} {node.level} {parent} {bw} {be}")
+    return "\n".join(lines) + "\n"
+
+
+def validate_structure(b: BoruvkaTree, n: int) -> None:
+    """Raise ValueError unless b is a full branching tree within the size bounds."""
+    all_nodes = nodes(b)
+    leaves = [node for node in all_nodes if not node.children]
+    if len(leaves) != n or any(node.level != 0 for node in leaves):
+        raise ValueError("leaves must be exactly the n vertices at level 0")
+    if len(all_nodes) > 2 * n:
+        raise ValueError(f"node count {len(all_nodes)} exceeds 2n = {2 * n}")
+    for node in all_nodes:
+        if node.children and len(node.children) < 2:
+            raise ValueError(f"internal node {node.id} has fan-out {len(node.children)}")
+        if node.id != b.root and node.parent is None:
+            raise ValueError(f"non-root node {node.id} has no parent")
+    # equal leaf depth: every leaf must reach the root in exactly `height` hops
+    for leaf in leaves:
+        depth = 0
+        node = leaf
+        while node.parent is not None:
+            node = all_nodes[node.parent]
+            depth += 1
+        if node.id != b.root or depth != b.height:
+            raise ValueError(f"leaf {leaf.id} at depth {depth}, expected height {b.height}")
+    if n > 1 and b.height > math.ceil(math.log2(n)):
+        raise ValueError(f"height {b.height} exceeds ceil(log2 {n})")
+    if n == 1 and b.height != 0:
+        raise ValueError("single-vertex tree must have height 0")
+
+
+def direct_path_max(g: Graph, t: SpanningTree, u: int, v: int) -> PathMaxAnswer:
+    """Brute-force reference for path_max: walk the T-path, take the (w, id) max."""
+    path = tree_path_edges(g, t, u, v)
+    best = max(path, key=lambda e: e.key)
+    return PathMaxAnswer(best.w, best.id, ascent_steps=len(path))
+
+
+def pair_min(g: Graph, a: int, b: int) -> Edge | None:
+    """Minimum-(w, id) edge between a and b, or None for a non-edge pair."""
+    i = g.pair_min_ids().get((a, b) if a < b else (b, a))
+    return None if i is None else g.edge(i)
+
+
+class KZeroError(ValueError):
+    """An operation needs at least one marked element."""
+
+
+def optimal_iterations(domain_size: int, marked: int) -> int:
+    """floor((pi/4) * sqrt(N/k)), the standard known-count iteration choice."""
+    if marked == 0:
+        raise KZeroError("optimal iteration count undefined for zero marked elements")
+    if not (1 <= marked <= domain_size):
+        raise ValueError(f"need 1 <= k <= N, got k={marked} N={domain_size}")
+    return int(math.pi / 4 * math.sqrt(domain_size / marked))
 
 
 def marked_mask(space: SearchSpace) -> np.ndarray:

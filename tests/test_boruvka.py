@@ -7,19 +7,12 @@ from collections import Counter
 
 import pytest
 
-from mstverify import (
-    SameVertexError,
-    build_boruvka_tree,
-    direct_path_max,
-    kruskal_mst,
-    random_connected_graph,
-    random_spanning_tree,
-    spanning_tree,
-    tree_path_edges,
-    validate_structure,
-)
+from mstverify import kruskal_mst, random_connected_graph, random_spanning_tree
+from mstverify.boruvka import SameVertexError, build_boruvka_tree, tree_path_edges
+from mstverify.graph import spanning_tree
 
 from .conftest import edge_oracle, path_graph, star_graph, triangle, whole_tree
+from .reference import direct_path_max, dump, nodes, validate_structure
 
 TRIANGLE_DUMP = "0 0 3 1.0 0\n1 0 3 1.0 0\n2 0 3 2.0 1\n3 1 - - -\n"
 
@@ -34,32 +27,32 @@ class TestBuild:
         g = triangle()
         b, o = build(g, spanning_tree(g, (0, 1)))
         assert b.height == 1
-        assert len(b.nodes) == 4
-        root = b.nodes[b.root]
+        assert len(nodes(b)) == 4
+        root = nodes(b)[b.root]
         assert root.children == (0, 1, 2)
-        assert [b.nodes[i].branch_weight for i in range(3)] == [1.0, 1.0, 2.0]
-        assert [b.nodes[i].branch_edge_id for i in range(3)] == [0, 0, 1]
+        assert [nodes(b)[i].branch_weight for i in range(3)] == [1.0, 1.0, 2.0]
+        assert [nodes(b)[i].branch_edge_id for i in range(3)] == [0, 0, 1]
         assert o.classical_queries == 2
 
     def test_triangle_dump_golden(self):
         g = triangle()
         b, _ = build(g, spanning_tree(g, (0, 1)))
-        assert b.dump() == TRIANGLE_DUMP
+        assert dump(b) == TRIANGLE_DUMP
 
     def test_two_vertex_tree(self):
         g = path_graph([4.0])
         b, _ = build(g, whole_tree(g))
         assert b.height == 1 == math.ceil(math.log2(2))
-        assert len(b.nodes) == 3
-        assert b.nodes[0].branch_weight == b.nodes[1].branch_weight == 4.0
+        assert len(nodes(b)) == 3
+        assert nodes(b)[0].branch_weight == nodes(b)[1].branch_weight == 4.0
 
     def test_star_collapses_in_one_phase(self):
         g = star_graph([1.0, 2.0, 3.0])
         b, _ = build(g, whole_tree(g))
         assert b.height == 1 <= math.ceil(math.log2(4))
-        assert len(b.nodes[b.root].children) == 4
+        assert len(nodes(b)[b.root].children) == 4
         # the center selects its lightest spoke
-        assert b.nodes[0].branch_weight == 1.0
+        assert nodes(b)[0].branch_weight == 1.0
 
     def test_single_vertex(self):
         from mstverify import Graph
@@ -67,7 +60,7 @@ class TestBuild:
         g = Graph(1, [])
         b, o = build(g, spanning_tree(g, ()))
         assert b.height == 0
-        assert len(b.nodes) == 1
+        assert len(nodes(b)) == 1
         assert o.classical_queries == 0
         validate_structure(b, 1)
 
@@ -86,7 +79,7 @@ class TestBuild:
             n = int(rng.integers(2, 120))
             g = random_connected_graph(n, n - 1, rng)
             b, _ = build(g, whole_tree(g))
-            sizes = Counter(node.level for node in b.nodes)
+            sizes = Counter(node.level for node in nodes(b))
             for level in range(1, b.height + 1):
                 assert sizes[level] <= math.ceil(sizes[level - 1] / 2)
 

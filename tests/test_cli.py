@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mstverify
 from mstverify.cli import main
 
 from .conftest import TRIANGLE_TEXT
@@ -174,6 +179,35 @@ class TestGenCommand:
         code, out, err = run(capsys, "gen", "--n", "5", "--m", "6", "--weights", weights, "--out-prefix", str(prefix))
         assert code == 1 and out == ""
         assert err.startswith("error: --weights needs finite") and err.count("\n") == 1
+        assert not prefix.with_suffix(".graph").exists()
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            ("100000", "4999950000"),  # the complete graph: its free-pair mask alone would take 9.3 GiB
+            ("100000000", "99999999"),  # a tree: its backbone loop would run for minutes
+        ],
+    )
+    def test_oversized_instance_exits_one_before_allocating(self, tmp_path, n, m):
+        # the child caps its own address space at 2 GiB, so an allocation that
+        # slipped past the edge cap would fail loudly instead of swapping
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from mstverify.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(mstverify.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        prefix = tmp_path / "x"
+        argv = ["gen", "--n", n, "--m", m, "--out-prefix", str(prefix)]
+        proc = subprocess.run(
+            [sys.executable, "-c", child, *argv], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert not prefix.with_suffix(".graph").exists()
 
 

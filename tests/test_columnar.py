@@ -7,27 +7,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mstverify import graph
 from mstverify import (
-    DisconnectedError,
     Graph,
     GraphError,
-    NotInGraphError,
-    SameVertexError,
-    build_boruvka_tree,
     classical_verify,
-    direct_path_max,
-    is_violating,
     kruskal_mst,
     load_graph,
     load_tree,
-    perturbed_mst,
     random_connected_graph,
     random_spanning_tree,
-    spanning_tree,
 )
+from mstverify import graph
+from mstverify.boruvka import SameVertexError, build_boruvka_tree
+from mstverify.generate import perturbed_mst
+from mstverify.graph import DisconnectedError, NotInGraphError, spanning_tree
+from mstverify.verify import is_violating
 
 from .conftest import adj_oracle, edge_oracle
+from .reference import direct_path_max, nodes, pair_min
 
 
 def tied_multigraph(rng, n: int, extra: int) -> Graph:
@@ -64,16 +61,16 @@ class TestColumnarGraph:
         e = g.edge(1)
         assert (e.id, e.u, e.v, e.w) == (1, 1, 2, 2.0)
         assert g.edge(1) is e is g.edges[1]
-        assert g.pair_min(2, 1) is e
+        assert pair_min(g, 2, 1) is e
         assert [x.id for x in g.edges] == [0, 1, 2]
         with pytest.raises(IndexError):
             g.edge(3)
 
     def test_pair_min_breaks_weight_ties_by_id(self):
         g = Graph(3, [(0, 1, 2.0), (1, 2, 1.0), (1, 0, 1.0), (0, 1, 1.0), (2, 1, 1.0)])
-        assert g.pair_min(1, 0).id == 2 and g.pair_min(1, 2).id == 1
+        assert pair_min(g, 1, 0).id == 2 and pair_min(g, 1, 2).id == 1
         assert dict(g.pair_min_ids()) == {(0, 1): 2, (1, 2): 1}
-        assert g.pair_min(0, 2) is None
+        assert pair_min(g, 0, 2) is None
 
     def test_too_few_edges_rejected_before_allocation(self):
         tracemalloc.start()
@@ -114,7 +111,7 @@ class TestColumnarGraph:
         tree_text = "indices\n" + "\n".join(map(str, t.edge_ids)) + "\n"
         assert load_tree(tree_text, g).edge_ids == t.edge_ids
         pairs_text = "pairs\n" + "".join(f"{g.v[i]} {g.u[i]}\n" for i in t.edge_ids)
-        expected = tuple(g.pair_min(int(g.u[i]), int(g.v[i])).id for i in t.edge_ids)
+        expected = tuple(pair_min(g, int(g.u[i]), int(g.v[i])).id for i in t.edge_ids)
         assert load_tree(pairs_text, g).edge_ids == expected
 
     @pytest.mark.parametrize(
@@ -249,7 +246,7 @@ class TestPathMaxBatch:
         b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
         with pytest.raises(ValueError):
             b.parent[0] = 1
-        for node in b.nodes:
+        for node in nodes(b):
             assert b.parent[node.id] == (-1 if node.parent is None else node.parent)
             if node.parent is not None:
                 assert (b.branch_w[node.id], b.branch_id[node.id]) == (node.branch_weight, node.branch_edge_id)

@@ -13,7 +13,6 @@ from mstverify import (
     kruskal_mst,
     load_graph,
     load_tree,
-    perturbed_mst,
     random_connected_graph,
     random_spanning_tree,
     serialize_graph,
@@ -21,6 +20,7 @@ from mstverify import (
     tree_of_kind,
     tree_weight,
 )
+from mstverify.generate import perturbed_mst
 
 from .conftest import edge_oracle, triangle
 

@@ -9,23 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstverify import (
+from mstverify import Graph, load_graph, load_tree, serialize_graph, serialize_tree, tree_weight
+from mstverify.graph import (
     DisconnectedError,
-    Graph,
     NotInGraphError,
     NotSpanningError,
     ParseError,
     SelfLoopError,
     UnionFind,
-    load_graph,
-    load_tree,
-    serialize_graph,
-    serialize_tree,
     spanning_tree,
-    tree_weight,
 )
 
 from .conftest import TRIANGLE_TEXT, triangle
+from .reference import pair_min
 
 
 class TestLoadGraph:
@@ -59,8 +55,8 @@ class TestLoadGraph:
     def test_parallel_edges_keep_ids(self):
         g = load_graph("2 2\n0 1 2.0\n0 1 1.0\n")
         assert g.m == 2
-        assert g.pair_min(0, 1).id == 1  # lighter parallel edge wins
-        assert g.pair_min(1, 0).id == 1
+        assert pair_min(g, 0, 1).id == 1  # lighter parallel edge wins
+        assert pair_min(g, 1, 0).id == 1
 
     @pytest.mark.parametrize(
         "text",

@@ -7,18 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from mstverify import (
-    KZeroError,
-    SearchSpace,
-    bbht_cutoff,
-    bbht_search,
-    optimal_iterations,
-    success_probability,
-)
-from mstverify.grover import _closed_form_round
+from mstverify.grover import SearchSpace, _closed_form_round, bbht_cutoff, bbht_search, success_probability
 
 from .conftest import edge_oracle, triangle
-from .reference import StateVector, grover_search, marked_mask
+from .reference import KZeroError, StateVector, grover_search, marked_mask, optimal_iterations
 
 
 def space(logical, marked):

@@ -15,9 +15,10 @@ import json
 import math
 from pathlib import Path
 
-from mstverify import SearchSpace, Witness, bbht_cutoff, improve, kruskal_mst, load_graph, load_tree
+from mstverify import kruskal_mst, load_graph, load_tree
 from mstverify.cli import main
-from mstverify.verify import DEFAULT_DELTA
+from mstverify.grover import SearchSpace, bbht_cutoff
+from mstverify.verify import DEFAULT_DELTA, Witness, improve
 
 FIXTURE = Path(__file__).parent / "data" / "reports_golden.json"
 # sha256 of the classical runs (instance texts, args, exit code, stdout), which

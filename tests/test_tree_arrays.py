@@ -5,23 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, tree_weight
 from mstverify import boruvka, graph, verify
-from mstverify import (
-    Graph,
-    GraphError,
-    build_boruvka_tree,
-    classical_verify,
-    direct_path_max,
-    kruskal_mst,
-    perturbed_mst,
-    quantum_verify,
-    spanning_tree,
-    tree_weight,
-)
-from mstverify.boruvka import SMALL_TREE_VERTICES
-from mstverify.graph import SMALL_GRAPH_EDGES
+from mstverify.boruvka import SMALL_TREE_VERTICES, build_boruvka_tree
+from mstverify.generate import perturbed_mst
+from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
 
 from .conftest import adj_oracle, edge_oracle
+from .reference import direct_path_max, validate_structure
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
 
@@ -76,7 +67,7 @@ class TestArrayBuild:
         t = spanning_tree(g, range(g.m))
         b = build_boruvka_tree(g, t, edge_oracle(g))
         assert g.n > SMALL_TREE_VERTICES
-        boruvka.validate_structure(b, g.n)
+        validate_structure(b, g.n)
         us, vs = rng.integers(g.n, size=200), rng.integers(g.n, size=200)
         us, vs = us[us != vs], vs[us != vs]
         max_w, max_id = b.path_max_batch(us, vs)

@@ -6,27 +6,24 @@ import math
 
 import pytest
 
-from mstverify import verify
 from mstverify import (
     Graph,
-    InvalidWitnessError,
-    SearchSpace,
-    Witness,
-    bbht_cutoff,
-    build_boruvka_tree,
     classical_verify,
-    improve,
-    is_violating,
     kruskal_mst,
-    perturbed_mst,
     quantum_verify,
     random_connected_graph,
     random_spanning_tree,
-    spanning_tree,
     tree_weight,
 )
+from mstverify import verify
+from mstverify.boruvka import build_boruvka_tree
+from mstverify.generate import perturbed_mst
+from mstverify.graph import spanning_tree
+from mstverify.grover import SearchSpace, bbht_cutoff
+from mstverify.verify import InvalidWitnessError, Witness, improve, is_violating
 
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle, whole_tree
+from .reference import pair_min
 
 RESTARTS = math.ceil(math.log2(1 / 0.01))  # default delta
 
@@ -295,7 +292,7 @@ def all_pairs_marked(g: Graph, t, b) -> dict:
     marked, p = {}, 0
     for a in range(g.n):
         for c in range(a + 1, g.n):
-            e = g.pair_min(a, c)
+            e = pair_min(g, a, c)
             if e is not None and is_violating(g, t, b, e):
                 marked[p] = e
             p += 1
@@ -321,12 +318,17 @@ class TestSearchDomain:
     @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
     def test_predicate_evaluated_at_most_m_times(self, rng, monkeypatch, mode):
         calls = []
+        total = 0
 
-        def counting(*args, **kwargs):
-            calls.append(args[3])
-            return is_violating(*args, **kwargs)
+        def counting_space(logical_size, marker, *args, **kwargs):
+            # the search's only view of the predicate is the marker its SearchSpace receives
+            def counting(i):
+                calls.append(i)
+                return marker(i)
 
-        monkeypatch.setattr(verify, "is_violating", counting)
+            return SearchSpace(logical_size, counting, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "SearchSpace", counting_space)
         for i in range(12):
             g = multigraph(rng, 3 + int(rng.integers(20)))
             t = kruskal_mst(g) if i % 2 else perturbed_mst(g, rng)  # minimal runs every check
@@ -334,4 +336,6 @@ class TestSearchDomain:
             calls.clear()
             quantum_verify(g, t, oracle, mode, i)
             assert len(calls) <= g.m
-            assert len({e.id for e in calls}) == len(calls)
+            assert len(set(calls)) == len(calls)
+            total += len(calls)
+        assert total > 0
