@@ -10,6 +10,9 @@ oracle calls. Trees above SMALL_TREE_VERTICES run the phases on arrays:
 a minimum per aggregate over the active edges, pointer jumping over the
 selected edges, and a cumulative sum to number the groups; smaller trees
 run them as Python loops, where numpy's per-call cost would dominate.
+tree_path_edges, which certification uses, roots T at one endpoint the
+same way: on arrays (an Euler tour ranked by pointer jumping) above
+SMALL_TREE_VERTICES, by a Python search below.
 """
 
 from __future__ import annotations
@@ -155,7 +158,7 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     arrays, smaller ones as Python loops; both give the same tree.
     """
     ids = list(t.edge_ids)
-    weights = [oracle.lookup_weight(i) for i in ids]
+    weights = list(map(oracle.lookup_weight, ids))
     phases = _python_phases if g.n <= SMALL_TREE_VERTICES else _array_phases
     return phases(g, ids, weights)
 
@@ -277,32 +280,86 @@ def _array_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree
 
 
 def tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]:
-    """The unique T-path between u and v, as a list of edges. O(n), reads only tree edges."""
+    """The unique T-path between u and v, as a list of edges in u -> v order. Reads only tree edges.
+
+    T is rooted at u, then v's parent edges are followed up to u. A tree
+    on more than SMALL_TREE_VERTICES vertices is rooted on arrays in
+    O(n log n) work whatever its shape (_tour_parents); a smaller one by a
+    Python search from u that stops at v, where numpy's per-call cost
+    would dominate.
+    """
     if u == v:
         raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
+    parent, via = _search_parents(g, t, u, v) if g.n <= SMALL_TREE_VERTICES else _tour_parents(g, t, u)
+    path: list[int] = []
+    x = v
+    while x != u:
+        path.append(via[x])
+        x = parent[x]
+    path.reverse()
+    return list(map(g.edge, path))
+
+
+def _search_parents(g: Graph, t: SpanningTree, u: int, v: int) -> tuple[list[int], list[int]]:
+    """Parent vertex and parent edge id of each vertex of T rooted at u, found by a depth-first search.
+
+    The search stops at v, so only the vertices on v's way up to u are sure to be set.
+    """
     us, vs, _ = g.columns
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # vertex -> (neighbor, edge id)
+    adjacency: list[list[int]] = [[] for _ in range(g.n)]  # vertex -> ids of its tree edges
     for i in t.edge_ids:
-        adjacency[us[i]].append((vs[i], i))
-        adjacency[vs[i]].append((us[i], i))
-    via: list[tuple[int, int] | None] = [None] * g.n  # vertex -> (previous vertex, edge id)
+        adjacency[us[i]].append(i)
+        adjacency[vs[i]].append(i)
+    parent = [-1] * g.n
+    via = [-1] * g.n
     stack = [u]
-    seen = [False] * g.n
-    seen[u] = True
     while stack:
         x = stack.pop()
         if x == v:
             break
-        for y, i in adjacency[x]:
-            if not seen[y]:
-                seen[y] = True
-                via[y] = (x, i)
+        for i in adjacency[x]:
+            if i != via[x]:
+                y = us[i] + vs[i] - x
+                parent[y], via[y] = x, i
                 stack.append(y)
-    path: list[Edge] = []
-    x = v
-    while x != u:
-        x, i = via[x]
-        path.append(g.edge(i))
-    path.reverse()
-    return path
+    return parent, via
 
+
+def _tour_parents(g: Graph, t: SpanningTree, u: int) -> tuple[list[int], list[int]]:
+    """Parent vertex and parent edge id of every vertex of T rooted at u, on arrays.
+
+    Both directions of every tree edge are slots, sorted by tail vertex (a
+    CSR). An Euler tour of T leaves a vertex, after arriving by x -> y, by
+    the slot after y -> x in y's slots, cyclically; started at u's first
+    slot, it crosses every edge first from parent to child. Pointer jumping
+    counts the slots left after each one in ceil(log2(2n-2)) rounds of
+    array gathers, so the earlier direction of each edge is the one with
+    more left.
+    """
+    ids = np.array(t.edge_ids, dtype=np.int64)
+    e = ids.size
+    tail = np.concatenate((g.u[ids], g.v[ids]))  # slot j runs tail[j] -> head[j] along edge ids[j % e]
+    head = np.concatenate((g.v[ids], g.u[ids]))
+    order = np.argsort(tail)  # any order of a vertex's slots gives an Euler tour
+    at = np.empty_like(order)
+    at[order] = np.arange(2 * e)  # at[j]: the sorted position of slot j
+    first = np.searchsorted(tail[order], np.arange(g.n + 1))  # vertex x's slots sit at first[x]..first[x+1]-1
+    reverse = at[(order + e) % (2 * e)]
+    to = head[order]
+    after = reverse + 1
+    step = np.where(after == first[to + 1], first[to], after)
+    # the tour ends on the slot whose next is u's first: the reverse of u's last slot
+    last = reverse[first[u + 1] - 1]
+    step[last] = last
+    left = np.ones(2 * e, dtype=np.int64)
+    left[last] = 0
+    for _ in range((2 * e - 1).bit_length()):
+        left += left[step]
+        step = step[step]
+    down = left[at[:e]] > left[at[e:]]  # edge ids[j] is first crossed from its u end
+    child = np.where(down, g.v[ids], g.u[ids])
+    parent = np.full(g.n, -1)
+    via = np.full(g.n, -1)
+    parent[child] = np.where(down, g.u[ids], g.v[ids])
+    via[child] = ids
+    return parent.tolist(), via.tolist()

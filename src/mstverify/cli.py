@@ -93,7 +93,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc["improved_tree_indices"] = list(verdict.improved_tree.edge_ids)
 
     if args.output == "json":
-        print(json.dumps(doc))
+        print(json.dumps(doc, allow_nan=False))
     else:
         print(f"status: {doc['status']}")
         print(f"n: {g.n}  m: {g.m}  mode: {report.mode}  analytic: {report.analytic_mode}")
@@ -117,6 +117,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     g = random_connected_graph(args.n, args.m, rng, weight_low=lo, weight_high=hi)
     t = tree_of_kind(g, args.tree_kind, rng)
+    weight = tree_weight(g, t)
+    if not math.isfinite(weight):
+        # checked before any file is written; the report must be strict JSON
+        raise GenError(f"tree weight overflows to {weight}: lower --weights, got {args.weights!r}")
     graph_path = Path(f"{args.out_prefix}.graph")
     tree_path = Path(f"{args.out_prefix}.tree")
     graph_path.write_text(serialize_graph(g), encoding="utf-8")
@@ -127,9 +131,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "n": g.n,
         "m": g.m,
         "tree_kind": args.tree_kind,
-        "tree_weight": tree_weight(g, t),
+        "tree_weight": weight,
         "seed": args.seed,
-    }))
+    }, allow_nan=False))
     return EXIT_MINIMAL
 
 
@@ -137,8 +141,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     g = load_graph(Path(args.graph).read_text(encoding="utf-8"))
     mst = kruskal_mst(g)
     weight = tree_weight(g, mst)
+    if not math.isfinite(weight):
+        raise GraphError(f"MST weight overflows to {weight}: the edge weights are too large to sum")
     if args.output == "json":
-        print(json.dumps({"mst_weight": weight, "mst_indices": list(mst.edge_ids), "n": g.n, "m": g.m}))
+        print(json.dumps({"mst_weight": weight, "mst_indices": list(mst.edge_ids), "n": g.n, "m": g.m}, allow_nan=False))
     else:
         print(f"mst weight: {weight}")
         print(f"mst indices: {list(mst.edge_ids)}")

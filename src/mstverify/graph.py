@@ -7,6 +7,11 @@ ambiguous. A Graph stores its edges as three read-only numpy columns u, v
 and w indexed by edge id; an Edge object is built only when a caller asks
 for one, and is then cached per id. Graph, Edge and SpanningTree are
 immutable after construction and safe to share across threads.
+
+The loaders accept exactly what int() and float() accept. A large file in
+the layout serialize_graph writes is cast to columns by numpy behind a
+guard that makes the two agree; any other file is read line by line,
+which names the first bad line.
 """
 
 from __future__ import annotations
@@ -133,7 +138,9 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
         lo, hi = uv.min(axis=0), uv.max(axis=0)
         if ((lo >= 0) & (hi < n) & (lo != hi) & (w >= 0.0) & (w < math.inf)).all():
             return lo, hi, w
-    for eid, (u, v, x) in enumerate(zip(us, vs, ws)):
+    # Python values, so that an error names a parsed array's values as the line-by-line parser's
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in (us, vs, ws)))
+    for eid, (u, v, x) in enumerate(rows):
         error = _edge_error(eid, u, v, x, n)
         if error is not None:
             raise error
@@ -277,7 +284,7 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
     on whole arrays, and the ids are walked one by one only after one
     fails, to raise the first error.
     """
-    ids = tuple(int(i) for i in edge_ids)
+    ids = tuple(map(int, edge_ids))
     if len(ids) > SMALL_GRAPH_EDGES and 0 <= min(ids) and max(ids) < g.m and len(ids) == g.n - 1:
         at = np.array(ids, dtype=np.int64)
         if _component_count(g.n, g.u[at], g.v[at]) == 1:
@@ -368,8 +375,92 @@ def _columns(
     raise AssertionError("a conversion failed on no line")
 
 
+# The characters a field may hold in the fast layout: ASCII digits and
+# those of a decimal or exponent float (no inf, nan, underscore or hex).
+_NUMBER_CHARS = b"0123456789.eE+-"
+# Any decimal of at most this many digits is below 2**63.
+_INT64_DIGITS = 18
+
+
+def _fast_fields(text: str, head: int, k: int, rows: int) -> list[str] | None:
+    """text's fields if it is in the fast layout, else None.
+
+    The fast layout is a line of head fields (none if head is 0), then rows
+    lines of k fields: fields of _NUMBER_CHARS only, one space between
+    fields, a newline after every line (optional after the last) and no
+    other character. Deleting the number characters must leave exactly
+    that pattern of separators, and split() must then give a full line of
+    fields per pattern line, so that no field is empty. Both run at C speed
+    over the text, about a sixth of the cost of splitting every line (4
+    against 26 ms on a 20000-vertex 80000-edge graph file).
+    """
+    if not text.isascii():
+        return None
+    first = b" " * (head - 1) + b"\n" if head else b""
+    line = b" " * (k - 1) + b"\n"
+    seps = text.encode("ascii").translate(None, _NUMBER_CHARS)
+    if not seps.endswith(b"\n"):
+        seps += b"\n"
+    # compared by length first, so a huge row count allocates nothing
+    if len(seps) != len(first) + len(line) * rows or seps != first + line * rows:
+        return None
+    fields = text.split()
+    return fields if len(fields) == head + k * rows else None
+
+
+def _int64_column(fields: list[str]) -> np.ndarray | None:
+    """fields as an int64 array if each is 1 to _INT64_DIGITS ASCII digits, else None.
+
+    On such fields numpy's cast and int() agree: every value fits in int64.
+    """
+    digits = "".join(fields)
+    if not (digits.isascii() and digits.isdigit()) or max(map(len, fields)) > _INT64_DIGITS:
+        return None
+    try:
+        return np.array(fields, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _load_graph_fast(text: str) -> Graph | None:
+    """load_graph for a graph file of more than SMALL_GRAPH_EDGES edges in the fast layout, else None.
+
+    The columns are cast by numpy, never listed in Python. None means the
+    file needs the line-by-line parser, which raises its exact error.
+    """
+    end = text.find("\n")
+    n_text, _, m_text = text[: max(end, 0)].partition(" ")
+    if not (n_text.isascii() and n_text.isdigit() and m_text.isascii() and m_text.isdigit()):
+        return None
+    n, m = int(n_text), int(m_text)
+    if not (SMALL_GRAPH_EDGES < m and 1 <= n <= m + 1):
+        return None
+    fields = _fast_fields(text, 2, 3, m)
+    if fields is None:
+        return None
+    us, vs = _int64_column(fields[2::3]), _int64_column(fields[3::3])
+    if us is None or vs is None:
+        return None
+    try:
+        # numpy casts each str through float(), so the weights are float()'s bit for bit
+        ws = np.array(fields[4::3], dtype=np.float64)
+    except ValueError:
+        return None
+    return Graph._from_columns(n, us, vs, ws)
+
+
 def load_graph(text: str) -> Graph:
-    """Parse the graph file format: a "n m" header, then m "u v w" lines."""
+    """Parse the graph file format: a "n m" header, then m "u v w" lines.
+
+    A file of more than SMALL_GRAPH_EDGES edges in the fast layout (one
+    space between fields, one newline after each line, digit endpoints)
+    is cast to columns by numpy; any other file is read line by line.
+    Both accept exactly what int() and float() accept, with the same
+    errors.
+    """
+    g = _load_graph_fast(text)
+    if g is not None:
+        return g
     linenos, counts, fields = _fields(text)
     if not linenos:
         raise ParseError("empty graph file")
@@ -403,8 +494,17 @@ def load_tree(text: str, g: Graph) -> SpanningTree:
 
     The header line is either "indices" (each following line one edge id)
     or "pairs" (each line "u v"; resolved to the minimum-(w, id) edge of
-    that pair). Exactly n-1 data lines are required.
+    that pair). Exactly n-1 data lines are required. An "indices" file of
+    more than SMALL_GRAPH_EDGES lines in the fast layout of load_graph is
+    cast and range-checked as one array; any other file is read line by
+    line, which names the first bad line.
     """
+    if text.startswith("indices\n") and g.n - 1 > SMALL_GRAPH_EDGES:
+        fields = _fast_fields(text[len("indices\n") :], 0, 1, g.n - 1)
+        ids = None if fields is None else _int64_column(fields)
+        # digits only, so no index is negative
+        if ids is not None and (ids < g.m).all():
+            return spanning_tree(g, ids.tolist())
     linenos, counts, fields = _fields(text)
     if not linenos:
         raise ParseError("empty tree file")

@@ -67,26 +67,15 @@ def validate_search_settings(delta: float) -> None:
         raise ValueError(f"delta must be in (0, 0.5), got {delta}")
 
 
-def is_violating(
-    g: Graph,
-    t: SpanningTree,
-    b: BoruvkaTree,
-    e: Edge,
-    oracle: InstrumentedOracle | None = None,
-) -> bool:
-    """True iff e is outside T and strictly lighter than its T-path maximum.
+def _violates(g: Graph, t: SpanningTree, b: BoruvkaTree, i: int, oracle: InstrumentedOracle | None = None) -> bool:
+    """True iff edge i is outside T and strictly lighter than its T-path maximum.
 
-    With an oracle, w(e) costs one weight-oracle call; without one (inside
+    With an oracle, w(i) costs one weight-oracle call; without one (inside
     a search marker, whose applications the search engine charges) the
     stored weight is used. The path maximum never costs a call. Equal
     weight does not violate: an equally heavy alternative never refutes
     minimality.
     """
-    return _violates(g, t, b, e.id, oracle)
-
-
-def _violates(g: Graph, t: SpanningTree, b: BoruvkaTree, i: int, oracle: InstrumentedOracle | None = None) -> bool:
-    """is_violating for edge id i, without building its Edge."""
     if i in t:
         return False
     us, vs, ws = g.columns
@@ -95,7 +84,7 @@ def _violates(g: Graph, t: SpanningTree, b: BoruvkaTree, i: int, oracle: Instrum
 
 
 def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree) -> np.ndarray:
-    """is_violating for every edge at once, from stored weights: a boolean mask over edge ids.
+    """_violates for every edge at once, from stored weights: a boolean mask over edge ids.
 
     One batched path-max over the non-tree edges (edge by edge on a small
     graph); tree edges never violate. No oracle calls: callers charge the
@@ -174,10 +163,11 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
 
     Each candidate up to and including the first violation is charged one
     weight lookup, in scan order, exactly as an edge-by-edge scan calling
-    is_violating charges it; the batched scan evaluates the predicate for
-    all candidates first and then charges that prefix. A small graph is
-    scanned edge by edge: the batch costs some 40 numpy calls however few
-    the edges, more than the whole scan of a graph this small.
+    _violates with the oracle charges it; the batched scan evaluates the
+    predicate for all candidates first and then charges that prefix. A
+    small graph is scanned edge by edge: the batch costs some 40 numpy
+    calls however few the edges, more than the whole scan of a graph this
+    small.
     """
     # a stable sort by weight is the (w, id) order, edge ids being positions
     if g.m <= SMALL_GRAPH_EDGES:
@@ -188,8 +178,9 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
     candidates = order[non_tree_mask(g, t)[order]]
     hits = np.flatnonzero(_violations(g, t, b)[candidates])
     stop = int(hits[0]) if hits.size else candidates.size - 1
+    lookup_weight = oracle.lookup_weight
     for i in candidates[: stop + 1].tolist():
-        oracle.lookup_weight(i)
+        lookup_weight(i)
     return g.edge(int(candidates[stop])) if hits.size else None
 
 

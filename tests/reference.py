@@ -3,6 +3,10 @@
 - Boruvka trees: validate_structure checks a tree's structural bounds, and
   direct_path_max is the brute-force path maximum that path_max must equal.
   nodes and dump read a tree's arrays as one BNode per node.
+- Tree paths: dfs_tree_path_edges, a depth-first search over Python
+  adjacency lists, which tree_path_edges must equal edge for edge.
+- Verification: is_violating, the cycle-property test for one Edge, as an
+  edge-by-edge scan would call it.
 - Graphs: pair_min, the minimum-(w, id) edge of a vertex pair as an Edge.
 - Grover: the known-count optimal_iterations, and a dense state-vector
   simulation. The package samples every search round from the closed-form
@@ -18,9 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mstverify.boruvka import BoruvkaTree, PathMaxAnswer, tree_path_edges
+from mstverify.boruvka import BoruvkaTree, PathMaxAnswer, SameVertexError
 from mstverify.graph import Edge, Graph, SpanningTree
 from mstverify.grover import SearchSpace
+from mstverify.oracle import InstrumentedOracle
 
 
 class BNode(NamedTuple):
@@ -92,9 +97,58 @@ def validate_structure(b: BoruvkaTree, n: int) -> None:
 
 def direct_path_max(g: Graph, t: SpanningTree, u: int, v: int) -> PathMaxAnswer:
     """Brute-force reference for path_max: walk the T-path, take the (w, id) max."""
-    path = tree_path_edges(g, t, u, v)
+    path = dfs_tree_path_edges(g, t, u, v)
     best = max(path, key=lambda e: e.key)
     return PathMaxAnswer(best.w, best.id, ascent_steps=len(path))
+
+
+def dfs_tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]:
+    """The unique T-path between u and v in u -> v order, by a depth-first search over adjacency lists."""
+    if u == v:
+        raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
+    us, vs, _ = g.columns
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # vertex -> (neighbor, edge id)
+    for i in t.edge_ids:
+        adjacency[us[i]].append((vs[i], i))
+        adjacency[vs[i]].append((us[i], i))
+    via: list[tuple[int, int] | None] = [None] * g.n  # vertex -> (previous vertex, edge id)
+    stack = [u]
+    seen = [False] * g.n
+    seen[u] = True
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for y, i in adjacency[x]:
+            if not seen[y]:
+                seen[y] = True
+                via[y] = (x, i)
+                stack.append(y)
+    path: list[Edge] = []
+    x = v
+    while x != u:
+        x, i = via[x]
+        path.append(g.edge(i))
+    path.reverse()
+    return path
+
+
+def is_violating(
+    g: Graph,
+    t: SpanningTree,
+    b: BoruvkaTree,
+    e: Edge,
+    oracle: InstrumentedOracle | None = None,
+) -> bool:
+    """True iff e is outside T and strictly lighter than its T-path maximum.
+
+    With an oracle, w(e) costs one weight-oracle call; without one the
+    stored weight is used. Equal weight does not violate.
+    """
+    if e.id in t:
+        return False
+    w = e.w if oracle is None else oracle.lookup_weight(e.id)
+    return w < b.path_max(e.u, e.v).max_weight
 
 
 def pair_min(g: Graph, a: int, b: int) -> Edge | None:

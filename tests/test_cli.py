@@ -181,6 +181,14 @@ class TestGenCommand:
         assert err.startswith("error: --weights needs finite") and err.count("\n") == 1
         assert not prefix.with_suffix(".graph").exists()
 
+    def test_overflowing_tree_weight_exits_one_before_writing(self, capsys, tmp_path):
+        prefix = tmp_path / "x"
+        argv = ["gen", "--n", "5", "--m", "4", "--weights", "1e308:1.7e308", "--out-prefix", str(prefix)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: tree weight overflows to inf: lower --weights, got '1e308:1.7e308'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "n, m",
         [
@@ -225,6 +233,15 @@ class TestOracleCommand:
         graph.write_text("4 3\n0 1 5.0\n1 2 1.0\n2 3 7.0\n")
         code, out, _ = run(capsys, "oracle", "--graph", str(graph))
         assert json.loads(out)["mst_indices"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("output", ["json", "text"])
+    def test_overflowing_mst_weight_exits_one(self, capsys, tmp_path, output):
+        graph = tmp_path / "big.graph"
+        graph.write_text("5 4\n0 1 1e308\n1 2 1e308\n2 3 1.7e308\n3 4 1.7e308\n")
+        code, out, err = run(capsys, "oracle", "--graph", str(graph), "--output", output)
+        assert code == 1 and out == ""
+        assert err == "error: MST weight overflows to inf: the edge weights are too large to sum\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["big.graph"]
 
     def test_verify_agreement_with_oracle(self, capsys, tmp_path):
         prefix = str(tmp_path / "z")

@@ -21,10 +21,9 @@ from mstverify import graph
 from mstverify.boruvka import SameVertexError, build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import DisconnectedError, NotInGraphError, spanning_tree
-from mstverify.verify import is_violating
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import direct_path_max, nodes, pair_min
+from .reference import direct_path_max, is_violating, nodes, pair_min
 
 
 def tied_multigraph(rng, n: int, extra: int) -> Graph:

@@ -5,12 +5,25 @@ from __future__ import annotations
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mstverify import Graph, load_graph, load_tree, serialize_graph, serialize_tree, tree_weight
+from mstverify import (
+    Graph,
+    GraphError,
+    load_graph,
+    load_tree,
+    random_connected_graph,
+    random_spanning_tree,
+    serialize_graph,
+    serialize_tree,
+    tree_weight,
+)
+from mstverify import graph
 from mstverify.graph import (
+    SMALL_GRAPH_EDGES,
     DisconnectedError,
     NotInGraphError,
     NotSpanningError,
@@ -201,3 +214,88 @@ class TestSpanningInvariant:
         for i in t.edge_ids:
             assert check.union(g.edges[i].u, g.edges[i].v)
         assert check.components == 1
+
+
+# One token's replacements in the fast-parse differential: each is a field
+# int() or float() reads differently from a plain decimal, or rejects, or
+# a vertex or edge index out of range.
+ODD_TOKENS = ["1_0", "+3", "-1", "٣", "0x10", "3.0", "1e3", "inf", "nan", "99999999999999999999999", "1e400"]
+ODD_TOKENS += ["0003", "-0.0", "1e-5", ".5", "5.", "1e", "+-1", "1..2", "12345678901234567890", "x", "\x00", "100000"]
+
+
+def mutate(rng, text: str) -> str:
+    """text with one token replaced, or a line dropped, duplicated or split, or its separators varied."""
+    lines = text.splitlines()
+    i = int(rng.integers(len(lines)))
+    kind = rng.choice(["token", "token", "token", "drop", "dup", "split", "space", "tab", "crlf", "blank", "no-eol"])
+    if kind == "token":
+        fields = lines[i].split()
+        fields[int(rng.integers(len(fields)))] = str(rng.choice(ODD_TOKENS))
+        lines[i] = " ".join(fields)
+    elif kind == "drop":
+        del lines[i]
+    elif kind == "dup":
+        lines.insert(i, lines[i])
+    elif kind == "split":
+        lines[i : i + 1] = lines[i].split(" ", 1)
+    elif kind in ("space", "tab"):
+        lines[i] = lines[i].replace(" ", "  " if kind == "space" else "\t", 1)
+    elif kind == "blank":
+        lines.insert(i, "")
+    if kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    return "\n".join(lines) + ("" if kind == "no-eol" else "\n")
+
+
+def outcome(load, *args):
+    """What load(*args) gives: its Graph's columns (weights bit for bit) or tree ids, or the error raised."""
+    try:
+        result = load(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, Graph):
+        return result.n, result.u.tolist(), result.v.tolist(), result.w.view(np.int64).tolist()
+    return result.edge_ids
+
+
+class TestFastParse:
+    """Files above SMALL_GRAPH_EDGES: numpy's column cast against the line-by-line parser alone."""
+
+    def test_same_columns_or_error_as_the_line_by_line_parser(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        cast = []  # per graph load: True when numpy cast the columns (the Graph may still be invalid)
+        load_graph_fast = graph._load_graph_fast
+
+        def spy(text):
+            cast.append(True)
+            g = load_graph_fast(text)
+            cast[-1] = g is not None
+            return g
+
+        monkeypatch.setattr(graph, "_load_graph_fast", spy)
+        for case in range(600):
+            n = int(rng.integers(SMALL_GRAPH_EDGES + 2, 60))
+            g = random_connected_graph(n, int(rng.integers(n - 1, 2 * n)), rng, weight_high=float(rng.choice([1.0, 1e6])))
+            t = random_spanning_tree(g, rng)
+            graph_text, tree_text = serialize_graph(g), serialize_tree(g, t)
+            if case % 2:
+                graph_text = mutate(rng, graph_text)
+            else:
+                tree_text = mutate(rng, tree_text)
+            fast = (outcome(load_graph, graph_text), outcome(load_tree, tree_text, g))
+            with monkeypatch.context() as m:
+                m.setattr(graph, "_fast_fields", lambda *args: None)
+                by_line = (outcome(load_graph, graph_text), outcome(load_tree, tree_text, g))
+            assert fast == by_line, (graph_text, tree_text)
+        assert sum(cast[::2]) > 300  # every unmutated graph file and many mutated ones were cast by numpy
+
+    def test_canonical_files_take_the_fast_path(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        g = random_connected_graph(SMALL_GRAPH_EDGES + 2, 2 * SMALL_GRAPH_EDGES, rng)
+        t = random_spanning_tree(g, rng)
+        taken = []
+        fast_fields = graph._fast_fields
+        monkeypatch.setattr(graph, "_fast_fields", lambda *args: taken.append(fast_fields(*args) is not None))
+        load_graph(serialize_graph(g))
+        load_tree(serialize_tree(g, t), g)
+        assert taken == [True, True]

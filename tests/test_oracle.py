@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
 import threading
 
+import numpy as np
 import pytest
 
-from mstverify import InstrumentedOracle, OracleModel, load_graph
+from mstverify import (
+    InstrumentedOracle,
+    OracleModel,
+    classical_verify,
+    kruskal_mst,
+    load_graph,
+    quantum_verify,
+    random_connected_graph,
+    random_spanning_tree,
+)
+from mstverify.generate import perturbed_mst
+from mstverify.graph import spanning_tree
 
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle
 
@@ -124,3 +137,46 @@ class TestCounters:
             th.join()
         assert o.classical_queries == 8 * per_thread
         assert o.quantum_queries == 8 * per_thread
+
+
+class TestCallContract:
+    """Every classical charge is one call of InstrumentedOracle.edge or .weight, the methods a tracer wraps."""
+
+    @pytest.mark.parametrize("n,m", [(6, 12), (40, 120), (150, 450)])  # edge-by-edge and batched scans, both tree builds
+    @pytest.mark.parametrize("model", [OracleModel.EDGE_LIST, OracleModel.ADJACENCY])
+    def test_spied_calls_equal_classical_queries(self, monkeypatch, n, m, model):
+        calls = []
+        for name in ("edge", "weight"):
+            method = getattr(InstrumentedOracle, name)
+
+            def spy(self, *args, _method=method, **kwargs):
+                calls.append(kwargs.get("quantum", False))
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(InstrumentedOracle, name, spy)
+        rng = np.random.default_rng([n, m])
+        g = random_connected_graph(n, m, rng)
+        for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
+            for run in (classical_verify, quantum_verify):
+                calls.clear()
+                oracle = InstrumentedOracle(g, model)
+                _, report = run(g, t, oracle)
+                assert calls == [False] * oracle.classical_queries
+                assert report.classical_weight_queries == oracle.classical_queries >= n - 1
+
+    def test_error_texts(self):
+        edge_list, adjacency = edge_oracle(triangle()), adj_oracle(triangle())
+        with pytest.raises(ValueError, match=re.escape("weight(a, b) requires an adjacency-model oracle")):
+            edge_list.weight(0, 1)
+        with pytest.raises(ValueError, match=re.escape("edge(i) requires an edge-list-model oracle")):
+            adjacency.edge(0)
+        with pytest.raises(IndexError, match=re.escape("edge index 3 outside [0, 2]")):
+            edge_list.edge(3)
+        with pytest.raises(IndexError, match=re.escape("edge index -1 outside [0, 2]")):
+            edge_list.edge(-1)
+        with pytest.raises(IndexError, match=re.escape("vertex pair (0, 3) outside [0, 2]^2")):
+            adjacency.weight(0, 3)
+        g = triangle()
+        with pytest.raises(ValueError, match="mode 'edgelist' does not match the oracle model 'adjacency'"):
+            quantum_verify(g, spanning_tree(g, (0, 1)), adjacency, "edgelist")
+        assert edge_list.classical_queries == adjacency.classical_queries == 0

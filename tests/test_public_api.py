@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import mstverify
-from mstverify import boruvka, graph, grover
+from mstverify import boruvka, graph, grover, verify
 
 PUBLIC = [
     "BoruvkaTree",
@@ -51,6 +51,7 @@ def test_public_name_resolves(name):
         (graph.Edge, "other"),
         (boruvka.BoruvkaTree, "nodes"),
         (boruvka.BoruvkaTree, "dump"),
+        (verify, "is_violating"),
     ],
 )
 def test_test_only_references_are_not_in_the_package(owner, name):

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, tree_weight
+from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, random_spanning_tree, tree_weight
 from mstverify import boruvka, graph, verify
-from mstverify.boruvka import SMALL_TREE_VERTICES, build_boruvka_tree
+from mstverify.boruvka import SMALL_TREE_VERTICES, SameVertexError, build_boruvka_tree, tree_path_edges
 from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import direct_path_max, validate_structure
+from .reference import dfs_tree_path_edges, direct_path_max, validate_structure
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
 
@@ -27,6 +27,8 @@ def tree_graph(rng, n: int, shape: str) -> Graph:
         pairs = [(v - 1, v) for v in range(1, n)]
     elif shape == "star":
         pairs = [(0, v) for v in range(1, n)]
+    elif shape == "caterpillar":  # a spine of half the vertices, each other one a leg on it
+        pairs = [(v - 1, v) if v < n // 2 else (int(rng.integers(max(n // 2, 1))), v) for v in range(1, n)]
     else:
         pairs = [(int(rng.integers(v)), v) for v in range(1, n)]
     weights = rng.integers(1, 4, size=n - 1).astype(float)
@@ -120,6 +122,28 @@ class TestSpanningTreeCheck:
         assert {"ok", graph.NotInGraphError, graph.NotSpanningError} <= kinds
         assert any("closes a cycle" in str(result[1]) for result in walked)
         assert any("expected" in str(result[1]) for result in walked)
+
+
+@pytest.mark.parametrize("shape", ["random", "path", "star", "caterpillar", "in a multigraph"])
+@pytest.mark.parametrize("n", [2, 3, 5, 17, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500, 3000])
+def test_tree_path_equals_the_dfs_reference(rng, shape, n):
+    if shape == "in a multigraph":
+        g = multigraph(rng, n, rng.random)
+        t = random_spanning_tree(g, rng)
+        pairs = []
+    else:
+        tree = tree_graph(rng, n, shape)
+        label = rng.permutation(n)  # so that a path's ends and a star's center fall anywhere
+        g = Graph(n, [(int(label[u]), int(label[v]), w) for u, v, w in zip(*tree.columns)])
+        t = spanning_tree(g, range(n - 1))
+        pairs = [(int(label[0]), int(label[n - 1]))]  # a path's two ends
+    pairs += [tuple(map(int, rng.choice(n, 2, replace=False))) for _ in range(12)]
+    for u, v in pairs:
+        for a, b in ((u, v), (v, u)):
+            assert tree_path_edges(g, t, a, b) == dfs_tree_path_edges(g, t, a, b)
+    x = int(rng.integers(n))
+    with pytest.raises(SameVertexError):
+        tree_path_edges(g, t, x, x)
 
 
 def test_not_minimal_walks_the_tree_path_once(monkeypatch):

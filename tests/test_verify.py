@@ -20,10 +20,10 @@ from mstverify.boruvka import build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import spanning_tree
 from mstverify.grover import SearchSpace, bbht_cutoff
-from mstverify.verify import InvalidWitnessError, Witness, improve, is_violating
+from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle, whole_tree
-from .reference import pair_min
+from .reference import is_violating, pair_min
 
 RESTARTS = math.ceil(math.log2(1 / 0.01))  # default delta
 
