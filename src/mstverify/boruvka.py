@@ -5,11 +5,13 @@ whose leaves are the vertices: every phase, each current node selects its
 minimum-(w, id) incident T-edge, and the connected components of the
 selected edges become the nodes of the next level. The maximum branch
 weight between two leaves equals the maximum edge weight on their T-path,
-so after one O(n)-query build, path-max queries cost O(log n) and zero
-oracle calls. Trees above SMALL_TREE_VERTICES run the phases on arrays:
-a minimum per aggregate over the active edges, pointer jumping over the
-selected edges, and a cumulative sum to number the groups; smaller trees
-run them as Python loops, where numpy's per-call cost would dominate.
+so after one O(n)-query build, BoruvkaTree.path_max_batch answers any
+number of path-max queries together: all of them climb the tree in
+lock-step, O(log n) array gathers and zero oracle calls. Trees above
+SMALL_TREE_VERTICES run the phases on arrays: a minimum per aggregate
+over the active edges, pointer jumping over the selected edges, and a
+cumulative sum to number the groups; smaller trees run them as Python
+loops, where numpy's per-call cost would dominate.
 tree_path_edges, which certification uses, roots T at one endpoint the
 same way: on arrays (an Euler tour ranked by pointer jumping) above
 SMALL_TREE_VERTICES, by a Python search below.
@@ -18,8 +20,6 @@ SMALL_TREE_VERTICES, by a Python search below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,15 +29,6 @@ from .oracle import InstrumentedOracle
 
 class SameVertexError(ValueError):
     """A path query needs two distinct vertices."""
-
-
-@dataclass(frozen=True)
-class PathMaxAnswer:
-    """Heaviest-(w, id) edge on the tree path between two queried vertices."""
-
-    max_weight: float
-    max_edge_id: int
-    ascent_steps: int
 
 
 class BoruvkaTree:
@@ -52,69 +43,24 @@ class BoruvkaTree:
     """
 
     def __init__(self, n: int, parent, branch_w, branch_id, height: int, build_work: int):
-        """parent, branch_w and branch_id come as lists (Python phases) or arrays (array phases).
-
-        The arrays and the tuples the scalar ascent reads are each made from
-        them on first use.
-        """
+        """parent, branch_w and branch_id come as lists (Python phases) or arrays (array phases)."""
         self.n = n
         self.root = len(parent) - 1
         self.height = height
         self.build_work = build_work
-        self._given = (parent, branch_w, branch_id)
-
-    @cached_property
-    def parent(self) -> np.ndarray:
-        """Parent node id of every node, -1 at the root (read-only)."""
-        return _read_only(np.asarray(self._given[0], dtype=np.int64))
-
-    @cached_property
-    def branch_w(self) -> np.ndarray:
-        """Weight of every node's branch edge, -inf at the root (read-only)."""
-        return _read_only(np.asarray(self._given[1], dtype=np.float64))
-
-    @cached_property
-    def branch_id(self) -> np.ndarray:
-        """Id of every node's branch edge, -1 at the root (read-only)."""
-        return _read_only(np.asarray(self._given[2], dtype=np.int64))
-
-    @cached_property
-    def _tuples(self) -> tuple[tuple, tuple, tuple]:
-        """parent, branch_w and branch_id as tuples: the scalar ascent indexes tuples, faster than arrays."""
-        return tuple(tuple(x.tolist() if isinstance(x, np.ndarray) else x) for x in self._given)
-
-    def path_max(self, u: int, v: int) -> PathMaxAnswer:
-        """Maximum branch on the two synchronized ascents from u and v to their LCA.
-
-        Equals the maximum-(w, id) edge of the T-path between u and v.
-        O(height) work, no oracle queries.
-        """
-        if u == v:
-            raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
-        for x in (u, v):
-            if not (0 <= x < self.n):
-                raise IndexError(f"vertex {x} out of range [0, {self.n - 1}]")
-        up, bw, bid = self._tuples
-        a, b = u, v
-        best_w = -math.inf
-        best_id = -1
-        steps = 0
-        while a != b:
-            for x in (a, b):
-                if (bw[x], bid[x]) > (best_w, best_id):
-                    best_w, best_id = bw[x], bid[x]
-            a = up[a]
-            b = up[b]
-            steps += 2
-        return PathMaxAnswer(best_w, best_id, steps)
+        self.parent = _read_only(np.asarray(parent, dtype=np.int64))
+        self.branch_w = _read_only(np.asarray(branch_w, dtype=np.float64))
+        self.branch_id = _read_only(np.asarray(branch_id, dtype=np.int64))
 
     def path_max_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
-        """path_max for many vertex pairs at once: (max weights, max edge ids).
+        """Maximum-(w, id) edge of the T-path of each vertex pair: (max weights, max edge ids).
 
-        All pairs climb together, one gather per level for `height` levels;
-        a pair stops taking maxima once its two ascents meet at the LCA.
-        Branches are compared by their rank in (w, id) order, so each level
-        costs one integer maximum. No oracle queries.
+        The maximum branch on the two synchronized ascents from u and v to
+        their LCA is the maximum-(w, id) edge of their T-path. All pairs
+        climb together, one gather per level for `height` levels; a pair
+        stops taking maxima once its two ascents meet at the LCA. Branches
+        are compared by their rank in (w, id) order, so each level costs
+        one integer maximum. No oracle queries.
         """
         a = np.asarray(us, dtype=np.int64)
         b = np.asarray(vs, dtype=np.int64)

@@ -117,12 +117,11 @@ def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
     return None
 
 
-# Graphs with at most this many edges are checked for connectivity (and,
-# in verify, tested for violations) edge by edge in Python: on a few edges
-# that beats numpy, whose fixed cost per call dominates (a 5-edge graph's
-# connectivity costs about 3 us with a union-find against 14 us in array
-# rounds; the batched violation test costs about 37 us at any small size,
-# the edge-by-edge one 18 us at 8 edges and 49 us at 32).
+# Graphs with at most this many edges are checked for connectivity edge by
+# edge in Python, and their files and tree id lists are read and checked
+# the same way: on a few edges that beats numpy, whose fixed cost per call
+# dominates (a 5-edge graph's connectivity costs about 3 us with a
+# union-find against 14 us in array rounds).
 SMALL_GRAPH_EDGES = 32
 
 

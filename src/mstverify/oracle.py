@@ -15,11 +15,9 @@ one call per query; lookup_weight charges one edge by id that way.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
 from enum import Enum
-from functools import cached_property
 
-from .graph import INFINITE_WEIGHT, Edge, Graph
+from .graph import INFINITE_WEIGHT, Graph
 
 
 class OracleModel(Enum):
@@ -38,6 +36,9 @@ class InstrumentedOracle:
         self.graph = graph
         self.model = model
         self._adjacency = model is OracleModel.ADJACENCY  # else the edge-list model
+        # read once, so every lookup indexes them directly
+        self._columns = graph.columns
+        self._pair_min = graph.pair_min_ids() if self._adjacency else {}
         self._lock = threading.Lock()
         self._classical = 0
         self._quantum = 0
@@ -98,16 +99,6 @@ class InstrumentedOracle:
                 self._classical += 1
         return (us[i], vs[i], ws[i])
 
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
-        """The graph's column tuples, read once: later lookups find them in the instance."""
-        return self.graph.columns
-
-    @cached_property
-    def _pair_min(self) -> Mapping[tuple[int, int], int]:
-        """The graph's pair-minimum map, read once like _columns."""
-        return self.graph.pair_min_ids()
-
     def lookup_weight(self, i: int) -> float:
         """Weight of edge i, charged as one classical lookup in this oracle's model.
 
@@ -121,7 +112,3 @@ class InstrumentedOracle:
             self.weight(us[i], vs[i])
             return ws[i]
         return self.edge(i)[2]
-
-    def edge_weight(self, e: Edge) -> float:
-        """Weight of a known edge, charged as one classical lookup in this oracle's model."""
-        return self.lookup_weight(e.id)

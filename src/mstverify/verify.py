@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree, tree_path_edges
-from .graph import SMALL_GRAPH_EDGES, Edge, Graph, SpanningTree, UnionFind, non_tree_mask, spanning_tree
+from .graph import Edge, Graph, SpanningTree, UnionFind, non_tree_mask, spanning_tree
 from .grover import BbhtStats, SearchSpace, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
@@ -62,37 +62,27 @@ class QueryReport:
 
 
 def validate_search_settings(delta: float) -> None:
-    """Raise ValueError unless delta is in (0, 0.5)."""
+    """Raise ValueError unless delta is in (0, 0.5) and 1/delta is a finite float.
+
+    The restart count ceil(log2(1/delta)) needs a finite 1/delta: below
+    about 5.6e-309 (subnormal deltas) it overflows to inf.
+    """
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must be in (0, 0.5), got {delta}")
-
-
-def _violates(g: Graph, t: SpanningTree, b: BoruvkaTree, i: int, oracle: InstrumentedOracle | None = None) -> bool:
-    """True iff edge i is outside T and strictly lighter than its T-path maximum.
-
-    With an oracle, w(i) costs one weight-oracle call; without one (inside
-    a search marker, whose applications the search engine charges) the
-    stored weight is used. The path maximum never costs a call. Equal
-    weight does not violate: an equally heavy alternative never refutes
-    minimality.
-    """
-    if i in t:
-        return False
-    us, vs, ws = g.columns
-    w = ws[i] if oracle is None else oracle.lookup_weight(i)
-    return w < b.path_max(us[i], vs[i]).max_weight
+    if math.isinf(1.0 / delta):
+        raise ValueError(f"delta {delta} is too small: 1/delta overflows a float")
 
 
 def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree, non_tree: np.ndarray | None = None) -> np.ndarray:
-    """_violates for every edge at once, from stored weights: a boolean mask over edge ids.
+    """The violation predicate of every edge, from stored weights: a boolean mask over edge ids.
 
-    One batched path-max over the non-tree edges (edge by edge on a small
-    graph); tree edges never violate. non_tree is non_tree_mask(g, t), for
-    a caller that has built it. No oracle calls: callers charge the
-    lookups their query model requires.
+    Edge i violates iff it is outside T and strictly lighter than its
+    T-path maximum, which one batched path-max gives for all non-tree edges
+    at once; tree edges never violate. Equal weight does not violate: an
+    equally heavy alternative never refutes minimality. non_tree is
+    non_tree_mask(g, t), for a caller that has built it. No oracle calls:
+    callers charge the lookups their query model requires.
     """
-    if g.m <= SMALL_GRAPH_EDGES:
-        return np.array([_violates(g, t, b, i) for i in range(g.m)], dtype=bool)
     outside = np.flatnonzero(non_tree_mask(g, t) if non_tree is None else non_tree)
     mask = np.zeros(g.m, dtype=bool)
     max_w, _ = b.path_max_batch(g.u[outside], g.v[outside])
@@ -163,19 +153,11 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
     """The first violating non-tree edge in (w, id) order, or None.
 
     Each candidate up to and including the first violation is charged one
-    weight lookup, in scan order, exactly as an edge-by-edge scan calling
-    _violates with the oracle charges it; the batched scan evaluates the
-    predicate for all candidates first, takes the (w, id) minimum of the
-    violating ones, and sorts and charges only the candidates up to it. A
-    small graph is scanned edge by edge: the batch costs some 40 numpy
-    calls however few the edges, more than the whole scan of a graph this
-    small.
+    weight lookup, in scan order, exactly as an edge-by-edge scan charges
+    it: the predicate is evaluated for all candidates in one batch first,
+    the (w, id) minimum of the violating ones is taken, and only the
+    candidates up to it are sorted and charged.
     """
-    # a stable sort by weight is the (w, id) order, edge ids being positions
-    if g.m <= SMALL_GRAPH_EDGES:
-        order = sorted(range(g.m), key=g.columns[2].__getitem__)
-        found = next((i for i in order if _violates(g, t, b, i, oracle)), None)
-        return None if found is None else g.edge(found)
     charged = non_tree_mask(g, t)
     hits = np.flatnonzero(_violations(g, t, b, charged))
     found = None
@@ -188,6 +170,7 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
         charged[found + 1 :] &= g.w[found + 1 :] < w
     candidates = np.flatnonzero(charged)
     lookup_weight = oracle.lookup_weight
+    # a stable sort by weight is the (w, id) order, edge ids being positions
     for i in candidates[np.argsort(g.w[candidates], kind="stable")].tolist():
         lookup_weight(i)
     return None if found is None else g.edge(found)
@@ -224,7 +207,7 @@ def _verify(
     Mode "classical" scans the candidates in (w, id) order, charging one
     weight query each; a quantum mode runs up to ceil(log2(1/delta)) BBHT
     schedules over its search space. Both evaluate the violation
-    predicate in one batch, or edge by edge on a small graph.
+    predicate in one batch.
     """
     c0 = oracle.classical_queries
     b = build_boruvka_tree(g, t, oracle)

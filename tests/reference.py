@@ -1,8 +1,10 @@
 """Brute-force and debug references the package is tested against.
 
-- Boruvka trees: validate_structure checks a tree's structural bounds, and
-  direct_path_max is the brute-force path maximum that path_max must equal.
-  nodes and dump read a tree's arrays as one BNode per node.
+- Boruvka trees: validate_structure checks a tree's structural bounds.
+  path_max is the scalar ascent, one vertex pair at a time over Python
+  lists, and direct_path_max the brute-force T-path maximum: the batched
+  BoruvkaTree.path_max_batch must equal both. nodes and dump read a tree's
+  arrays as one BNode per node.
 - Tree paths: dfs_tree_path_edges, a depth-first search over Python
   adjacency lists, which tree_path_edges must equal edge for edge.
 - Verification: is_violating, the cycle-property test for one Edge, as an
@@ -17,12 +19,13 @@
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from mstverify.boruvka import BoruvkaTree, PathMaxAnswer, SameVertexError
+from mstverify.boruvka import BoruvkaTree, SameVertexError
 from mstverify.graph import Edge, Graph, SpanningTree
 from mstverify.grover import SearchSpace
 from mstverify.oracle import InstrumentedOracle
@@ -95,6 +98,51 @@ def validate_structure(b: BoruvkaTree, n: int) -> None:
         raise ValueError("single-vertex tree must have height 0")
 
 
+@dataclass(frozen=True)
+class PathMaxAnswer:
+    """Heaviest-(w, id) edge on the tree path between two queried vertices."""
+
+    max_weight: float
+    max_edge_id: int
+    ascent_steps: int
+
+
+_tree_lists: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _lists(b: BoruvkaTree) -> tuple[list, list, list]:
+    """b's read-only parent, branch_w and branch_id arrays as lists, made once per tree: lists index faster."""
+    if b not in _tree_lists:
+        _tree_lists[b] = (b.parent.tolist(), b.branch_w.tolist(), b.branch_id.tolist())
+    return _tree_lists[b]
+
+
+def path_max(b: BoruvkaTree, u: int, v: int) -> PathMaxAnswer:
+    """Maximum branch on the two synchronized ascents from u and v to their LCA, one step at a time.
+
+    Equals the maximum-(w, id) edge of the T-path between u and v.
+    O(height) work, no oracle queries.
+    """
+    if u == v:
+        raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
+    for x in (u, v):
+        if not (0 <= x < b.n):
+            raise IndexError(f"vertex {x} out of range [0, {b.n - 1}]")
+    up, bw, bid = _lists(b)
+    x, y = u, v
+    best_w = -math.inf
+    best_id = -1
+    steps = 0
+    while x != y:
+        for z in (x, y):
+            if (bw[z], bid[z]) > (best_w, best_id):
+                best_w, best_id = bw[z], bid[z]
+        x = up[x]
+        y = up[y]
+        steps += 2
+    return PathMaxAnswer(best_w, best_id, steps)
+
+
 def direct_path_max(g: Graph, t: SpanningTree, u: int, v: int) -> PathMaxAnswer:
     """Brute-force reference for path_max: walk the T-path, take the (w, id) max."""
     path = dfs_tree_path_edges(g, t, u, v)
@@ -148,7 +196,7 @@ def is_violating(
     if e.id in t:
         return False
     w = e.w if oracle is None else oracle.lookup_weight(e.id)
-    return w < b.path_max(e.u, e.v).max_weight
+    return w < path_max(b, e.u, e.v).max_weight
 
 
 def pair_min(g: Graph, a: int, b: int) -> Edge | None:

@@ -11,7 +11,11 @@ from pathlib import Path
 import pytest
 
 import mstverify
+from mstverify import verify
 from mstverify.cli import main
+from mstverify.graph import Graph, spanning_tree
+from mstverify.oracle import InstrumentedOracle, OracleModel
+from mstverify.verify import quantum_verify, validate_search_settings
 
 from .conftest import TRIANGLE_TEXT
 
@@ -80,6 +84,25 @@ class TestVerifyCommand:
         graph, good, _ = triangle_files
         code, _, _ = run(capsys, "verify", "--graph", str(graph), "--tree", str(good), "--delta", "0.9")
         assert code == 1
+
+    @pytest.mark.parametrize("delta", ["5e-324", "1e-310"])
+    def test_delta_with_overflowing_reciprocal_exits_one(self, capsys, triangle_files, delta):
+        graph, good, _ = triangle_files
+        argv = ("verify", "--graph", str(graph), "--tree", str(good), "--mode", "edgelist", "--delta", delta)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        with pytest.raises(ValueError, match="1/delta overflows"):
+            validate_search_settings(float(delta))
+
+    @pytest.mark.parametrize("delta,restarts", [(1e-308, 1024), (2.0**-1022, 1022), (0.01, 7), (0.49, 2)])
+    def test_accepted_deltas_keep_their_restart_count(self, monkeypatch, delta, restarts):
+        searches = []
+        search = verify.bbht_search
+        monkeypatch.setattr(verify, "bbht_search", lambda *a: searches.append(1) or search(*a))
+        g = Graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
+        verdict, _ = quantum_verify(g, spanning_tree(g, (0, 1)), InstrumentedOracle(g, OracleModel.EDGE_LIST), delta=delta)
+        assert verdict.minimal and len(searches) == restarts
 
     def test_removed_statevector_cap_is_a_usage_error(self, capsys, triangle_files):
         graph, good, _ = triangle_files

@@ -120,10 +120,12 @@ SECONDS = 30  # per argv: generous for the small valid instances drawn here
 
 @pytest.fixture(scope="module")
 def child(tmp_path_factory):
-    """The child process, working in a directory with a small and a large graph, a junk file and a subdirectory."""
+    """The child process, working in a directory with a small and a large instance, a junk file and a subdirectory."""
     cwd = tmp_path_factory.mktemp("argv")
     (cwd / "small.graph").write_text(GRAPH)
     (cwd / "big.graph").write_text(BIG_GRAPH)
+    (cwd / "small.tree").write_text(TREES[0])
+    (cwd / "big.tree").write_text(BIG_TREES[0])
     (cwd / "junk.graph").write_bytes(b"\xff\x00 1 2\n")
     (cwd / "dir").mkdir()
     src = str(Path(mstverify.__file__).resolve().parents[1])
@@ -175,9 +177,31 @@ GEN = {
     "--out-prefix": (st.sampled_from(["out", "dir/out", "missing/out", "dir", "small.graph/out", ""]), True),
 }
 ORACLE = {"--graph": (PATHS, True), "--output": (st.sampled_from(["json", "text", "xml"]), False)}
+# NaN, infinities, the bounds of (0, 0.5) and negatives; then deltas about where 1/delta overflows
+# (below about 5.6e-309): subnormals on both sides of it and the smallest normal
+DELTAS = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "0.5", "0.49", "0.01", "-0.01", "-5e-324", "1e-308"]),
+    st.sampled_from(["5e-324", "1e-310", "4e-320", "5.5e-309", "1e-309", "2.2e-308", "2.2250738585072014e-308"]),
+    st.floats(-1.0, 1.0).map(repr),
+)
+VERIFY = {
+    "--mode": (st.sampled_from(["classical", "edgelist", "adjacency", "quantum", ""]), True),
+    "--seed": (INTEGERS, False),
+    "--delta": (DELTAS, True),
+}
+# the small and the large instance, and a tree of the wrong graph
+INSTANCES = st.sampled_from(
+    [("small.graph", "small.tree"), ("big.graph", "big.tree"), ("big.graph", "small.tree")]
+).map(lambda pair: ["--graph", pair[0], "--tree", pair[1]])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(argv_of("gen", GEN), argv_of("oracle", ORACLE)))
 def test_any_gen_or_oracle_argv_keeps_the_exit_contract(child, argv):
+    assert_contract(*run_argv(child, argv))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(argv_of("verify", VERIFY), INSTANCES).map(lambda parts: parts[0] + parts[1]))
+def test_any_verify_flags_keep_the_exit_contract(child, argv):
     assert_contract(*run_argv(child, argv))

@@ -23,7 +23,7 @@ from mstverify.generate import perturbed_mst
 from mstverify.graph import DisconnectedError, NotInGraphError, spanning_tree
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import direct_path_max, is_violating, nodes, pair_min
+from .reference import direct_path_max, is_violating, nodes, pair_min, path_max
 
 
 def tied_multigraph(rng, n: int, extra: int) -> Graph:
@@ -196,7 +196,7 @@ class TestPathMaxBatch:
             us, vs = us[keep], vs[keep]
             max_w, max_id = b.path_max_batch(us, vs)
             for k, (a, c) in enumerate(zip(us.tolist(), vs.tolist())):
-                fast = b.path_max(a, c)
+                fast = path_max(b, a, c)
                 assert (fast.max_weight, fast.max_edge_id) == (max_w[k], max_id[k])
                 if k % 17 == 0:
                     slow = direct_path_max(g, t, a, c)
@@ -215,7 +215,7 @@ class TestPathMaxBatch:
         max_w, max_id = b.path_max_batch(us, vs)
         for level in range(1, b.height + 1):
             k = int(np.flatnonzero(lca_level == level)[0])
-            fast = b.path_max(int(us[k]), int(vs[k]))
+            fast = path_max(b, int(us[k]), int(vs[k]))
             assert (fast.max_weight, fast.max_edge_id) == (max_w[k], max_id[k])
 
     def test_empty_batch_and_same_vertex(self, rng):
@@ -232,9 +232,9 @@ class TestPathMaxBatch:
         assert len(b.parent) > g.n  # ids n.. are internal nodes, not vertices
         for bad in (9, len(b.parent) - 1, -1):
             with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
-                b.path_max(0, bad)
+                path_max(b, 0, bad)
             with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
-                b.path_max(bad, 0)
+                path_max(b, bad, 0)
             with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
                 b.path_max_batch([0, 1, bad], [1, 2, 3])
             with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
@@ -258,7 +258,7 @@ def reference_scan(g, t, oracle):
 
 
 class TestBatchedScan:
-    @pytest.mark.parametrize("n,extra", [(5, 4), (9, 30), (40, 150)])  # scalar and batched scans
+    @pytest.mark.parametrize("n,extra", [(5, 4), (9, 30), (40, 150)])  # 9, 41 and 202 edges
     def test_same_witness_verdict_and_queries_as_reference_loop(self, rng, n, extra):
         for _ in range(15):
             g = tied_multigraph(rng, n, extra)
@@ -289,10 +289,6 @@ class TestBatchedScan:
                 verdict, _ = classical_verify(g, t, edge_oracle(g))
                 allowed = set(t.edge_ids) | ({verdict.witness.violating_edge_id} if verdict.witness else set())
                 assert len(built) <= g.n and set(built) <= allowed
-
-    def test_parametrized_sizes_cover_both_scans(self):
-        # tied_multigraph(5, 4) has 9 edges, (9, 30) has 41 and (40, 150) has 202
-        assert 9 <= graph.SMALL_GRAPH_EDGES < 41
 
 
 def perturbed_reference(g, rng):

@@ -52,6 +52,8 @@ def test_public_name_resolves(name):
         (boruvka.BoruvkaTree, "nodes"),
         (boruvka.BoruvkaTree, "dump"),
         (verify, "is_violating"),
+        (boruvka.BoruvkaTree, "path_max"),
+        (boruvka, "PathMaxAnswer"),
     ],
 )
 def test_test_only_references_are_not_in_the_package(owner, name):

@@ -12,7 +12,7 @@ from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import dfs_tree_path_edges, direct_path_max, validate_structure
+from .reference import dfs_tree_path_edges, direct_path_max, path_max, validate_structure
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
 
@@ -74,7 +74,7 @@ class TestArrayBuild:
         us, vs = us[us != vs], vs[us != vs]
         max_w, max_id = b.path_max_batch(us, vs)
         for u, v, w, i in zip(us.tolist(), vs.tolist(), max_w.tolist(), max_id.tolist()):
-            scalar, expected = b.path_max(u, v), direct_path_max(g, t, u, v)
+            scalar, expected = path_max(b, u, v), direct_path_max(g, t, u, v)
             assert (scalar.max_weight, scalar.max_edge_id) == (w, i) == (expected.max_weight, expected.max_edge_id)
 
     @pytest.mark.parametrize("make_oracle", [edge_oracle, adj_oracle])

@@ -19,13 +19,13 @@ from mstverify import (
 from mstverify import verify
 from mstverify.boruvka import build_boruvka_tree
 from mstverify.generate import perturbed_mst
-from mstverify.graph import SMALL_GRAPH_EDGES, non_tree_mask, spanning_tree
+from mstverify.graph import non_tree_mask, spanning_tree
 from mstverify.grover import SearchSpace, bbht_cutoff
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle, whole_tree
-from .reference import is_violating, pair_min
+from .reference import is_violating, pair_min, path_max
 
 RESTARTS = math.ceil(math.log2(1 / 0.01))  # default delta
 
@@ -101,7 +101,7 @@ class TestClassicalVerify:
             violators = [
                 e.id
                 for e in g.edges
-                if e.id not in t and e.w < b.path_max(e.u, e.v).max_weight
+                if e.id not in t and e.w < path_max(b, e.u, e.v).max_weight
             ]
             expected = min(violators, key=lambda i: g.edges[i].key)
             assert verdict.witness.violating_edge_id == expected
@@ -320,11 +320,14 @@ class TestScanChargeOrder:
 
         monkeypatch.setattr(InstrumentedOracle, "edge", spy)
         verdicts = set()
+        tiny = 0
         for case in range(30):
-            # tied weights in {1, 2, 3} with parallel edges, or few distinct weights on a simple graph
-            n = 20 + int(rng.integers(40))
-            g = multigraph(rng, n) if case % 2 else random_connected_graph(n, 3 * n, rng, weight_alphabet=[0.0, 0.5, 1.0])
-            assert g.m > SMALL_GRAPH_EDGES
+            # tied weights in {1, 2, 3} with parallel edges, or few distinct weights on a simple graph;
+            # every third graph has 3 to 8 vertices, most of them at most 32 edges
+            n = 3 + int(rng.integers(6)) if case % 3 == 2 else 20 + int(rng.integers(40))
+            m = min(3 * n, n * (n - 1) // 2)
+            g = multigraph(rng, n) if case % 2 else random_connected_graph(n, m, rng, weight_alphabet=[0.0, 0.5, 1.0])
+            tiny += g.m <= 32
             for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
                 b = build_boruvka_tree(g, t, edge_oracle(g))
                 charged.clear()
@@ -334,7 +337,7 @@ class TestScanChargeOrder:
                 assert (found is None) == (not is_violating(g, t, b, g.edge(expected[-1])))
                 assert found is None or found.id == expected[-1]
                 verdicts.add(found is None)
-        assert verdicts == {True, False}
+        assert verdicts == {True, False} and tiny >= 5
 
 
 class TestSearchDomain:
