@@ -3,21 +3,31 @@
 From the uniform start a Grover state stays in the span of the uniform
 marked and the uniform unmarked state, so a round's measurement law is
 the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1). Every round of the
-schedule samples that law directly, at O(1) per round plus the draw of
-an index, whatever the domain size. The dense state-vector simulation
-that the closed form is tested against lives with the tests, in
+schedule samples that law directly, at O(1) per round whatever the domain
+size. A round's iteration count never depends on earlier outcomes, so the
+schedule draws its rounds' counts and success uniforms ROUND_CHUNK rounds
+at a time, and it draws an index only on a hit: on a miss the measured
+index would only feed a check that must fail. The dense state-vector
+simulation that the closed form is tested against, and the round-by-round
+loop this schedule is tested against, live with the tests, in
 tests/reference.py.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 BBHT_GROWTH = 6 / 5
+# Rounds drawn per pair of Generator calls. An unmarked schedule, which runs
+# to the cutoff, averages about 30 rounds at N <= 512, so one or two chunks
+# cover it; a marked one stops after 3 to 13 rounds and discards the rest.
+ROUND_CHUNK = 32
 
 
 def bbht_cutoff(domain_size: int) -> int:
@@ -51,20 +61,12 @@ class SearchSpace:
         self._raw_marker = marker
         self._positions = range(logical_size) if positions is None else positions
         self._marked: np.ndarray | None = None
-        self._marked_set: frozenset[int] | None = None
-
-    def marker(self, index: int) -> bool:
-        """Whether index is marked; padding never is. Reads the cached marked set."""
-        if self._marked_set is None:
-            self.marked_indices()
-        return index in self._marked_set
 
     def marked_indices(self) -> np.ndarray:
-        """Sorted indices of all marked elements (computed once, then cached)."""
+        """Sorted indices of all marked elements (computed once, then cached); padding never is one."""
         if self._marked is None:
             hits = [i for i in self._positions if self._raw_marker(i)]
             self._marked = np.asarray(hits, dtype=np.int64)
-            self._marked_set = frozenset(hits)
         return self._marked
 
     @property
@@ -103,51 +105,73 @@ def success_probability(domain_size: int, marked: int, iterations: int) -> float
     return math.sin((2 * iterations + 1) * theta) ** 2
 
 
-def _closed_form_round(space: SearchSpace, iterations: int, rng: np.random.Generator) -> int:
-    """Sample one round's measurement outcome from the closed form, without a state vector.
+def _closed_form_round(
+    space: SearchSpace, iterations: int, uniform: float, rng: np.random.Generator
+) -> int | None:
+    """One round's outcome from the closed form, without a state vector: a marked index, or None on a miss.
 
-    Amplitudes stay uniform within the marked class and within the
-    unmarked class, so the outcome is: marked with the closed-form
-    probability (uniform over marked indices), else uniform over the rest.
+    Amplitudes stay uniform within the marked class, so the round hits
+    with the closed-form probability, decided by uniform (a draw in
+    [0, 1)), and a hit is uniform over the marked indices. A miss draws
+    nothing: its index is unmarked, and the check of it would fail.
     """
     n, k = space.domain_size, space.marked_count
-    p = success_probability(n, k, iterations)
-    if k == n or rng.random() < p:
+    if k == n or uniform < success_probability(n, k, iterations):
         marked = space.marked_indices()
         return int(marked[rng.integers(marked.size)])
-    for _ in range(64):  # rejection is cheap unless nearly everything is marked
-        idx = int(rng.integers(n))
-        if not space.marker(idx):
-            return idx
-    unmarked = np.setdiff1d(np.arange(n, dtype=np.int64), space.marked_indices())
-    return int(unmarked[rng.integers(unmarked.size)])
+    return None
+
+
+@lru_cache(maxsize=64)
+def _round_ceilings(domain_size: int) -> np.ndarray:
+    """Exclusive ceilings of the rounds' iteration counts, ROUND_CHUNK per row; the last row repeats forever.
+
+    Round i draws below ceil(bound_i), where bound_0 = 1 and each bound is
+    6/5 of the last, capped at sqrt(N). Read-only: the cache shares it.
+    """
+    cap = math.sqrt(domain_size)
+    bound = 1.0
+    ceilings = []
+    while bound < cap or len(ceilings) % ROUND_CHUNK:
+        ceilings.append(math.ceil(bound))
+        bound = min(bound * BBHT_GROWTH, cap)
+    ceilings += [math.ceil(cap)] * ROUND_CHUNK  # a last row of capped rounds
+    rows = np.array(ceilings, dtype=np.int64).reshape(-1, ROUND_CHUNK)
+    rows.setflags(write=False)
+    return rows
+
+
+def _rounds(domain_size: int, rng: np.random.Generator) -> Iterator[tuple[int, float]]:
+    """The schedule's (iteration count, success uniform) pairs, drawn ROUND_CHUNK rounds per two calls."""
+    rows = _round_ceilings(domain_size)
+    for c in itertools.count():
+        highs = rows[min(c, len(rows) - 1)]
+        yield from zip(rng.integers(0, highs).tolist(), rng.random(ROUND_CHUNK).tolist())
 
 
 def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, BbhtStats]:
     """Search with an unknown number of marked elements (BBHT schedule).
 
     Rounds draw a random iteration count below a bound that grows by 6/5
-    per round (capped at sqrt(N)); each round's measurement is classically
-    checked against the marker, so a returned index is always marked.
-    The schedule stops at success or once cumulative Grover iterations
-    reach 9 * ceil(sqrt(N)). Every Grover iteration and every check is one
-    quantum oracle application, recorded on `oracle` when one is given.
+    per round (capped at sqrt(N)); a round that hits measures a marked
+    index, which its classical check confirms, so a returned index is
+    always marked. The schedule stops at a hit or once cumulative Grover
+    iterations reach 9 * ceil(sqrt(N)). Every Grover iteration and every
+    check is one quantum oracle application, recorded on `oracle` when one
+    is given.
     """
     rng = np.random.default_rng(rng_seed)
-    n = space.domain_size
-    cutoff = bbht_cutoff(n)
+    cutoff = bbht_cutoff(space.domain_size)
     stats = BbhtStats()
-    bound = 1.0
-    while stats.grover_iterations < cutoff:
-        r = int(rng.integers(0, math.ceil(bound)))
+    found = None
+    for r, uniform in _rounds(space.domain_size, rng):
         r = min(r, cutoff - stats.grover_iterations)
-        measured = _closed_form_round(space, r, rng)
+        found = _closed_form_round(space, r, uniform, rng)
         stats.grover_iterations += r
         stats.rounds += 1
-        if oracle is not None:
-            oracle.count_quantum_applications(r + 1)  # r iterations + 1 check
         stats.checks += 1
-        if space.marker(measured):
-            return measured, stats
-        bound = min(bound * BBHT_GROWTH, math.sqrt(n))
-    return None, stats
+        if found is not None or stats.grover_iterations >= cutoff:
+            break
+    if oracle is not None:
+        oracle.count_quantum_applications(stats.oracle_applications)  # r iterations + 1 check per round
+    return found, stats

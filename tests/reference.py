@@ -14,6 +14,12 @@
   simulation. The package samples every search round from the closed-form
   law sin^2((2r+1)θ); StateVector iterates the full real amplitude vector
   instead, at O(N) per iteration, so tests can compare the two.
+- BBHT schedule: rejection_round measures an index on every round, hit or
+  miss, and loop_bbht_search draws each round with its own Generator
+  calls, as the package did before it drew rounds in chunks; the chunked
+  schedule must match the loop in distribution. bbht_stop_law is the
+  exact law of a schedule's stop round and of its failure, a dynamic
+  program over (round, cumulative iterations).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from mstverify.boruvka import BoruvkaTree, SameVertexError
 from mstverify.graph import Edge, Graph, SpanningTree
-from mstverify.grover import SearchSpace
+from mstverify.grover import BBHT_GROWTH, BbhtStats, SearchSpace, bbht_cutoff, success_probability
 from mstverify.oracle import InstrumentedOracle
 
 
@@ -291,5 +297,88 @@ def grover_search(space: SearchSpace, iterations: int, rng_seed) -> GroverRunSta
         iterations=iterations,
         oracle_applications=iterations,
         measured_index=measured,
-        success=space.marker(measured),
+        success=bool(marked_mask(space)[measured]),
     )
+
+
+def rejection_round(space: SearchSpace, iterations: int, rng: np.random.Generator) -> int:
+    """One round's measured index from the closed form: marked with the closed-form probability, else unmarked.
+
+    Amplitudes stay uniform within the marked class and within the
+    unmarked class, so a hit is uniform over the marked indices and a miss
+    uniform over the rest, padding included: a miss is drawn by rejection,
+    and by np.setdiff1d after 64 rejections in a row.
+    """
+    n, k = space.domain_size, space.marked_count
+    mask = marked_mask(space)
+    if k == n or rng.random() < success_probability(n, k, iterations):
+        marked = space.marked_indices()
+        return int(marked[rng.integers(marked.size)])
+    for _ in range(64):  # rejection is cheap unless nearly everything is marked
+        idx = int(rng.integers(n))
+        if not mask[idx]:
+            return idx
+    unmarked = np.setdiff1d(np.arange(n, dtype=np.int64), space.marked_indices())
+    return int(unmarked[rng.integers(unmarked.size)])
+
+
+def loop_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtStats]:
+    """The BBHT schedule one round at a time: an iteration count, a measured index and its check per round."""
+    rng = np.random.default_rng(rng_seed)
+    n = space.domain_size
+    mask = marked_mask(space)
+    cutoff = bbht_cutoff(n)
+    stats = BbhtStats()
+    bound = 1.0
+    while stats.grover_iterations < cutoff:
+        r = int(rng.integers(0, math.ceil(bound)))
+        r = min(r, cutoff - stats.grover_iterations)
+        measured = rejection_round(space, r, rng)
+        stats.grover_iterations += r
+        stats.rounds += 1
+        stats.checks += 1
+        if mask[measured]:
+            return measured, stats
+        bound = min(bound * BBHT_GROWTH, math.sqrt(n))
+    return None, stats
+
+
+def bbht_stop_law(domain_size: int, marked: int, tail: float = 1e-15) -> tuple[float, np.ndarray]:
+    """Exact failure probability of one BBHT schedule and the law of its stop round.
+
+    Round i draws r uniform below ceil(bound_i), clamped at the iterations
+    the cutoff leaves, and hits with probability sin^2((2r+1)θ); the
+    schedule stops at a hit or when its iterations reach the cutoff. The
+    draws never depend on outcomes, so the mass of running schedules per
+    cumulative iteration count, round by round, gives the law exactly.
+    Rounds are followed until less than `tail` of the mass still runs;
+    that remainder is counted as failure, so P_fail is an upper bound
+    tight to `tail`. Returns (P_fail, stop) with stop[j] the probability
+    that the schedule stops after exactly j rounds (stop[0] = 0).
+    """
+    cutoff = bbht_cutoff(domain_size)
+    cap = math.sqrt(domain_size)
+    s = np.arange(cutoff)
+    theta = math.asin(math.sqrt(marked / domain_size))
+    # hit[r][s]: a round drawing r after s iterations runs min(r, cutoff - s) of them
+    hit = [np.sin((2 * np.minimum(r, cutoff - s) + 1) * theta) ** 2 for r in range(math.ceil(cap))]
+    running = np.zeros(cutoff)  # mass per iterations used so far, before the next round
+    running[0] = 1.0
+    stop = [0.0]
+    fail = 0.0
+    bound = 1.0
+    while running.sum() >= tail:
+        high = math.ceil(bound)
+        share = running / high
+        after = np.zeros(cutoff)
+        stopped = 0.0
+        for r in range(high):
+            miss = share * (1.0 - hit[r])
+            ended = float(miss[cutoff - r :].sum()) if r else 0.0  # these reach the cutoff
+            stopped += float((share * hit[r]).sum()) + ended
+            fail += ended
+            after[r:] += miss[: cutoff - r]
+        stop.append(stopped)
+        running = after
+        bound = min(bound * BBHT_GROWTH, cap)
+    return fail + float(running.sum()), np.array(stop)

@@ -10,7 +10,16 @@ import pytest
 from mstverify.grover import SearchSpace, _closed_form_round, bbht_cutoff, bbht_search, success_probability
 
 from .conftest import edge_oracle, triangle
-from .reference import KZeroError, StateVector, grover_search, marked_mask, optimal_iterations
+from .reference import (
+    KZeroError,
+    StateVector,
+    bbht_stop_law,
+    grover_search,
+    loop_bbht_search,
+    marked_mask,
+    optimal_iterations,
+    rejection_round,
+)
 
 
 def space(logical, marked):
@@ -49,7 +58,7 @@ class TestSearchSpace:
 
     def test_padding_never_marked(self):
         s = SearchSpace(3, lambda i: True)
-        assert [s.marker(i) for i in range(4)] == [True, True, True, False]
+        assert marked_mask(s).tolist() == [True, True, True, False]
         assert s.marked_count == 3
 
 
@@ -128,7 +137,7 @@ class TestBbht:
         s = space(8, range(8))
         for seed in range(10):
             found, stats = bbht_search(s, seed)
-            assert found is not None and s.marker(found)
+            assert found is not None and found in s.marked_indices()
             assert stats.oracle_applications <= 2
 
     def test_nothing_marked_respects_cutoff(self):
@@ -166,7 +175,7 @@ class TestBbht:
                 found, stats2 = bbht_search(s, rng)
                 total += stats2.oracle_applications
             if found is not None:
-                assert s.marker(found)
+                assert found in s.marked_indices()
                 hits += 1
             applications.append(total)
         assert hits / trials >= 0.95
@@ -175,7 +184,7 @@ class TestBbht:
 
 class TestClosedFormRound:
     def test_per_index_frequencies_match_dense_reference(self, monkeypatch):
-        """Each index is drawn as often as the dense state's squared amplitude says.
+        """The reference round draws each index as often as the dense state's squared amplitude says.
 
         Per index, the count over `draws` samples is Binomial(draws, p); it
         must lie within 5 standard deviations of draws*p, plus 0.5 so that
@@ -203,7 +212,104 @@ class TestClosedFormRound:
                 state.grover_iteration(marked_mask(s))
             p = state.amplitudes**2
             rng = np.random.default_rng(logical * 100 + r)
-            counts = np.bincount([_closed_form_round(s, r, rng) for _ in range(draws)], minlength=s.domain_size)
+            counts = np.bincount([rejection_round(s, r, rng) for _ in range(draws)], minlength=s.domain_size)
             tolerance = 5 * np.sqrt(draws * p * (1 - p)) + 0.5
             assert (np.abs(counts - draws * p) <= tolerance).all(), (logical, sorted(marked), r, counts, draws * p)
         assert fallbacks
+
+    @pytest.mark.parametrize(
+        "logical,marked,r",
+        [(5, [1, 4], 1), (5, [1, 4], 2), (6, [], 3), (8, range(8), 2), (16, [3], 2), (63, range(63), 1), (512, [7, 300, 511], 5)],
+    )
+    def test_hits_follow_the_closed_form_and_are_uniform_over_the_marked(self, logical, marked, r):
+        """The round hits at the closed-form rate, a hit is uniform over the marked indices, padding never comes back.
+
+        Over `draws` rounds the hit count is Binomial(draws, p), and given
+        `hits` hits each marked index's count is Binomial(hits, 1/k); both
+        must lie within 5 standard deviations, plus 0.5 so that a zero
+        probability admits no sample.
+        """
+        s = space(logical, marked)
+        n, k = s.domain_size, s.marked_count
+        p = success_probability(n, k, r)
+        draws = 4000
+        rng = np.random.default_rng(logical * 100 + r)
+        outcomes = [_closed_form_round(s, r, u, rng) for u in rng.random(draws).tolist()]
+        found = [i for i in outcomes if i is not None]
+        assert abs(len(found) - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)) + 0.5
+        assert all(isinstance(i, int) and i in s.marked_indices() and i < logical for i in found)
+        if found:
+            counts = np.bincount(found, minlength=n)[s.marked_indices()]
+            q = 1 / k
+            assert (np.abs(counts - len(found) * q) <= 5 * np.sqrt(len(found) * q * (1 - q)) + 0.5).all(), counts
+
+    def test_draws_no_index_on_a_miss(self):
+        s = space(64, [5])
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert _closed_form_round(s, 3, 0.999999, rng) is None
+        assert rng.bit_generator.state == before
+
+
+def mean_and_se(values) -> tuple[float, float]:
+    values = np.asarray(values, dtype=float)
+    return values.mean(), values.std(ddof=1) / math.sqrt(values.size)
+
+
+class TestScheduleAgainstReference:
+    @pytest.mark.parametrize(
+        "logical,marked", [(8, []), (8, range(8)), (5, [1, 4]), (64, [9]), (64, [7, 21, 40, 61]), (512, [3, 100, 400])]
+    )
+    def test_matches_the_round_by_round_loop(self, logical, marked):
+        """Hit rate, mean rounds and mean iterations of the chunked schedule and the loop agree within 5 standard errors."""
+        s = space(logical, marked)
+        schedules = 2000
+        ours = [bbht_search(s, seed) for seed in range(schedules)]
+        loop = [loop_bbht_search(s, schedules + seed) for seed in range(schedules)]
+        for stat in (
+            lambda found, stats: found is not None,
+            lambda found, stats: stats.rounds,
+            lambda found, stats: stats.grover_iterations,
+        ):
+            mean_a, se_a = mean_and_se([stat(*run) for run in ours])
+            mean_b, se_b = mean_and_se([stat(*run) for run in loop])
+            assert abs(mean_a - mean_b) <= 5 * math.hypot(se_a, se_b) + 1e-12, (mean_a, mean_b)
+        assert all(found is None or found in s.marked_indices() for found, _ in ours)
+        assert all(stats.checks == stats.rounds for _, stats in ours)
+
+    @pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
+    def test_one_schedule_fails_with_probability_at_most_one_half(self, n):
+        """The premise of ceil(log2(1/delta)) restarts, exactly, for every marked count k >= 1."""
+        for k in range(1, n + 1):
+            p_fail, stop = bbht_stop_law(n, k)
+            assert p_fail <= 0.5, (n, k, p_fail)
+            assert stop.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,k", [(1024, 1), (1024, 5), (4096, 1), (4096, 3)])
+    def test_one_schedule_fails_with_probability_at_most_one_half_at_larger_domains(self, n, k):
+        p_fail, _ = bbht_stop_law(n, k)
+        assert p_fail <= 0.5, (n, k, p_fail)
+
+    def test_nothing_marked_always_fails(self):
+        p_fail, _ = bbht_stop_law(64, 0)
+        assert p_fail == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("logical,marked", [(8, []), (64, [7, 21, 40, 61])])
+    def test_stop_rounds_follow_the_exact_law(self, logical, marked):
+        """The histogram of stats.rounds, and the failure count, lie within binomial bounds of the exact law.
+
+        Round counts expected fewer than 5 times are pooled into one bin,
+        so no bin's bound rests on a near-zero probability.
+        """
+        s = space(logical, marked)
+        p_fail, stop = bbht_stop_law(s.domain_size, s.marked_count)
+        schedules = 4000
+        runs = [bbht_search(s, seed) for seed in range(schedules)]
+        rounds = np.bincount([stats.rounds for _, stats in runs], minlength=stop.size)
+        assert rounds.size == stop.size  # no schedule outlasts the law's rounds
+        common = schedules * stop >= 5
+        bins = [(rounds[common], stop[common]), (np.array([rounds[~common].sum()]), np.array([stop[~common].sum()]))]
+        failures = sum(found is None for found, _ in runs)
+        bins.append((np.array([failures]), np.array([p_fail])))
+        for counts, p in bins:
+            assert (np.abs(counts - schedules * p) <= 5 * np.sqrt(schedules * p * (1 - p)) + 0.5).all(), (counts, schedules * p)
