@@ -25,6 +25,12 @@ EXIT_ERROR = 1
 EXIT_NOT_MINIMAL = 3
 
 
+def _validate_seed(seed: int) -> None:
+    """Raise ValueError unless seed is a U64, in [0, 2^64), whatever the command or mode uses it for."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {seed}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mstverify",
@@ -61,6 +67,7 @@ def _load_instance(graph_path: str, tree_path: str):
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _validate_seed(args.seed)
     validate_search_settings(args.delta)
     g, t = _load_instance(args.graph, args.tree)
     if args.mode == "classical":
@@ -107,6 +114,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    _validate_seed(args.seed)
     try:
         lo_s, hi_s = args.weights.split(":", 1)
         lo, hi = float(lo_s), float(hi_s)

@@ -104,6 +104,23 @@ class TestVerifyCommand:
         verdict, _ = quantum_verify(g, spanning_tree(g, (0, 1)), InstrumentedOracle(g, OracleModel.EDGE_LIST), delta=delta)
         assert verdict.minimal and len(searches) == restarts
 
+    @pytest.mark.parametrize("mode", ["classical", "edgelist", "adjacency"])
+    @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64])
+    def test_seed_outside_u64_exits_one_in_every_mode(self, capsys, triangle_files, mode, seed):
+        graph, good, _ = triangle_files
+        argv = ("verify", "--graph", str(graph), "--tree", str(good), "--mode", mode, "--seed", str(seed))
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: --seed must be in [0, 2^64), got {seed}\n"
+
+    @pytest.mark.parametrize("mode", ["classical", "edgelist", "adjacency"])
+    def test_largest_u64_seed_is_accepted_and_echoed(self, capsys, triangle_files, mode):
+        graph, _, bad = triangle_files
+        seed = 2**64 - 1
+        code, out, _ = run(capsys, "verify", "--graph", str(graph), "--tree", str(bad), "--mode", mode, "--seed", str(seed))
+        assert code == 3
+        assert json.loads(out)["seed"] == seed
+
     def test_removed_statevector_cap_is_a_usage_error(self, capsys, triangle_files):
         graph, good, _ = triangle_files
         code, out, err = run(
@@ -189,6 +206,14 @@ class TestGenCommand:
     def test_infeasible_exits_one(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "--n", "5", "--m", "2", "--out-prefix", str(tmp_path / "x"))
         assert code == 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_u64_exits_one_before_writing(self, capsys, tmp_path, seed):
+        prefix = tmp_path / "x"
+        code, out, err = run(capsys, "gen", "--n", "5", "--m", "6", "--seed", str(seed), "--out-prefix", str(prefix))
+        assert code == 1 and out == ""
+        assert err == f"error: --seed must be in [0, 2^64), got {seed}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_bad_weight_range_exits_one(self, capsys, tmp_path):
         code, _, _ = run(
