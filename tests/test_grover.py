@@ -27,6 +27,12 @@ def space(logical, marked):
     return SearchSpace(logical, lambda i: i in marked)
 
 
+def within_binomial(counts, trials, p) -> bool:
+    """Every count of Binomial(trials, p) within 5 standard deviations, plus 0.5 so that p = 0 admits no sample."""
+    counts, p = np.asarray(counts), np.asarray(p)
+    return bool((np.abs(counts - trials * p) <= 5 * np.sqrt(trials * p * (1 - p)) + 0.5).all())
+
+
 class TestClosedForms:
     def test_single_marked_in_four_is_certain_after_one_iteration(self):
         assert success_probability(4, 1, 1) == pytest.approx(1.0, abs=1e-15)
@@ -225,9 +231,7 @@ class TestClosedFormRound:
         """The round hits at the closed-form rate, a hit is uniform over the marked indices, padding never comes back.
 
         Over `draws` rounds the hit count is Binomial(draws, p), and given
-        `hits` hits each marked index's count is Binomial(hits, 1/k); both
-        must lie within 5 standard deviations, plus 0.5 so that a zero
-        probability admits no sample.
+        `hits` hits each marked index's count is Binomial(hits, 1/k).
         """
         s = space(logical, marked)
         n, k = s.domain_size, s.marked_count
@@ -236,12 +240,11 @@ class TestClosedFormRound:
         rng = np.random.default_rng(logical * 100 + r)
         outcomes = [_closed_form_round(s, r, u, rng) for u in rng.random(draws).tolist()]
         found = [i for i in outcomes if i is not None]
-        assert abs(len(found) - draws * p) <= 5 * math.sqrt(draws * p * (1 - p)) + 0.5
+        assert within_binomial(len(found), draws, p)
         assert all(isinstance(i, int) and i in s.marked_indices() and i < logical for i in found)
         if found:
             counts = np.bincount(found, minlength=n)[s.marked_indices()]
-            q = 1 / k
-            assert (np.abs(counts - len(found) * q) <= 5 * np.sqrt(len(found) * q * (1 - q)) + 0.5).all(), counts
+            assert within_binomial(counts, len(found), 1 / k), counts
 
     def test_draws_no_index_on_a_miss(self):
         s = space(64, [5])
@@ -308,8 +311,6 @@ class TestScheduleAgainstReference:
         rounds = np.bincount([stats.rounds for _, stats in runs], minlength=stop.size)
         assert rounds.size == stop.size  # no schedule outlasts the law's rounds
         common = schedules * stop >= 5
-        bins = [(rounds[common], stop[common]), (np.array([rounds[~common].sum()]), np.array([stop[~common].sum()]))]
-        failures = sum(found is None for found, _ in runs)
-        bins.append((np.array([failures]), np.array([p_fail])))
-        for counts, p in bins:
-            assert (np.abs(counts - schedules * p) <= 5 * np.sqrt(schedules * p * (1 - p)) + 0.5).all(), (counts, schedules * p)
+        assert within_binomial(rounds[common], schedules, stop[common]), (rounds, schedules * stop)
+        assert within_binomial(rounds[~common].sum(), schedules, stop[~common].sum())
+        assert within_binomial(sum(found is None for found, _ in runs), schedules, p_fail)
