@@ -64,7 +64,7 @@ class InstrumentedOracle:
         with self._lock:
             self._quantum += k
 
-    def weight(self, a: int, b: int, *, quantum: bool = False) -> float:
+    def weight(self, a: int, b: int) -> float:
         """Adjacency-model lookup: w(a, b), or +inf when (a, b) is not an edge.
 
         Total on the vertex-pair domain; symmetric in a and b. Parallel
@@ -76,16 +76,13 @@ class InstrumentedOracle:
         if not (0 <= a < n and 0 <= b < n):
             raise IndexError(f"vertex pair ({a}, {b}) outside [0, {n - 1}]^2")
         with self._lock:
-            if quantum:
-                self._quantum += 1
-            else:
-                self._classical += 1
+            self._classical += 1
         if a == b:
             return INFINITE_WEIGHT
         i = self._pair_min.get((a, b) if a < b else (b, a))
         return INFINITE_WEIGHT if i is None else self._columns[2][i]
 
-    def edge(self, i: int, *, quantum: bool = False) -> tuple[int, int, float]:
+    def edge(self, i: int) -> tuple[int, int, float]:
         """Edge-list-model lookup: endpoints and weight of edge i."""
         if self._adjacency:
             raise ValueError("edge(i) requires an edge-list-model oracle")
@@ -93,10 +90,7 @@ class InstrumentedOracle:
         if not (0 <= i < len(ws)):
             raise IndexError(f"edge index {i} outside [0, {self.graph.m - 1}]")
         with self._lock:
-            if quantum:
-                self._quantum += 1
-            else:
-                self._classical += 1
+            self._classical += 1
         return (us[i], vs[i], ws[i])
 
     def lookup_weight(self, i: int) -> float:

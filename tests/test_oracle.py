@@ -84,12 +84,6 @@ class TestEdgeListModel:
 
 
 class TestCounters:
-    def test_quantum_context_flag(self):
-        o = adj_oracle(triangle())
-        o.weight(0, 1, quantum=True)
-        o.weight(0, 1)
-        assert (o.classical_queries, o.quantum_queries) == (1, 1)
-
     def test_quantum_application_counting(self):
         o = edge_oracle(triangle())
         o.count_quantum_applications(5)
@@ -113,7 +107,7 @@ class TestCounters:
                 o.weight(int(rng.integers(3)), int(rng.integers(3)))
                 shadow_classical += 1
             elif op == 1:
-                o.weight(int(rng.integers(3)), int(rng.integers(3)), quantum=True)
+                o.count_quantum_applications(1)
                 shadow_quantum += 1
             else:
                 k = int(rng.integers(4))
