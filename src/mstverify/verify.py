@@ -4,9 +4,10 @@ A spanning tree T is minimal iff no edge outside T is strictly lighter
 than the heaviest edge on its T-path (the cycle property). The Boruvka
 tree makes each such check one weight query plus O(log n) work, and the
 candidates can be scanned classically or searched with the simulated
-Grover schedule. Witnesses are always certified against the brute-force
-path maximum before they are reported, so a NotMinimal verdict carries a
-strictly lighter spanning tree.
+Grover schedule. The same batched path maximum names the tree edge a
+violating edge replaces, and a witness is certified before it is
+reported by checking that the swap leaves a strictly lighter spanning
+tree, so a NotMinimal verdict carries one.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .boruvka import BoruvkaTree, build_boruvka_tree, tree_path_edges
-from .graph import Edge, Graph, SpanningTree, UnionFind, non_tree_mask, spanning_tree
+from .boruvka import BoruvkaTree, build_boruvka_tree
+from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, non_tree_mask, spanning_tree
 from .grover import BbhtStats, SearchSpace, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
@@ -74,20 +75,21 @@ def validate_search_settings(delta: float) -> None:
 
 
 def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree, non_tree: np.ndarray | None = None) -> np.ndarray:
-    """The violation predicate of every edge, from stored weights: a boolean mask over edge ids.
+    """The violation predicate of every edge, from stored weights: the id of the tree edge it would replace, or -1.
 
-    Edge i violates iff it is outside T and strictly lighter than its
+    An edge violates iff it is outside T and strictly lighter than its
     T-path maximum, which one batched path-max gives for all non-tree edges
-    at once; tree edges never violate. Equal weight does not violate: an
-    equally heavy alternative never refutes minimality. non_tree is
+    at once; a violating edge would replace that maximum-(w, id) tree edge.
+    Tree edges never violate. Equal weight does not violate: an equally
+    heavy alternative never refutes minimality. non_tree is
     non_tree_mask(g, t), for a caller that has built it. No oracle calls:
     callers charge the lookups their query model requires.
     """
     outside = np.flatnonzero(non_tree_mask(g, t) if non_tree is None else non_tree)
-    mask = np.zeros(g.m, dtype=bool)
-    max_w, _ = b.path_max_batch(g.u[outside], g.v[outside])
-    mask[outside] = g.w[outside] < max_w
-    return mask
+    replaced = np.full(g.m, -1, dtype=np.int64)
+    max_w, max_id = b.path_max_batch(g.u[outside], g.v[outside])
+    replaced[outside] = np.where(g.w[outside] < max_w, max_id, -1)
+    return replaced
 
 
 def kruskal_mst(g: Graph) -> SpanningTree:
@@ -104,14 +106,14 @@ def kruskal_mst(g: Graph) -> SpanningTree:
     return spanning_tree(g, sorted(ids))
 
 
-def improve(g: Graph, t: SpanningTree, witness: Witness, *, path: list[Edge] | None = None) -> SpanningTree:
+def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
     """Apply a certified swap, producing a strictly lighter spanning tree.
 
     Certification re-checks, from stored data: the incoming edge is not in
-    T, the outgoing edge is, the outgoing edge lies on the T-path between
-    the incoming edge's endpoints, and the swap strictly decreases weight.
-    Raises InvalidWitnessError otherwise. path, when given, is that T-path
-    as tree_path_edges returns it, for a caller that has already walked it.
+    T, the outgoing edge is, the swap leaves a spanning tree (for a
+    spanning tree T, exactly when the outgoing edge lies on the T-path
+    between the incoming edge's endpoints), and the swap strictly
+    decreases weight. Raises InvalidWitnessError otherwise.
     """
     in_id, out_id = witness.violating_edge_id, witness.replaced_edge_id
     if not (0 <= in_id < g.m and 0 <= out_id < g.m):
@@ -120,37 +122,26 @@ def improve(g: Graph, t: SpanningTree, witness: Witness, *, path: list[Edge] | N
         raise InvalidWitnessError(f"incoming edge {in_id} is already in the tree")
     if out_id not in t:
         raise InvalidWitnessError(f"outgoing edge {out_id} is not in the tree")
-    e_in = g.edge(in_id)
-    if path is None:
-        path = tree_path_edges(g, t, e_in.u, e_in.v)
-    if all(p.id != out_id for p in path):
-        raise InvalidWitnessError(f"edge {out_id} is not on the tree path of edge {in_id}")
-    if not e_in.w < g.edge(out_id).w:
-        raise InvalidWitnessError(f"swap does not decrease weight ({e_in.w} >= {g.edge(out_id).w})")
-    ids = sorted([i for i in t.edge_ids if i != out_id] + [in_id])
-    return spanning_tree(g, ids)
+    try:
+        improved = spanning_tree(g, sorted([i for i in t.edge_ids if i != out_id] + [in_id]))
+    except NotSpanningError as exc:
+        raise InvalidWitnessError(f"edge {out_id} is not on the tree path of edge {in_id}") from exc
+    ws = g.columns[2]
+    if not ws[in_id] < ws[out_id]:
+        raise InvalidWitnessError(f"swap does not decrease weight ({ws[in_id]} >= {ws[out_id]})")
+    return improved
 
 
-def _not_minimal(g: Graph, t: SpanningTree, in_edge: Edge) -> Verdict:
-    """Build the certified NotMinimal verdict for a violating edge.
-
-    The T-path is walked once: its brute-force (w, id) maximum is the
-    replaced edge, and improve certifies the swap against the same path.
-    """
-    path = tree_path_edges(g, t, in_edge.u, in_edge.v)
-    replaced = max(path, key=lambda e: e.key)
-    witness = Witness(in_edge.id, replaced.id)
-    improved = improve(g, t, witness, path=path)
-    return Verdict(
-        minimal=False,
-        witness=witness,
-        improved_tree=improved,
-        weight_delta=in_edge.w - replaced.w,
-    )
+def _not_minimal(g: Graph, t: SpanningTree, in_id: int, out_id: int) -> Verdict:
+    """The certified NotMinimal verdict for violating edge in_id and the T-path maximum out_id it replaces."""
+    witness = Witness(in_id, out_id)
+    improved = improve(g, t, witness)
+    ws = g.columns[2]
+    return Verdict(minimal=False, witness=witness, improved_tree=improved, weight_delta=ws[in_id] - ws[out_id])
 
 
-def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle) -> Edge | None:
-    """The first violating non-tree edge in (w, id) order, or None.
+def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle) -> tuple[int, int] | None:
+    """The first violating non-tree edge in (w, id) order and the tree edge it replaces, as ids, or None.
 
     Each candidate up to and including the first violation is charged one
     weight lookup, in scan order, exactly as an edge-by-edge scan charges
@@ -159,7 +150,8 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
     candidates up to it are sorted and charged.
     """
     charged = non_tree_mask(g, t)
-    hits = np.flatnonzero(_violations(g, t, b, charged))
+    replaced = _violations(g, t, b, charged)
+    hits = np.flatnonzero(replaced >= 0)
     found = None
     if hits.size:
         # argmin takes the first of equal weights, so the smallest id
@@ -173,11 +165,13 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
     # a stable sort by weight is the (w, id) order, edge ids being positions
     for i in candidates[np.argsort(g.w[candidates], kind="stable")].tolist():
         lookup_weight(i)
-    return None if found is None else g.edge(found)
+    return None if found is None else (found, int(replaced[found]))
 
 
-def _search_space(g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str) -> tuple[SearchSpace, Callable[[int], Edge]]:
-    """The search domain of a quantum mode and its index -> candidate edge map.
+def _search_space(
+    g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str
+) -> tuple[SearchSpace, Callable[[int], tuple[int, int]]]:
+    """The search domain of a quantum mode and its index -> (violating edge id, replaced edge id) map.
 
     "edgelist" searches edge indices. "adjacency" searches the n(n-1)/2
     unordered vertex pairs, pair (a, b) with a < b at index
@@ -186,12 +180,13 @@ def _search_space(g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str) -> tuple
     never violates where the pair minimum does not. So the marker reads
     the batched predicate only at the pair-minimum edges' indices.
     """
-    marks = _violations(g, t, b).tolist()
+    replaced = _violations(g, t, b)
+    marks = (replaced >= 0).tolist()
     if mode == OracleModel.EDGE_LIST.value:
-        return SearchSpace(g.m, marks.__getitem__), g.edge
+        return SearchSpace(g.m, marks.__getitem__), lambda i: (i, int(replaced[i]))
     n = g.n
     at = {a * (2 * n - a - 1) // 2 + b - a - 1: i for (a, b), i in g.pair_min_ids().items()}
-    return SearchSpace(n * (n - 1) // 2, lambda i: marks[at[i]], sorted(at)), lambda i: g.edge(at[i])
+    return SearchSpace(n * (n - 1) // 2, lambda i: marks[at[i]], sorted(at)), lambda i: (at[i], int(replaced[at[i]]))
 
 
 def _verify(
@@ -212,21 +207,21 @@ def _verify(
     c0 = oracle.classical_queries
     b = build_boruvka_tree(g, t, oracle)
     c_build = oracle.classical_queries
-    found: Edge | None = None
+    found: tuple[int, int] | None = None
     stats = BbhtStats()
     if mode == "classical":
         found = _scan(g, t, b, oracle)
     else:
-        space, edge_of = _search_space(g, t, b, mode)
+        space, witness_of = _search_space(g, t, b, mode)
         if space.logical_size > 0:
             rng = np.random.default_rng(rng_seed)
             for _ in range(math.ceil(math.log2(1.0 / delta))):
                 index, run = bbht_search(space, rng, oracle)
                 stats.merge(run)
                 if index is not None:
-                    found = edge_of(index)
+                    found = witness_of(index)
                     break
-    verdict = Verdict(minimal=True) if found is None else _not_minimal(g, t, found)
+    verdict = Verdict(minimal=True) if found is None else _not_minimal(g, t, *found)
     # every predicate evaluation is one oracle query, classical in the scan and
     # quantum in the search, and costs one ascent plus one compare
     evaluations = oracle.classical_queries - c_build + stats.oracle_applications

@@ -6,7 +6,9 @@
   BoruvkaTree.path_max_batch must equal both. nodes and dump read a tree's
   arrays as one BNode per node.
 - Tree paths: dfs_tree_path_edges, a depth-first search over Python
-  adjacency lists, which tree_path_edges must equal edge for edge.
+  adjacency lists. walk_improve certifies a swap by walking the incoming
+  edge's T-path, as the package did before it checked the swapped tree
+  instead; improve must give the same tree or the same error.
 - Verification: is_violating, the cycle-property test for one Edge, as an
   edge-by-edge scan would call it.
 - Graphs: pair_min, the minimum-(w, id) edge of a vertex pair as an Edge.
@@ -32,9 +34,10 @@ from typing import NamedTuple
 import numpy as np
 
 from mstverify.boruvka import BoruvkaTree, SameVertexError
-from mstverify.graph import Edge, Graph, SpanningTree
+from mstverify.graph import Edge, Graph, SpanningTree, spanning_tree
 from mstverify.grover import BBHT_GROWTH, BbhtStats, SearchSpace, bbht_cutoff, success_probability
 from mstverify.oracle import InstrumentedOracle
+from mstverify.verify import InvalidWitnessError, Witness
 
 
 class BNode(NamedTuple):
@@ -185,6 +188,25 @@ def dfs_tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]
         path.append(g.edge(i))
     path.reverse()
     return path
+
+
+def walk_improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
+    """Reference for improve: the same checks in the same order, the on-path one by walking the T-path."""
+    in_id, out_id = witness.violating_edge_id, witness.replaced_edge_id
+    if not (0 <= in_id < g.m and 0 <= out_id < g.m):
+        raise InvalidWitnessError(f"witness edge ids ({in_id}, {out_id}) out of range")
+    if in_id in t:
+        raise InvalidWitnessError(f"incoming edge {in_id} is already in the tree")
+    if out_id not in t:
+        raise InvalidWitnessError(f"outgoing edge {out_id} is not in the tree")
+    e_in = g.edge(in_id)
+    path = dfs_tree_path_edges(g, t, e_in.u, e_in.v)
+    if all(p.id != out_id for p in path):
+        raise InvalidWitnessError(f"edge {out_id} is not on the tree path of edge {in_id}")
+    if not e_in.w < g.edge(out_id).w:
+        raise InvalidWitnessError(f"swap does not decrease weight ({e_in.w} >= {g.edge(out_id).w})")
+    ids = sorted([i for i in t.edge_ids if i != out_id] + [in_id])
+    return spanning_tree(g, ids)
 
 
 def is_violating(

@@ -8,11 +8,11 @@ from collections import Counter
 import pytest
 
 from mstverify import kruskal_mst, random_connected_graph, random_spanning_tree
-from mstverify.boruvka import SameVertexError, build_boruvka_tree, tree_path_edges
+from mstverify.boruvka import SameVertexError, build_boruvka_tree
 from mstverify.graph import spanning_tree
 
 from .conftest import edge_oracle, path_graph, star_graph, triangle, whole_tree
-from .reference import direct_path_max, dump, nodes, path_max, validate_structure
+from .reference import dfs_tree_path_edges, direct_path_max, dump, nodes, path_max, validate_structure
 
 TRIANGLE_DUMP = "0 0 3 1.0 0\n1 0 3 1.0 0\n2 0 3 2.0 1\n3 1 - - -\n"
 
@@ -163,5 +163,5 @@ class TestDirectPathMax:
 
     def test_path_edges_order(self):
         g = path_graph([5.0, 1.0, 7.0])
-        path = tree_path_edges(g, whole_tree(g), 0, 3)
+        path = dfs_tree_path_edges(g, whole_tree(g), 0, 3)
         assert [e.id for e in path] == [0, 1, 2]

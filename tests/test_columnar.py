@@ -14,6 +14,7 @@ from mstverify import (
     kruskal_mst,
     load_graph,
     load_tree,
+    quantum_verify,
     random_connected_graph,
     random_spanning_tree,
 )
@@ -289,6 +290,18 @@ class TestBatchedScan:
                 verdict, _ = classical_verify(g, t, edge_oracle(g))
                 allowed = set(t.edge_ids) | ({verdict.witness.violating_edge_id} if verdict.witness else set())
                 assert len(built) <= g.n and set(built) <= allowed
+
+    @pytest.mark.parametrize("oracle", [edge_oracle, adj_oracle])
+    def test_verify_builds_no_edge(self, rng, monkeypatch, oracle):
+        built = []
+        monkeypatch.setattr(graph, "Edge", lambda *args: built.append(args))
+        not_minimal = 0
+        for _ in range(6):
+            g = tied_multigraph(rng, 40, 150)
+            t = perturbed_mst(g, rng)
+            for verdict, _ in (classical_verify(g, t, oracle(g)), quantum_verify(g, t, oracle(g), rng_seed=1)):
+                not_minimal += not verdict.minimal
+        assert built == [] and not_minimal > 0
 
 
 def perturbed_reference(g, rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 import mstverify
@@ -54,7 +56,14 @@ def test_public_name_resolves(name):
         (verify, "is_violating"),
         (boruvka.BoruvkaTree, "path_max"),
         (boruvka, "PathMaxAnswer"),
+        (boruvka, "tree_path_edges"),
+        (boruvka, "_tour_parents"),
+        (boruvka, "_search_parents"),
     ],
 )
 def test_test_only_references_are_not_in_the_package(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_improve_takes_no_path():
+    assert "path" not in inspect.signature(verify.improve).parameters

@@ -1,4 +1,4 @@
-"""Array Boruvka phases, the array spanning-tree check and one-walk certification against their Python paths."""
+"""Array Boruvka phases, the array spanning-tree check and certification against their Python and walking references."""
 
 from __future__ import annotations
 
@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, random_spanning_tree, tree_weight
-from mstverify import boruvka, graph, verify
-from mstverify.boruvka import SMALL_TREE_VERTICES, SameVertexError, build_boruvka_tree, tree_path_edges
+from mstverify import boruvka, graph
+from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import dfs_tree_path_edges, direct_path_max, path_max, validate_structure
+from mstverify.verify import InvalidWitnessError, Witness, improve
+
+from .reference import direct_path_max, path_max, validate_structure, walk_improve
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
 
@@ -124,53 +126,60 @@ class TestSpanningTreeCheck:
         assert any("expected" in str(result[1]) for result in walked)
 
 
-@pytest.mark.parametrize("shape", ["random", "path", "star", "caterpillar", "in a multigraph"])
-@pytest.mark.parametrize("n", [2, 3, 5, 17, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500, 3000])
-def test_tree_path_equals_the_dfs_reference(rng, shape, n):
-    if shape == "in a multigraph":
-        g = multigraph(rng, n, rng.random)
-        t = random_spanning_tree(g, rng)
-        pairs = []
-    else:
-        tree = tree_graph(rng, n, shape)
-        label = rng.permutation(n)  # so that a path's ends and a star's center fall anywhere
-        g = Graph(n, [(int(label[u]), int(label[v]), w) for u, v, w in zip(*tree.columns)])
-        t = spanning_tree(g, range(n - 1))
-        pairs = [(int(label[0]), int(label[n - 1]))]  # a path's two ends
-    pairs += [tuple(map(int, rng.choice(n, 2, replace=False))) for _ in range(12)]
-    for u, v in pairs:
-        for a, b in ((u, v), (v, u)):
-            assert tree_path_edges(g, t, a, b) == dfs_tree_path_edges(g, t, a, b)
-    x = int(rng.integers(n))
-    with pytest.raises(SameVertexError):
-        tree_path_edges(g, t, x, x)
+def certified(certify, g: Graph, t, witness) -> tuple:
+    """certify's result as comparable data: the error's type and message, or the improved tree's ids."""
+    try:
+        return ("ok", certify(g, t, witness).edge_ids)
+    except InvalidWitnessError as exc:
+        return (type(exc), str(exc))
 
 
-def test_not_minimal_walks_the_tree_path_once(monkeypatch):
-    walks = []
-    walk = boruvka.tree_path_edges
+@pytest.mark.parametrize("n", [6, 12, SMALL_GRAPH_EDGES + 2, 45])
+def test_improve_equals_the_walking_reference(rng, n):
+    g = multigraph(rng, n, lambda: float(rng.integers(1, 4)))
+    kinds = set()
+    for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
+        tree = list(t.edge_ids)
+        outside = sorted(set(range(g.m)) - set(tree))
+        # every swap of a non-tree edge for a tree edge: on or off the path, lighter or not
+        witnesses = [Witness(a, b) for a in outside for b in tree]
+        # out of range, incoming edge in T, outgoing edge not in T, and two faults at once
+        for bad in (-1, g.m, g.m + 5):
+            witnesses += [Witness(bad, tree[0]), Witness(outside[0], bad), Witness(bad, bad)]
+        witnesses += [Witness(a, b) for a in tree[:3] for b in tree[:3] + outside[:3]]
+        witnesses += [Witness(a, b) for a in outside[:3] for b in outside[:3]]
+        for w in witnesses:
+            expected = certified(walk_improve, g, t, w)
+            assert certified(improve, g, t, w) == expected, w
+            kinds.add(expected[0] if expected[0] == "ok" else expected[1].split(" ")[0])
+    # swaps that certify, and each way a witness can fail
+    assert kinds == {"ok", "witness", "incoming", "outgoing", "edge", "swap"}
 
-    def counted(*args):
-        walks.append(args[2:])
-        return walk(*args)
 
-    monkeypatch.setattr(boruvka, "tree_path_edges", counted)
-    monkeypatch.setattr(verify, "tree_path_edges", counted)
+def test_witness_is_the_brute_force_path_max(monkeypatch):
+    batches = []
+    batch = BoruvkaTree.path_max_batch
+
+    def counted(self, *args):
+        batches.append(args)
+        return batch(self, *args)
+
+    monkeypatch.setattr(BoruvkaTree, "path_max_batch", counted)
     checked = 0
     for n, mode in [(12, "classical"), (300, "classical"), (40, "edgelist"), (20, "adjacency")]:
         for seed in range(3):
             gen = np.random.default_rng([n, seed])
             g = multigraph(gen, n, gen.random)
             t = perturbed_mst(g, gen)
-            walks.clear()
+            batches.clear()
             if mode == "classical":
                 verdict, _ = classical_verify(g, t, edge_oracle(g))
             else:
                 oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
                 verdict, _ = quantum_verify(g, t, oracle, rng_seed=seed)
+            assert len(batches) == 1
             if verdict.minimal:
                 continue
-            assert len(walks) == 1
             checked += 1
             e = g.edge(verdict.witness.violating_edge_id)
             expected = direct_path_max(g, t, e.u, e.v)

@@ -25,7 +25,7 @@ from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle, whole_tree
-from .reference import is_violating, pair_min, path_max
+from .reference import direct_path_max, is_violating, pair_min, path_max
 
 RESTARTS = math.ceil(math.log2(1 / 0.01))  # default delta
 
@@ -289,6 +289,11 @@ def multigraph(rng, n: int) -> Graph:
     return Graph(n, [edges[i] for i in rng.permutation(len(edges))])
 
 
+def witness_edge(g: Graph, t, i: int) -> int:
+    """The tree edge violating edge i replaces: the brute-force maximum of its T-path."""
+    return direct_path_max(g, t, int(g.u[i]), int(g.v[i])).max_edge_id
+
+
 def all_pairs_marked(g: Graph, t, b) -> dict:
     """Reference adjacency marked set: every vertex pair in (a, b) order, a < b."""
     marked, p = {}, 0
@@ -335,7 +340,7 @@ class TestScanChargeOrder:
                 expected = full_sort_charges(g, t, b)
                 assert charged == expected
                 assert (found is None) == (not is_violating(g, t, b, g.edge(expected[-1])))
-                assert found is None or found.id == expected[-1]
+                assert found is None or found == (expected[-1], witness_edge(g, t, expected[-1]))
                 verdicts.add(found is None)
         assert verdicts == {True, False} and tiny >= 5
 
@@ -348,11 +353,11 @@ class TestSearchDomain:
             parallel_graphs += len({(e.u, e.v) for e in g.edges}) < g.m
             for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
                 b = build_boruvka_tree(g, t, edge_oracle(g))
-                space, edge_of = verify._search_space(g, t, b, "adjacency")
+                space, witness_of = verify._search_space(g, t, b, "adjacency")
                 expected = all_pairs_marked(g, t, b)
                 assert space.logical_size == g.n * (g.n - 1) // 2
                 assert space.marked_indices().tolist() == sorted(expected)
-                assert all(edge_of(p) is e for p, e in expected.items())
+                assert all(witness_of(p) == (e.id, witness_edge(g, t, e.id)) for p, e in expected.items())
                 marked_total += len(expected)
         assert marked_total > 0 and parallel_graphs > 0
 
