@@ -10,10 +10,9 @@ from mstverify import boruvka, graph
 from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
-
-from .conftest import adj_oracle, edge_oracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
+from .conftest import adj_oracle, edge_oracle
 from .reference import direct_path_max, path_max, validate_structure, walk_improve
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
@@ -29,8 +28,6 @@ def tree_graph(rng, n: int, shape: str) -> Graph:
         pairs = [(v - 1, v) for v in range(1, n)]
     elif shape == "star":
         pairs = [(0, v) for v in range(1, n)]
-    elif shape == "caterpillar":  # a spine of half the vertices, each other one a leg on it
-        pairs = [(v - 1, v) if v < n // 2 else (int(rng.integers(max(n // 2, 1))), v) for v in range(1, n)]
     else:
         pairs = [(int(rng.integers(v)), v) for v in range(1, n)]
     weights = rng.integers(1, 4, size=n - 1).astype(float)
