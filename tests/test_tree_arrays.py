@@ -7,13 +7,13 @@ import pytest
 
 from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, random_spanning_tree, tree_weight
 from mstverify import boruvka, graph
-from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, build_boruvka_tree
+from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, SameVertexError, build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import direct_path_max, path_max, validate_structure, walk_improve
+from .reference import dfs_tree_path_edges, direct_path_max, path_max, validate_structure, walk_improve
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
 
@@ -28,6 +28,8 @@ def tree_graph(rng, n: int, shape: str) -> Graph:
         pairs = [(v - 1, v) for v in range(1, n)]
     elif shape == "star":
         pairs = [(0, v) for v in range(1, n)]
+    elif shape == "caterpillar":  # a spine of half the vertices, each other one a leg on it
+        pairs = [(v - 1, v) if v < n // 2 else (int(rng.integers(max(n // 2, 1))), v) for v in range(1, n)]
     else:
         pairs = [(int(rng.integers(v)), v) for v in range(1, n)]
     weights = rng.integers(1, 4, size=n - 1).astype(float)
@@ -151,6 +153,43 @@ def test_improve_equals_the_walking_reference(rng, n):
             kinds.add(expected[0] if expected[0] == "ok" else expected[1].split(" ")[0])
     # swaps that certify, and each way a witness can fail
     assert kinds == {"ok", "witness", "incoming", "outgoing", "edge", "swap"}
+
+
+@pytest.mark.parametrize("shape", ["random", "path", "star", "caterpillar", "in a multigraph"])
+@pytest.mark.parametrize("n", [2, 3, 5, 17, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500, 3000])
+def test_tree_path_equals_the_dfs_reference(rng, shape, n):
+    """The T-path as the package sees it, through the batch's maximum and improve's on-path check."""
+    if shape == "in a multigraph":
+        base = multigraph(rng, n, rng.random)
+        tree = random_spanning_tree(base, rng).edge_ids
+        pairs = []
+    else:
+        shaped = tree_graph(rng, n, shape)
+        label = rng.permutation(n)  # so that a path's ends and a star's center fall anywhere
+        base = Graph(n, [(int(label[u]), int(label[v]), w) for u, v, w in zip(*shaped.columns)])
+        tree = range(n - 1)
+        pairs = [(int(label[0]), int(label[n - 1]))]  # a path's two ends
+    pairs += [tuple(map(int, rng.choice(n, 2, replace=False))) for _ in range(12)]
+    # each pair also joined by a non-tree edge, so that a swap can enter the tree on its path
+    g = Graph(n, [*zip(*base.columns), *((u, v, float(rng.integers(1, 4))) for u, v in pairs)])
+    t = spanning_tree(g, tree)
+    b = build_boruvka_tree(g, t, edge_oracle(g))
+    for k, (u, v) in enumerate(pairs):
+        path = dfs_tree_path_edges(g, t, u, v)
+        on_path = {e.id for e in path}
+        for a, c in ((u, v), (v, u)):
+            expected = direct_path_max(g, t, a, c)
+            ws, ids = b.path_max_batch([a], [c])
+            assert (float(ws[0]), int(ids[0])) == (expected.max_weight, expected.max_edge_id)
+        off_path = sorted(set(t.edge_ids) - on_path)
+        sample = [int(i) for i in rng.permutation(sorted(on_path))[:16]]
+        sample += [int(i) for i in rng.permutation(off_path)[:16]]
+        for out in sample:
+            result = certified(improve, g, t, Witness(base.m + k, out))
+            assert (result[0] == "ok" or "not on the tree path" not in result[1]) == (out in on_path), (u, v, out)
+    x = int(rng.integers(n))
+    with pytest.raises(SameVertexError):
+        b.path_max_batch([x], [x])
 
 
 def test_witness_is_the_brute_force_path_max(monkeypatch):
