@@ -15,11 +15,10 @@ tests/reference.py.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -69,8 +68,9 @@ class SearchSpace:
             self._marked = np.asarray(hits, dtype=np.int64)
         return self._marked
 
-    @property
+    @cached_property
     def marked_count(self) -> int:
+        """Number of marked indices, computed on first read and then a plain attribute."""
         return int(self.marked_indices().size)
 
 
@@ -113,10 +113,11 @@ def _closed_form_round(
     Amplitudes stay uniform within the marked class, so the round hits
     with the closed-form probability, decided by uniform (a draw in
     [0, 1)), and a hit is uniform over the marked indices. A miss draws
-    nothing: its index is unmarked, and the check of it would fail.
+    nothing: its index is unmarked, and the check of it would fail. With
+    nothing marked every round misses, and the closed form is not evaluated.
     """
     n, k = space.domain_size, space.marked_count
-    if k == n or uniform < success_probability(n, k, iterations):
+    if k and (k == n or uniform < success_probability(n, k, iterations)):
         marked = space.marked_indices()
         return int(marked[rng.integers(marked.size)])
     return None
@@ -141,14 +142,6 @@ def _round_ceilings(domain_size: int) -> np.ndarray:
     return rows
 
 
-def _rounds(domain_size: int, rng: np.random.Generator) -> Iterator[tuple[int, float]]:
-    """The schedule's (iteration count, success uniform) pairs, drawn ROUND_CHUNK rounds per two calls."""
-    rows = _round_ceilings(domain_size)
-    for c in itertools.count():
-        highs = rows[min(c, len(rows) - 1)]
-        yield from zip(rng.integers(0, highs).tolist(), rng.random(ROUND_CHUNK).tolist())
-
-
 def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, BbhtStats]:
     """Search with an unknown number of marked elements (BBHT schedule).
 
@@ -162,16 +155,21 @@ def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, 
     """
     rng = np.random.default_rng(rng_seed)
     cutoff = bbht_cutoff(space.domain_size)
-    stats = BbhtStats()
+    rows = _round_ceilings(space.domain_size)
+    iterations = rounds = 0
     found = None
-    for r, uniform in _rounds(space.domain_size, rng):
-        r = min(r, cutoff - stats.grover_iterations)
-        found = _closed_form_round(space, r, uniform, rng)
-        stats.grover_iterations += r
-        stats.rounds += 1
-        stats.checks += 1
-        if found is not None or stats.grover_iterations >= cutoff:
-            break
+    while found is None and iterations < cutoff:
+        # one chunk: ROUND_CHUNK counts, then ROUND_CHUNK uniforms; the last row repeats
+        highs = rows[min(rounds // ROUND_CHUNK, len(rows) - 1)]
+        for r, uniform in zip(rng.integers(0, highs).tolist(), rng.random(ROUND_CHUNK).tolist()):
+            if r > cutoff - iterations:
+                r = cutoff - iterations
+            found = _closed_form_round(space, r, uniform, rng)
+            iterations += r
+            rounds += 1
+            if found is not None or iterations >= cutoff:
+                break
+    stats = BbhtStats(grover_iterations=iterations, checks=rounds, rounds=rounds)
     if oracle is not None:
         oracle.count_quantum_applications(stats.oracle_applications)  # r iterations + 1 check per round
     return found, stats

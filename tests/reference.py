@@ -19,23 +19,27 @@
 - BBHT schedule: rejection_round measures an index on every round, hit or
   miss, and loop_bbht_search draws each round with its own Generator
   calls, as the package did before it drew rounds in chunks; the chunked
-  schedule must match the loop in distribution. bbht_stop_law is the
-  exact law of a schedule's stop round and of its failure, a dynamic
-  program over (round, cumulative iterations).
+  schedule must match the loop in distribution. chunked_bbht_search is
+  the chunked schedule as it ran with a generator of rounds and
+  dataclass counters; bbht_search must make the same Generator calls in
+  the same order and report the same. bbht_stop_law is the exact law of
+  a schedule's stop round and of its failure, a dynamic program over
+  (round, cumulative iterations).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from mstverify.boruvka import BoruvkaTree, SameVertexError
 from mstverify.graph import Edge, Graph, SpanningTree, spanning_tree
-from mstverify.grover import BBHT_GROWTH, BbhtStats, SearchSpace, bbht_cutoff, success_probability
+from mstverify.grover import BBHT_GROWTH, ROUND_CHUNK, BbhtStats, SearchSpace, bbht_cutoff, success_probability
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness
 
@@ -363,6 +367,51 @@ def loop_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtStat
             return measured, stats
         bound = min(bound * BBHT_GROWTH, math.sqrt(n))
     return None, stats
+
+
+def _chunked_rounds(domain_size: int, rng: np.random.Generator) -> Iterator[tuple[int, float]]:
+    """(iteration count, success uniform) pairs: per chunk, rng.integers(0, highs), then rng.random(ROUND_CHUNK).
+
+    Round i draws below ceil(bound_i), where bound_0 = 1 and each bound is
+    6/5 of the last, capped at sqrt(N); the row of capped rounds repeats.
+    """
+    cap = math.sqrt(domain_size)
+    bound = 1.0
+    ceilings = []
+    while bound < cap or len(ceilings) % ROUND_CHUNK:
+        ceilings.append(math.ceil(bound))
+        bound = min(bound * BBHT_GROWTH, cap)
+    ceilings += [math.ceil(cap)] * ROUND_CHUNK
+    rows = np.array(ceilings, dtype=np.int64).reshape(-1, ROUND_CHUNK)
+    for c in itertools.count():
+        highs = rows[min(c, len(rows) - 1)]
+        yield from zip(rng.integers(0, highs).tolist(), rng.random(ROUND_CHUNK).tolist())
+
+
+def _chunked_round(space: SearchSpace, iterations: int, uniform: float, rng: np.random.Generator) -> int | None:
+    """A marked index drawn with rng.integers(k) when uniform falls below the closed form, else None."""
+    n, k = space.domain_size, int(space.marked_indices().size)
+    if k == n or uniform < success_probability(n, k, iterations):
+        marked = space.marked_indices()
+        return int(marked[rng.integers(marked.size)])
+    return None
+
+
+def chunked_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtStats]:
+    """The chunked BBHT schedule with a generator of rounds and counters on BbhtStats, round by round."""
+    rng = np.random.default_rng(rng_seed)
+    cutoff = bbht_cutoff(space.domain_size)
+    stats = BbhtStats()
+    found = None
+    for r, uniform in _chunked_rounds(space.domain_size, rng):
+        r = min(r, cutoff - stats.grover_iterations)
+        found = _chunked_round(space, r, uniform, rng)
+        stats.grover_iterations += r
+        stats.rounds += 1
+        stats.checks += 1
+        if found is not None or stats.grover_iterations >= cutoff:
+            break
+    return found, stats
 
 
 def bbht_stop_law(domain_size: int, marked: int, tail: float = 1e-15) -> tuple[float, np.ndarray]:

@@ -16,7 +16,7 @@ from mstverify import (
     random_spanning_tree,
     tree_weight,
 )
-from mstverify import verify
+from mstverify import grover, verify
 from mstverify.boruvka import build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import non_tree_mask, spanning_tree
@@ -385,3 +385,45 @@ class TestSearchDomain:
             assert len(set(calls)) == len(calls)
             total += len(calls)
         assert total > 0
+
+
+class TestRoundsSeenByATracer:
+    @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
+    def test_every_round_goes_through_the_module_global(self, rng, monkeypatch, mode):
+        """A wrapper at grover._closed_form_round, installed as perfbench/spans.py does, sees every round.
+
+        The rounds are the report's quantum applications less its Grover
+        iterations (one check per round), their second arguments sum to its
+        Grover iterations, and a missed round reads no marked indices: only
+        the first round of a verify may compute them, once.
+        """
+        rounds = []  # (iterations, found, marked_indices calls during the round)
+        mask_calls = []
+        closed_form_round = grover._closed_form_round
+        marked_indices = SearchSpace.marked_indices
+
+        def counting_round(space, iterations, uniform, rng):
+            before = len(mask_calls)
+            found = closed_form_round(space, iterations, uniform, rng)
+            rounds.append((iterations, found, len(mask_calls) - before))
+            return found
+
+        def counting_indices(self):
+            mask_calls.append(1)
+            return marked_indices(self)
+
+        monkeypatch.setattr(grover, "_closed_form_round", counting_round)
+        monkeypatch.setattr(SearchSpace, "marked_indices", counting_indices)
+        verdicts = set()
+        for i in range(8):
+            g = random_connected_graph(int(rng.integers(5, 24)), None, rng)
+            t = kruskal_mst(g) if i % 2 else perturbed_mst(g, rng)
+            oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
+            rounds.clear()
+            verdict, report = quantum_verify(g, t, oracle, mode, i)
+            verdicts.add(verdict.minimal)
+            assert len(rounds) == report.quantum_oracle_applications - report.grover_iterations > 0
+            assert sum(iterations for iterations, _, _ in rounds) == report.grover_iterations
+            allowed = [(j == 0) + (found is not None) for j, (_, found, _) in enumerate(rounds)]
+            assert all(calls <= most for (_, _, calls), most in zip(rounds, allowed)), [r[1:] for r in rounds]
+        assert verdicts == {True, False}
