@@ -394,8 +394,9 @@ class TestRoundsSeenByATracer:
 
         The rounds are the report's quantum applications less its Grover
         iterations (one check per round), their second arguments sum to its
-        Grover iterations, and a missed round reads no marked indices: only
-        the first round of a verify may compute them, once.
+        Grover iterations, and a missed round reads no marked indices. A hit
+        reads them once, to draw its index, and a verify's first round may
+        read them once more, to count them.
         """
         rounds = []  # (iterations, found, marked_indices calls during the round)
         mask_calls = []
