@@ -7,12 +7,11 @@ selected edges become the nodes of the next level. The maximum branch
 weight between two leaves equals the maximum edge weight on their T-path,
 so after one O(n)-query build, BoruvkaTree.path_max_batch answers any
 number of path-max queries together: all of them climb the tree in
-lock-step, O(log n) array gathers and zero oracle calls. Trees above
-SMALL_TREE_VERTICES run the phases on arrays: a minimum per aggregate
-over the active edges, pointer jumping over the selected edges, and a
-cumulative sum to number the groups; smaller trees run them as Python
-loops, where numpy's per-call cost would dominate. The batch also names
-each path's maximum edge, which is the tree edge a violating edge
+lock-step, O(log n) array gathers and zero oracle calls. A phase finds
+the components by following the picks, one algorithm in two forms: on
+arrays for trees above SMALL_TREE_VERTICES and on Python lists for
+smaller ones, where numpy's per-call cost would dominate. The batch also
+names each path's maximum edge, which is the tree edge a violating edge
 replaces, so certification needs no walk of T.
 """
 
@@ -22,7 +21,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, SpanningTree, UnionFind, _read_only
+from .graph import Graph, SpanningTree, _read_only
 from .oracle import InstrumentedOracle
 
 
@@ -83,13 +82,14 @@ class BoruvkaTree:
         return self.branch_w[node], self.branch_id[node]
 
 
-# Trees on at most this many vertices run the Boruvka phases as Python
-# loops, larger ones on arrays: an array phase costs some 25 numpy calls
+# Trees on at most this many vertices run the Boruvka phases on Python
+# lists, larger ones on arrays: an array phase costs some 25 numpy calls
 # however few aggregates it has, more than a whole Python build of a small
-# tree. Measured from the same (w, id)-sorted edges (median of 40 random
-# trees, 10 builds each): n=32 99 us Python against 206 us arrays, n=96
-# 260 against 297 us, n=128 318 against 277 us, n=200 561 against 387 us;
-# n=20000 172 ms against 9 ms.
+# tree. Measured from the same (w, id)-sorted edges, as the median over 40
+# random trees of the fastest of 100 builds (2-vCPU VM, Python 3.11, numpy
+# 2.4): n=32 62 us Python against 109 us arrays, n=64 103 against 136 us,
+# n=96 133 against 126 us, n=128 173 against 148 us, n=200 240 against
+# 164 us; n=20000 46 ms against 6 ms.
 SMALL_TREE_VERTICES = 100
 
 
@@ -97,10 +97,18 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     """Run Boruvka phases on T until one aggregate remains.
 
     Each tree edge's weight is fetched through the oracle exactly once and
-    cached, so the classical counter advances by exactly n-1. Every phase
-    at least halves the aggregate count, so the height is at most
-    ceil(log2 n). Trees above SMALL_TREE_VERTICES run the phases on
-    arrays, smaller ones as Python loops; both give the same tree.
+    cached, so the classical counter advances by exactly n-1. A phase
+    follows the picks. The active edges (those joining two aggregates)
+    stay in (w, id) order, their ends named by the current level's
+    aggregate numbers 0..k-1 (node ids base..base+k-1). Each aggregate
+    picks its first active edge. The picked edges form a functional graph
+    whose only cycles are mutual pairs (two aggregates picking the same
+    edge), so rooting each pair at its smaller end and pointer jumping to
+    a fixed point finds the groups, numbered in order of their smallest
+    member. Edges within a group then drop out. Every group has at least
+    two members, so the height is at most ceil(log2 n). Trees above
+    SMALL_TREE_VERTICES run the phases on arrays, smaller ones on Python
+    lists; both give the same tree and build_work.
     """
     ids = list(t.edge_ids)
     weights = list(map(oracle.lookup_weight, ids))
@@ -109,67 +117,47 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
 
 
 def _python_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree:
-    """The Boruvka phases over the tree edges ids (weights[j] is edge ids[j]'s weight) as Python loops."""
+    """build_boruvka_tree's phases on Python lists; weights[j] is tree edge ids[j]'s weight."""
     n = g.n
-    # tree edges in (w, id) order, so the first edge an aggregate meets is its lightest
     order = sorted(range(len(ids)), key=lambda j: (weights[j], ids[j]))
-    ids = [ids[j] for j in order]
+    eid = [ids[j] for j in order]
     ew = [weights[j] for j in order]
     us, vs, _ = g.columns
-    eu, ev = [us[i] for i in ids], [vs[i] for i in ids]
-
-    parent = [-1] * n
-    branch_w = [-math.inf] * n
-    branch_id = [-1] * n
-    comp = list(range(n))  # vertex -> current aggregate node id
-    current = range(n)  # the aggregates of this level: always a contiguous id range
-    active = list(range(len(ids)))  # tree edges joining two different aggregates, in (w, id) order
-    level = 0
-    work = 0
-
-    while len(current) > 1:
+    au, av = [us[i] for i in eid], [vs[i] for i in eid]  # vertices are the level-0 aggregates
+    parent, branch_w, branch_id = [], [], []
+    k = n
+    base = level = work = 0
+    while k > 1:
         level += 1
-        # each aggregate selects its minimum-(w, id) incident tree edge
-        best: dict[int, int] = {}
-        for j in active:
-            best.setdefault(comp[eu[j]], j)
-            best.setdefault(comp[ev[j]], j)
-        work += 2 * len(active)
-        # components of the selected edges become the next level's nodes,
-        # numbered in order of their smallest member
-        base = current.start
-        uf = UnionFind(len(current))
-        for j in best.values():
-            uf.union(comp[eu[j]] - base, comp[ev[j]] - base)
-        work += len(current)
-        first = base + len(current)
-        group: dict[int, int] = {}
-        for node_id in current:
-            j = best[node_id]
-            parent[node_id] = group.setdefault(uf.find(node_id - base), first + len(group))
-            branch_w[node_id] = ew[j]
-            branch_id[node_id] = ids[j]
-        parent += [-1] * len(group)
-        branch_w += [-math.inf] * len(group)
-        branch_id += [-1] * len(group)
-        comp = [parent[c] for c in comp]
-        current = range(first, first + len(group))
-        active = [j for j in active if comp[eu[j]] != comp[ev[j]]]
-        work += n + len(active)
-
-    return BoruvkaTree(n, parent, branch_w, branch_id, height=level, build_work=work)
+        work += 2 * len(eid) + k
+        # a backwards pass over the (w, id)-ordered edges leaves each aggregate its lightest
+        best = [0] * k
+        for j in range(len(eid) - 1, -1, -1):
+            best[au[j]] = best[av[j]] = j
+        to = [au[j] + av[j] - me for me, j in enumerate(best)]  # the picked edge's other end
+        root = [me if me < t and to[t] == me else t for me, t in enumerate(to)]
+        while True:
+            up = [root[r] for r in root]
+            if up == root:
+                break
+            root = up
+        # number the components in order of their smallest member: the first to name its root
+        number = {r: x for x, r in enumerate(dict.fromkeys(root))}
+        group = [number[r] for r in root]
+        parent += [base + k + x for x in group]
+        branch_w += [ew[j] for j in best]
+        branch_id += [eid[j] for j in best]
+        base += k
+        k = len(number)
+        keep = [j for j in range(len(eid)) if group[au[j]] != group[av[j]]]
+        au, av = [group[au[j]] for j in keep], [group[av[j]] for j in keep]
+        eid, ew = [eid[j] for j in keep], [ew[j] for j in keep]
+        work += n + len(eid)
+    return BoruvkaTree(n, parent + [-1], branch_w + [-math.inf], branch_id + [-1], height=level, build_work=work)
 
 
 def _array_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree:
-    """The Boruvka phases of _python_phases on arrays, with the same result and build_work.
-
-    The active edges' endpoints are kept as aggregate numbers 0..k-1 of
-    the current level, whose node ids are base..base+k-1. A phase picks
-    each aggregate's first active edge in (w, id) order; the picked edges,
-    one out of each aggregate, form a functional graph whose only cycles
-    are mutual pairs (two aggregates picking the same edge), so rooting
-    each pair at its smaller end and pointer jumping finds the components.
-    """
+    """build_boruvka_tree's phases on arrays, with the same result and build_work as _python_phases."""
     n = g.n
     eid = np.asarray(ids, dtype=np.int64)
     ew = np.asarray(weights, dtype=np.float64)
@@ -211,14 +199,11 @@ def _array_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree
         keep = au != av
         au, av, eid, ew = au[keep], av[keep], eid[keep], ew[keep]
         work += n + eid.size
-    parent.append(np.array([-1]))
-    branch_w.append(np.array([-math.inf]))
-    branch_id.append(np.array([-1]))
     return BoruvkaTree(
         n,
-        np.concatenate(parent),
-        np.concatenate(branch_w),
-        np.concatenate(branch_id),
+        np.concatenate(parent + [[-1]]),
+        np.concatenate(branch_w + [[-math.inf]]),
+        np.concatenate(branch_id + [[-1]]),
         height=level,
         build_work=work,
     )

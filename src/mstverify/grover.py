@@ -79,16 +79,14 @@ class BbhtStats:
     """Accumulated run statistics over one or more schedule rounds."""
 
     grover_iterations: int = 0
-    checks: int = 0
     rounds: int = 0
 
     @property
     def oracle_applications(self) -> int:
-        return self.grover_iterations + self.checks
+        return self.grover_iterations + self.rounds  # one check per round
 
     def merge(self, other: "BbhtStats") -> None:
         self.grover_iterations += other.grover_iterations
-        self.checks += other.checks
         self.rounds += other.rounds
 
 
@@ -169,7 +167,7 @@ def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, 
             rounds += 1
             if found is not None or iterations >= cutoff:
                 break
-    stats = BbhtStats(grover_iterations=iterations, checks=rounds, rounds=rounds)
+    stats = BbhtStats(grover_iterations=iterations, rounds=rounds)
     if oracle is not None:
         oracle.count_quantum_applications(stats.oracle_applications)  # r iterations + 1 check per round
     return found, stats

@@ -58,8 +58,12 @@ class QueryReport:
     quantum_oracle_applications: int
     grover_iterations: int
     mode: str
-    analytic_mode: bool  # a quantum mode's rounds sample the closed-form law: true unless classical
     work_ops: int
+
+    @property
+    def analytic_mode(self) -> bool:
+        """A quantum mode's rounds sample the closed-form law: true unless classical."""
+        return self.mode != "classical"
 
 
 def validate_search_settings(delta: float) -> None:
@@ -230,7 +234,6 @@ def _verify(
         quantum_oracle_applications=stats.oracle_applications,
         grover_iterations=stats.grover_iterations,
         mode=mode,
-        analytic_mode=mode != "classical",
         work_ops=b.build_work + evaluations * (2 * b.height + 1),
     )
     return verdict, report

@@ -362,7 +362,6 @@ def loop_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtStat
         measured = rejection_round(space, r, rng)
         stats.grover_iterations += r
         stats.rounds += 1
-        stats.checks += 1
         if mask[measured]:
             return measured, stats
         bound = min(bound * BBHT_GROWTH, math.sqrt(n))
@@ -408,7 +407,6 @@ def chunked_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtS
         found = _chunked_round(space, r, uniform, rng)
         stats.grover_iterations += r
         stats.rounds += 1
-        stats.checks += 1
         if found is not None or stats.grover_iterations >= cutoff:
             break
     return found, stats

@@ -152,7 +152,7 @@ class TestBbht:
         found, stats = bbht_search(s, 5)
         assert found is None
         assert stats.grover_iterations <= bbht_cutoff(64)
-        assert stats.oracle_applications == stats.grover_iterations + stats.checks
+        assert stats.oracle_applications == stats.grover_iterations + stats.rounds
 
     def test_counts_applications_on_oracle(self):
         s = space(16, [9])
@@ -279,7 +279,6 @@ class TestScheduleAgainstReference:
             mean_b, se_b = mean_and_se([stat(*run) for run in loop])
             assert abs(mean_a - mean_b) <= 5 * math.hypot(se_a, se_b) + 1e-12, (mean_a, mean_b)
         assert all(found is None or found in s.marked_indices() for found, _ in ours)
-        assert all(stats.checks == stats.rounds for _, stats in ours)
 
     @pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
     def test_one_schedule_fails_with_probability_at_most_one_half(self, n):

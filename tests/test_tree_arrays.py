@@ -53,7 +53,7 @@ def fields(b) -> tuple:
 
 class TestArrayBuild:
     @pytest.mark.parametrize("shape", ["random", "path", "star"])
-    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("n", [1, *SIZES])  # n = 1 runs no phase in either loop
     def test_array_phases_equal_python_phases(self, rng, n, shape):
         for _ in range(4):
             g = tree_graph(rng, n, shape)
