@@ -171,3 +171,57 @@ def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, 
     if oracle is not None:
         oracle.count_quantum_applications(stats.oracle_applications)  # r iterations + 1 check per round
     return found, stats
+
+
+def bbht_restarts(delta: float) -> int:
+    """Schedules a search runs so that all of them miss with probability at most delta: the least R with 4^-R <= delta.
+
+    That is ceil(log4(1/delta)), read off delta's binary exponent so that
+    no rounding of 1/delta or of a logarithm leaves it one short: 4^-R is
+    a power of two, so 4^-R <= delta exactly when 4^-R <= 2^(e-1), the
+    largest power of two <= delta. At delta = 0.01 it is 4.
+
+    The count rests on one bound: over a domain of N >= 2 indices (a power
+    of two), k >= 1 of them marked, one schedule misses with probability
+    at most 1/4. Schedules draw independently, so R of them all miss with
+    probability at most 4^-R <= delta. Proof, with θ = arcsin(sqrt(k/N)),
+    c = ceil(sqrt N) and the cutoff C = 9c:
+
+    - k > 3N/4. Round 0's ceiling is 1, so it draws r = 0 and hits with
+      probability sin^2 θ = k/N > 3/4.
+    - N = 2, k = 1. θ = π/4, so every round hits with probability 1/2
+      whatever its r. A round spends at most c - 1 = 1 iteration, so a
+      schedule that misses has missed at least C = 18 rounds: probability
+      at most 2^-18.
+    - N >= 4, 1 <= k <= 3N/4.
+      (a) BBHT 1998, Lemma 2: a round whose r is uniform below m hits with
+          probability 1/2 - sin(4mθ) / (4m sin 2θ), so at least 1/4 once
+          m >= M = 1/sin 2θ.
+      (b) sin 2θ = 2 sqrt(k(N-k)) / N, and k(N-k) is concave in k, so on
+          [1, 3N/4] it is least at an end: N-1 at k = 1, and
+          3N^2/16 >= N-1 at k = 3N/4 since (3N-4)(N-4) >= 0. Hence
+          M <= N / (2 sqrt(N-1)) <= sqrt(N/3) < 0.578 sqrt N.
+      (c) Round i draws below ceil(b_i), where b_0 = 1 and
+          b_(i+1) = min(6/5 b_i, sqrt N), and spends at most
+          ceil(b_i) - 1 < b_i. The bounds only grow, and those below M
+          are below sqrt N, so uncapped: a geometric series of ratio 6/5
+          whose largest term is below M. Together those first rounds
+          spend less than 6M < 3.47 sqrt N iterations.
+      (d) Every later round has ceiling >= M and spends at most c - 1.
+          Before the fifth of them fewer than 3.47 sqrt N + 4(c - 1)
+          iterations are spent, which leaves more than 1.5c of C. So the
+          schedule reaches the first five later rounds (if it has not hit)
+          and the cutoff clamps none of their draws.
+      (e) Each of those rounds draws its r and its outcome afresh, so by
+          (a) it hits with probability at least 1/4 whatever came before,
+          and the schedule misses all five with probability at most
+          (3/4)^5 = 243/1024 < 1/4.
+
+    The float ratio BBHT_GROWTH sits a hair below 6/5, which the margin of
+    6/sqrt(3) = 3.464 under 3.47 absorbs. The bound is far from tight: the
+    exact failure probability (tests/reference.py, bbht_stop_law) is below
+    1.1e-5 for every k at every N up to 2^9, and the tests confirm it
+    against 1/4 there and at N = 1024 and 4096.
+    """
+    _, e = math.frexp(delta)  # delta = f * 2^e with 1/2 <= f < 1
+    return (2 - e) // 2

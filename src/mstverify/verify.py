@@ -20,7 +20,7 @@ import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree
 from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, non_tree_mask, spanning_tree
-from .grover import BbhtStats, SearchSpace, bbht_search
+from .grover import BbhtStats, SearchSpace, bbht_restarts, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
 DEFAULT_DELTA = 0.01
@@ -69,8 +69,10 @@ class QueryReport:
 def validate_search_settings(delta: float) -> None:
     """Raise ValueError unless delta is in (0, 0.5) and 1/delta is a finite float.
 
-    The restart count ceil(log2(1/delta)) needs a finite 1/delta: below
-    about 5.6e-309 (subnormal deltas) it overflows to inf.
+    A search runs bbht_restarts(delta) = ceil(log4(1/delta)) schedules: 4
+    at the default 0.01, 1 for any delta >= 1/4, and at most 512 over the
+    accepted range. Below about 5.6e-309 (subnormal deltas) 1/delta
+    overflows to inf, and such a delta is rejected.
     """
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must be in (0, 0.5), got {delta}")
@@ -204,9 +206,10 @@ def _verify(
     """Build the Boruvka tree, find a violating edge, certify it, report the cost.
 
     Mode "classical" scans the candidates in (w, id) order, charging one
-    weight query each; a quantum mode runs up to ceil(log2(1/delta)) BBHT
-    schedules over its search space. Both evaluate the violation
-    predicate in one batch.
+    weight query each; a quantum mode runs up to bbht_restarts(delta) =
+    ceil(log4(1/delta)) BBHT schedules over its search space, each of
+    which misses a marked index with probability at most 1/4. Both
+    evaluate the violation predicate in one batch.
     """
     c0 = oracle.classical_queries
     b = build_boruvka_tree(g, t, oracle)
@@ -219,7 +222,7 @@ def _verify(
         space, witness_of = _search_space(g, t, b, mode)
         if space.logical_size > 0:
             rng = np.random.default_rng(rng_seed)
-            for _ in range(math.ceil(math.log2(1.0 / delta))):
+            for _ in range(bbht_restarts(delta)):
                 index, run = bbht_search(space, rng, oracle)
                 stats.merge(run)
                 if index is not None:
@@ -262,10 +265,14 @@ def quantum_verify(
 
     The Boruvka tree is built classically (n-1 weight queries); the
     violation predicate then needs no further classical queries, so the
-    search runs the unknown-count schedule with ceil(log2(1/delta))
-    restarts. A found index is certified before it is reported, making
-    false NotMinimal verdicts impossible; a Minimal verdict is wrong with
-    probability at most delta.
+    search runs the unknown-count schedule with ceil(log4(1/delta))
+    restarts (4 at the default delta). One schedule misses with
+    probability at most 1/4 (proved at grover.bbht_restarts), so a Minimal
+    verdict is wrong with probability at most delta. Every schedule of a
+    Minimal verdict ran to its cutoff, so over a domain of N indices it
+    costs ceil(log4(1/delta)) * 9 * ceil(sqrt N) Grover iterations. A
+    found index is certified before it is reported, making false
+    NotMinimal verdicts impossible.
 
     mode selects the search domain: "edgelist" (over edge indices,
     O(sqrt(m)) applications) or "adjacency" (over vertex pairs, O(n)

@@ -42,7 +42,7 @@ from .reference import (
 )
 
 DELTA = 0.01
-RESTARTS = math.ceil(math.log2(1 / DELTA))
+RESTARTS = math.ceil(math.log2(1 / DELTA) / 2)  # ceil(log4(1/delta))
 DYADIC = [k / 256 for k in range(1, 513)]  # exact float sums
 REPORT_PATH = Path(__file__).resolve().parent.parent / "build" / "scaling_report.json"
 

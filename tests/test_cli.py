@@ -95,7 +95,7 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="1/delta overflows"):
             validate_search_settings(float(delta))
 
-    @pytest.mark.parametrize("delta,restarts", [(1e-308, 1024), (2.0**-1022, 1022), (0.01, 7), (0.49, 2)])
+    @pytest.mark.parametrize("delta,restarts", [(1e-308, 512), (2.0**-1022, 511), (0.01, 4), (0.49, 1)])
     def test_accepted_deltas_keep_their_restart_count(self, monkeypatch, delta, restarts):
         searches = []
         search = verify.bbht_search

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from mstverify.grover import SearchSpace, _closed_form_round, bbht_cutoff, bbht_search, success_probability
+from mstverify.grover import (
+    SearchSpace,
+    _closed_form_round,
+    _round_ceilings,
+    bbht_cutoff,
+    bbht_restarts,
+    bbht_search,
+    success_probability,
+)
 
 from .conftest import edge_oracle, triangle
 from .reference import (
@@ -280,18 +288,53 @@ class TestScheduleAgainstReference:
             assert abs(mean_a - mean_b) <= 5 * math.hypot(se_a, se_b) + 1e-12, (mean_a, mean_b)
         assert all(found is None or found in s.marked_indices() for found, _ in ours)
 
-    @pytest.mark.parametrize("n", [2**e for e in range(1, 9)])
-    def test_one_schedule_fails_with_probability_at_most_one_half(self, n):
-        """The premise of ceil(log2(1/delta)) restarts, exactly, for every marked count k >= 1."""
+    @pytest.mark.parametrize("n", [2**e for e in range(1, 10)])
+    def test_one_schedule_fails_with_probability_at_most_one_quarter(self, n):
+        """The premise of ceil(log4(1/delta)) restarts, exactly, for every marked count k >= 1.
+
+        2^9 is the largest domain a 32-vertex adjacency search has.
+        """
         for k in range(1, n + 1):
             p_fail, stop = bbht_stop_law(n, k)
-            assert p_fail <= 0.5, (n, k, p_fail)
+            assert p_fail <= 0.25, (n, k, p_fail)
             assert stop.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k", [(1024, 1), (1024, 5), (4096, 1), (4096, 3)])
-    def test_one_schedule_fails_with_probability_at_most_one_half_at_larger_domains(self, n, k):
+    def test_one_schedule_fails_with_probability_at_most_one_quarter_at_larger_domains(self, n, k):
         p_fail, _ = bbht_stop_law(n, k)
-        assert p_fail <= 0.5, (n, k, p_fail)
+        assert p_fail <= 0.25, (n, k, p_fail)
+
+    @pytest.mark.parametrize("n", [2**e for e in range(2, 41)])
+    def test_five_rounds_past_the_lemma_bound_run_unclamped(self, n):
+        """Steps (c) and (d) of the 1/4 bound's proof, on the schedule's own ceilings.
+
+        For every k <= 3N/4, BBHT's Lemma 2 gives a round a hit chance of at
+        least 1/4 once its ceiling reaches M = 1/sin 2θ <= N / (2 sqrt(N-1)).
+        The rounds below that spend at most their ceilings less one, and so
+        do the next five, which must all fit under the cutoff.
+        """
+        m = n / (2 * math.sqrt(n - 1))
+        ceilings = _round_ceilings(n).ravel().tolist()
+        first = next(i for i, c in enumerate(ceilings) if c >= m)
+        assert all(a <= b for a, b in zip(ceilings, ceilings[1:]))
+        spent = sum(c - 1 for c in ceilings[: first + 5])
+        assert spent <= bbht_cutoff(n), (n, first, spent)
+
+
+class TestRestarts:
+    FOURTHS = [4.0**-j for j in range(1, 11)]
+
+    @pytest.mark.parametrize(
+        "delta",
+        [1e-308, 2.0**-1022, 0.01, 0.49]
+        + [d for q in FOURTHS for d in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0))],
+    )
+    def test_count_is_the_least_whose_misses_fit_in_delta(self, delta):
+        """R schedules, each missing with probability at most 1/4, miss together with probability <= delta; R - 1 might not."""
+        restarts = bbht_restarts(delta)
+        assert restarts >= 1
+        assert 0.25**restarts <= delta
+        assert 0.25 ** (restarts - 1) > delta
 
     def test_nothing_marked_always_fails(self):
         p_fail, _ = bbht_stop_law(64, 0)

@@ -25,9 +25,9 @@ from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle, whole_tree
-from .reference import direct_path_max, is_violating, pair_min, path_max
+from .reference import chunked_bbht_search, direct_path_max, is_violating, pair_min, path_max
 
-RESTARTS = math.ceil(math.log2(1 / 0.01))  # default delta
+RESTARTS = math.ceil(math.log2(1 / 0.01) / 2)  # ceil(log4(1/delta)) at the default delta
 
 
 class TestIsViolating:
@@ -212,6 +212,22 @@ class TestQuantumVerify:
         # k = 0: nothing can ever certify, every schedule runs to its cutoff
         domain = SearchSpace(g.m, lambda i: False).domain_size
         assert report.grover_iterations == RESTARTS * bbht_cutoff(domain)
+
+    @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
+    def test_minimal_verdict_reports_the_first_schedules_of_its_stream(self, rng, mode):
+        """At the default delta a minimal verdict reports the summed BbhtStats of the first RESTARTS schedules on default_rng(seed)."""
+        g = random_connected_graph(12, 30, rng)
+        t = kruskal_mst(g)
+        logical = g.m if mode == "edgelist" else g.n * (g.n - 1) // 2
+        unmarked = SearchSpace(logical, lambda i: False)
+        for seed in (0, 1, 7, 2**63):
+            oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
+            verdict, report = quantum_verify(g, t, oracle, mode, seed)
+            stream = np.random.default_rng(seed)
+            schedules = [chunked_bbht_search(unmarked, stream)[1] for _ in range(RESTARTS)]
+            assert verdict.minimal
+            assert report.grover_iterations == sum(s.grover_iterations for s in schedules)
+            assert report.quantum_oracle_applications == sum(s.oracle_applications for s in schedules)
 
     def test_adjacency_mode_agrees(self, rng):
         for seed in range(6):
