@@ -320,22 +320,6 @@ class TestScheduleAgainstReference:
         spent = sum(c - 1 for c in ceilings[: first + 5])
         assert spent <= bbht_cutoff(n), (n, first, spent)
 
-
-class TestRestarts:
-    FOURTHS = [4.0**-j for j in range(1, 11)]
-
-    @pytest.mark.parametrize(
-        "delta",
-        [1e-308, 2.0**-1022, 0.01, 0.49]
-        + [d for q in FOURTHS for d in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0))],
-    )
-    def test_count_is_the_least_whose_misses_fit_in_delta(self, delta):
-        """R schedules, each missing with probability at most 1/4, miss together with probability <= delta; R - 1 might not."""
-        restarts = bbht_restarts(delta)
-        assert restarts >= 1
-        assert 0.25**restarts <= delta
-        assert 0.25 ** (restarts - 1) > delta
-
     def test_nothing_marked_always_fails(self):
         p_fail, _ = bbht_stop_law(64, 0)
         assert p_fail == pytest.approx(1.0, abs=1e-12)
@@ -376,3 +360,19 @@ class TestRandomStream:
             for _ in range(7):
                 assert bbht_search(s, ours) == chunked_bbht_search(s, theirs), (logical, seed)
             assert ours.bit_generator.state == theirs.bit_generator.state, (logical, seed)
+
+
+class TestRestarts:
+    FOURTHS = [4.0**-j for j in range(1, 11)]
+
+    @pytest.mark.parametrize(
+        "delta",
+        [1e-308, 2.0**-1022, 0.01, 0.49]
+        + [d for q in FOURTHS for d in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0))],
+    )
+    def test_count_is_the_least_whose_misses_fit_in_delta(self, delta):
+        """R schedules, each missing with probability at most 1/4, miss together with probability <= delta; R - 1 might not."""
+        restarts = bbht_restarts(delta)
+        assert restarts >= 1
+        assert 0.25**restarts <= delta
+        assert 0.25 ** (restarts - 1) > delta

@@ -91,9 +91,9 @@ def test_reports_hold_ground_truth():
         restarts = math.ceil(math.log2(1 / float(_flag(run["args"], "--delta", DEFAULT_DELTA))) / 2)
         domain = SearchSpace(logical, lambda i: False).domain_size
         budget = restarts * bbht_cutoff(domain)
-        # every schedule of a minimal verdict runs to its cutoff
         assert doc["queries"]["grover_iterations"] <= budget, run
-        assert minimal == (doc["queries"]["grover_iterations"] == budget), run
+        if minimal:  # every schedule ran to its cutoff
+            assert doc["queries"]["grover_iterations"] == budget, run
     digest = hashlib.sha256(json.dumps(classical, sort_keys=True).encode()).hexdigest()
     assert (len(classical), digest) == (48, CLASSICAL_RUNS_SHA256)
 
