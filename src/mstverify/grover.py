@@ -221,7 +221,7 @@ def bbht_restarts(delta: float) -> int:
     6/sqrt(3) = 3.464 under 3.47 absorbs. The bound is far from tight: the
     exact failure probability (tests/reference.py, bbht_stop_law) is below
     1.1e-5 for every k at every N up to 2^9, and the tests confirm it
-    against 1/4 there and at N = 1024 and 4096.
+    against 1/4 there and for a few k at N = 1024 and 4096.
     """
     _, e = math.frexp(delta)  # delta = f * 2^e with 1/2 <= f < 1
     return (2 - e) // 2
