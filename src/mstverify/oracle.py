@@ -100,9 +100,12 @@ class InstrumentedOracle:
         answers, so every charge passes through the method that counts it.
         Edge i's own weight is returned: the adjacency model serves a pair by
         its minimum edge, which is not edge i when it is a heavier parallel edge.
+        An i outside the edges raises IndexError in both models, uncharged.
         """
         if self._adjacency:
             us, vs, ws = self._columns
+            if not (0 <= i < len(ws)):
+                raise IndexError(f"edge index {i} outside [0, {self.graph.m - 1}]")
             self.weight(us[i], vs[i])
             return ws[i]
         return self.edge(i)[2]

@@ -158,6 +158,14 @@ class TestCallContract:
                 assert calls == [False] * oracle.classical_queries
                 assert report.classical_weight_queries == oracle.classical_queries >= n - 1
 
+    @pytest.mark.parametrize("model", [OracleModel.EDGE_LIST, OracleModel.ADJACENCY])
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_lookup_weight_rejects_an_edge_index_outside_the_graph_uncharged(self, model, i):
+        o = InstrumentedOracle(triangle(), model)
+        with pytest.raises(IndexError, match=re.escape(f"edge index {i} outside [0, 2]")):
+            o.lookup_weight(i)
+        assert o.classical_queries == 0
+
     def test_error_texts(self):
         edge_list, adjacency = edge_oracle(triangle()), adj_oracle(triangle())
         with pytest.raises(ValueError, match=re.escape("weight(a, b) requires an adjacency-model oracle")):
