@@ -7,7 +7,10 @@ selected edges become the nodes of the next level. The maximum branch
 weight between two leaves equals the maximum edge weight on their T-path,
 so after one O(n)-query build, BoruvkaTree.path_max_batch answers any
 number of path-max queries together: all of them climb the tree in
-lock-step, O(log n) array gathers and zero oracle calls. A phase finds
+lock-step, O(log n) array gathers and zero oracle calls. The build sorts
+the tree edges once, with edge_order, and each node keeps the rank of
+its branch in that (w, id) order, so a climb compares integers and never
+sorts. A phase finds
 the components by following the picks, one algorithm in two forms: on
 arrays for trees above SMALL_TREE_VERTICES and on Python lists for
 smaller ones, where numpy's per-call cost would dominate. The batch also
@@ -29,26 +32,57 @@ class SameVertexError(ValueError):
     """A path query needs two distinct vertices."""
 
 
+def edge_order(w, ids) -> np.ndarray:
+    """The permutation that sorts edges by weight, equal weights by id; ids are distinct and non-negative.
+
+    numpy's default argsort sorts the weights. If any two are equal (-0.0
+    equals 0.0), a second default argsort puts the whole order right, on
+    the unique integer key dense weight rank * (max id + 1) + id. Neither
+    sort needs to be stable, and the default kind is several times faster
+    than a stable or multi-key sort. The key must fit in int64, as it does
+    for edge ids.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    order = np.argsort(w)
+    by_w = w[order]
+    step = by_w[1:] != by_w[:-1]
+    if step.all():
+        return order
+    ids = np.asarray(ids, dtype=np.int64)
+    key = np.zeros(w.size, dtype=np.int64)
+    np.cumsum(step, out=key[1:])  # the dense rank of each sorted weight
+    key *= int(ids.max()) + 1
+    key += ids[order]
+    return order[np.argsort(key)]
+
+
 class BoruvkaTree:
     """Full branching tree over vertex aggregates; immutable after build.
 
     Node i < n is leaf (vertex) i; internal nodes follow in creation order,
     the root last. parent[i] is node i's parent (-1 at the root), and
-    branch_w[i] / branch_id[i] the weight and id of the tree edge node i
-    selected when it merged into its parent (-inf and -1 at the root).
-    Every leaf sits at depth `height`, so all queries can climb together
-    level by level. Path queries take vertices, the leaves 0..n-1.
+    branch_rank[i] the rank, in the tree edges' (w, id) order, of the tree
+    edge node i selected when it merged into its parent (-1 at the root).
+    rank_w[r] / rank_id[r] are the weight and id of the rank-r tree edge,
+    with a (-inf, -1) sentinel last, so that rank -1 reads it; branch_w[i]
+    / branch_id[i] are node i's branch read off that way (-inf and -1 at
+    the root). Every leaf sits at depth `height`, so all queries can climb
+    together level by level. Path queries take vertices, the leaves
+    0..n-1.
     """
 
-    def __init__(self, n: int, parent, branch_w, branch_id, height: int, build_work: int):
-        """parent, branch_w and branch_id come as lists (Python phases) or arrays (array phases)."""
+    def __init__(self, n: int, parent, branch_rank, rank_w, rank_id, height: int, build_work: int):
+        """The tree arrays come as lists (Python phases) or arrays (array phases), the sentinels included."""
         self.n = n
         self.root = len(parent) - 1
         self.height = height
         self.build_work = build_work
         self.parent = _read_only(np.asarray(parent, dtype=np.int64))
-        self.branch_w = _read_only(np.asarray(branch_w, dtype=np.float64))
-        self.branch_id = _read_only(np.asarray(branch_id, dtype=np.int64))
+        self.branch_rank = _read_only(np.asarray(branch_rank, dtype=np.int64))
+        self.rank_w = _read_only(np.asarray(rank_w, dtype=np.float64))
+        self.rank_id = _read_only(np.asarray(rank_id, dtype=np.int64))
+        self.branch_w = _read_only(self.rank_w[self.branch_rank])
+        self.branch_id = _read_only(self.rank_id[self.branch_rank])
 
     def path_max_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
         """Maximum-(w, id) edge of the T-path of each vertex pair: (max weights, max edge ids).
@@ -57,8 +91,9 @@ class BoruvkaTree:
         their LCA is the maximum-(w, id) edge of their T-path. All pairs
         climb together, one gather per level for `height` levels; a pair
         stops taking maxima once its two ascents meet at the LCA. Branches
-        are compared by their rank in (w, id) order, so each level costs
-        one integer maximum. No oracle queries.
+        are compared by the ranks the build stored, so each level costs one
+        integer maximum, and two gathers map the winning ranks to weights
+        and ids. Nothing is sorted, and no oracle queries.
         """
         a = np.asarray(us, dtype=np.int64)
         b = np.asarray(vs, dtype=np.int64)
@@ -70,26 +105,24 @@ class BoruvkaTree:
             k = int(outside.argmax())
             x = int(a[k]) if not (0 <= a[k] < self.n) else int(b[k])
             raise IndexError(f"vertex {x} out of range [0, {self.n - 1}]")
-        by_rank = np.lexsort((self.branch_id, self.branch_w))
-        rank = np.empty_like(by_rank)
-        rank[by_rank] = np.arange(by_rank.size)
+        rank, parent = self.branch_rank, self.parent
         best = np.full(a.shape, -1, dtype=np.int64)
         for _ in range(self.height):
             apart = a != b
             best = np.where(apart, np.maximum(best, np.maximum(rank[a], rank[b])), best)
-            a, b = self.parent[a], self.parent[b]
-        node = by_rank[best]
-        return self.branch_w[node], self.branch_id[node]
+            a, b = parent[a], parent[b]
+        return self.rank_w[best], self.rank_id[best]
 
 
 # Trees on at most this many vertices run the Boruvka phases on Python
 # lists, larger ones on arrays: an array phase costs some 25 numpy calls
 # however few aggregates it has, more than a whole Python build of a small
-# tree. Measured from the same (w, id)-sorted edges, as the median over 40
-# random trees of the fastest of 100 builds (2-vCPU VM, Python 3.11, numpy
-# 2.4): n=32 62 us Python against 109 us arrays, n=64 103 against 136 us,
-# n=96 133 against 126 us, n=128 173 against 148 us, n=200 240 against
-# 164 us; n=20000 46 ms against 6 ms.
+# tree. Measured on the same tree edges, with weights k/2^20, as the median
+# over 40 random trees of the fastest of 100 builds (2-vCPU VM, Python
+# 3.11, numpy 2.4, edge_order sorting the array phases): n=64 87 us Python
+# against 111 us arrays, n=80 109 against 119 us, n=96 124 against 126 us,
+# n=112 142 against 139 us, n=128 159 against 142 us, n=160 195 against
+# 150 us. At n=20000, in a slower run, 80 ms against 6.6 ms.
 SMALL_TREE_VERTICES = 100
 
 
@@ -97,11 +130,13 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     """Run Boruvka phases on T until one aggregate remains.
 
     Each tree edge's weight is fetched through the oracle exactly once and
-    cached, so the classical counter advances by exactly n-1. A phase
-    follows the picks. The active edges (those joining two aggregates)
-    stay in (w, id) order, their ends named by the current level's
-    aggregate numbers 0..k-1 (node ids base..base+k-1). Each aggregate
-    picks its first active edge. The picked edges form a functional graph
+    cached, so the classical counter advances by exactly n-1. The tree
+    edges are sorted once by (w, id), and the phases carry each edge's
+    rank in that order instead of its weight and id. A phase follows the
+    picks. The active edges (those joining two aggregates) stay in rank
+    order, their ends named by the current level's aggregate numbers
+    0..k-1 (node ids base..base+k-1). Each aggregate picks its first
+    active edge. The picked edges form a functional graph
     whose only cycles are mutual pairs (two aggregates picking the same
     edge), so rooting each pair at its smaller end and pointer jumping to
     a fixed point finds the groups, numbered in order of their smallest
@@ -120,19 +155,20 @@ def _python_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTre
     """build_boruvka_tree's phases on Python lists; weights[j] is tree edge ids[j]'s weight."""
     n = g.n
     order = sorted(range(len(ids)), key=lambda j: (weights[j], ids[j]))
-    eid = [ids[j] for j in order]
-    ew = [weights[j] for j in order]
+    rank_id = [ids[j] for j in order]
+    rank_w = [weights[j] for j in order]
     us, vs, _ = g.columns
-    au, av = [us[i] for i in eid], [vs[i] for i in eid]  # vertices are the level-0 aggregates
-    parent, branch_w, branch_id = [], [], []
+    au, av = [us[i] for i in rank_id], [vs[i] for i in rank_id]  # vertices are the level-0 aggregates
+    rank = list(range(len(ids)))
+    parent, branch_rank = [], []
     k = n
     base = level = work = 0
     while k > 1:
         level += 1
-        work += 2 * len(eid) + k
-        # a backwards pass over the (w, id)-ordered edges leaves each aggregate its lightest
+        work += 2 * len(rank) + k
+        # a backwards pass over the rank-ordered edges leaves each aggregate its lightest
         best = [0] * k
-        for j in range(len(eid) - 1, -1, -1):
+        for j in range(len(rank) - 1, -1, -1):
             best[au[j]] = best[av[j]] = j
         to = [au[j] + av[j] - me for me, j in enumerate(best)]  # the picked edge's other end
         root = [me if me < t and to[t] == me else t for me, t in enumerate(to)]
@@ -145,35 +181,37 @@ def _python_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTre
         number = {r: x for x, r in enumerate(dict.fromkeys(root))}
         group = [number[r] for r in root]
         parent += [base + k + x for x in group]
-        branch_w += [ew[j] for j in best]
-        branch_id += [eid[j] for j in best]
+        branch_rank += [rank[j] for j in best]
         base += k
         k = len(number)
-        keep = [j for j in range(len(eid)) if group[au[j]] != group[av[j]]]
+        keep = [j for j in range(len(rank)) if group[au[j]] != group[av[j]]]
         au, av = [group[au[j]] for j in keep], [group[av[j]] for j in keep]
-        eid, ew = [eid[j] for j in keep], [ew[j] for j in keep]
-        work += n + len(eid)
-    return BoruvkaTree(n, parent + [-1], branch_w + [-math.inf], branch_id + [-1], height=level, build_work=work)
+        rank = [rank[j] for j in keep]
+        work += n + len(rank)
+    return BoruvkaTree(
+        n, parent + [-1], branch_rank + [-1], rank_w + [-math.inf], rank_id + [-1], height=level, build_work=work
+    )
 
 
 def _array_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree:
     """build_boruvka_tree's phases on arrays, with the same result and build_work as _python_phases."""
     n = g.n
-    eid = np.asarray(ids, dtype=np.int64)
-    ew = np.asarray(weights, dtype=np.float64)
-    order = np.lexsort((eid, ew))
-    eid, ew = eid[order], ew[order]
-    au, av = g.u[eid], g.v[eid]  # vertices are the level-0 aggregates
-    parent, branch_w, branch_id = [], [], []
+    rank_id = np.asarray(ids, dtype=np.int64)
+    rank_w = np.asarray(weights, dtype=np.float64)
+    order = edge_order(rank_w, rank_id)
+    rank_id, rank_w = rank_id[order], rank_w[order]
+    au, av = g.u[rank_id], g.v[rank_id]  # vertices are the level-0 aggregates
+    rank = np.arange(rank_id.size)
+    parent, branch_rank = [], []
     k = n
     base = level = work = 0
     while k > 1:
         level += 1
-        work += 2 * eid.size + k
+        work += 2 * rank.size + k
         me = np.arange(k)
-        # active edges stay in (w, id) order, so the lowest position is the lightest edge
-        best = np.full(k, eid.size)
-        at = np.arange(eid.size)
+        # active edges stay in rank order, so the lowest position is the lightest edge
+        best = np.full(k, rank.size)
+        at = np.arange(rank.size)
         np.minimum.at(best, au, at)
         np.minimum.at(best, av, at)
         to = au[best] + av[best] - me  # the picked edge's other end
@@ -190,20 +228,20 @@ def _array_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree
         number = np.cumsum(leader == me) - 1
         group = number[leader]
         parent.append(group + (base + k))
-        branch_w.append(ew[best])
-        branch_id.append(eid[best])
+        branch_rank.append(rank[best])
         assert 2 * (number[-1] + 1) <= k, "every group has at least two members"
         base += k
         k = int(number[-1]) + 1
         au, av = group[au], group[av]
         keep = au != av
-        au, av, eid, ew = au[keep], av[keep], eid[keep], ew[keep]
-        work += n + eid.size
+        au, av, rank = au[keep], av[keep], rank[keep]
+        work += n + rank.size
     return BoruvkaTree(
         n,
         np.concatenate(parent + [[-1]]),
-        np.concatenate(branch_w + [[-math.inf]]),
-        np.concatenate(branch_id + [[-1]]),
+        np.concatenate(branch_rank + [[-1]]),
+        np.append(rank_w, -math.inf),
+        np.append(rank_id, -1),
         height=level,
         build_work=work,
     )

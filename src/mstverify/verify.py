@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boruvka import BoruvkaTree, build_boruvka_tree
+from .boruvka import BoruvkaTree, build_boruvka_tree, edge_order
 from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, non_tree_mask, spanning_tree
 from .grover import BbhtStats, SearchSpace, bbht_restarts, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
@@ -168,8 +168,7 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
         charged[found + 1 :] &= g.w[found + 1 :] < w
     candidates = np.flatnonzero(charged)
     lookup_weight = oracle.lookup_weight
-    # a stable sort by weight is the (w, id) order, edge ids being positions
-    for i in candidates[np.argsort(g.w[candidates], kind="stable")].tolist():
+    for i in candidates[edge_order(g.w[candidates], candidates)].tolist():
         lookup_weight(i)
     return None if found is None else (found, int(replaced[found]))
 

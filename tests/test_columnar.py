@@ -251,6 +251,14 @@ class TestPathMaxBatch:
             if node.parent is not None:
                 assert (b.branch_w[node.id], b.branch_id[node.id]) == (node.branch_weight, node.branch_edge_id)
 
+    @pytest.mark.parametrize("n", [30, 300])  # the Python and the array phases
+    def test_branch_ranks_are_read_only(self, rng, n):
+        g = random_tree_graph(rng, n)
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        for name in ("branch_rank", "rank_w", "rank_id"):
+            with pytest.raises(ValueError):
+                getattr(b, name)[0] = 0
+
 
 def reference_scan(g, t, oracle):
     """Edge-by-edge classical scan: is_violating per candidate in (w, id) order."""

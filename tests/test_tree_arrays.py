@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, random_spanning_tree, tree_weight
 from mstverify import boruvka, graph
-from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, SameVertexError, build_boruvka_tree
+from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, SameVertexError, build_boruvka_tree, edge_order
 from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
 from mstverify.verify import InvalidWitnessError, Witness, improve
@@ -48,7 +52,22 @@ def multigraph(rng, n: int, weight) -> Graph:
 
 
 def fields(b) -> tuple:
-    return b.parent.tolist(), b.branch_w.tolist(), b.branch_id.tolist(), b.height, b.build_work
+    return b.parent.tolist(), b.branch_rank.tolist(), b.branch_w.tolist(), b.branch_id.tolist(), b.height, b.build_work
+
+
+# few distinct weights, so that ties are heavy, and -0.0 beside 0.0
+TIED_WEIGHTS = st.one_of(st.integers(0, 3).map(float), st.just(-0.0), st.floats(0.0, 1e300))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(TIED_WEIGHTS, st.integers(0, 10**6)), max_size=60, unique_by=lambda e: e[1]))
+@example([])
+@example([(1.0, 7)])
+@example([(0.0, 3), (-0.0, 1), (0.0, 2), (-0.0, 0)])
+def test_edge_order_is_the_weight_then_id_order(edges):
+    w = np.array([x for x, _ in edges], dtype=np.float64)
+    ids = np.array([i for _, i in edges], dtype=np.int64)
+    assert edge_order(w, ids).tolist() == np.lexsort((ids, w)).tolist()
 
 
 class TestArrayBuild:
@@ -64,6 +83,18 @@ class TestArrayBuild:
             assert fields(array) == fields(python)
             built = build_boruvka_tree(g, spanning_tree(g, ids), edge_oracle(g))
             assert fields(built) == fields(python)
+
+    @pytest.mark.parametrize("shape", ["random", "path"])
+    @pytest.mark.parametrize("n", [2, 17, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257])
+    def test_each_branch_is_the_tree_edge_of_its_rank(self, rng, n, shape):
+        g = tree_graph(rng, n, shape)
+        ws = g.columns[2]
+        by_rank = sorted(range(g.m), key=lambda i: (ws[i], i))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        assert (b.branch_rank[b.root], b.branch_w[b.root], b.branch_id[b.root]) == (-1, -math.inf, -1)
+        for node in range(b.root):
+            i = by_rank[b.branch_rank[node]]
+            assert (b.branch_w[node], b.branch_id[node]) == (ws[i], i)
 
     def test_array_tree_answers_scalar_and_batched_queries(self, rng):
         g = tree_graph(rng, 300, "random")
