@@ -36,24 +36,32 @@ def edge_order(w, ids) -> np.ndarray:
     """The permutation that sorts edges by weight, equal weights by id; ids are distinct and non-negative.
 
     numpy's default argsort sorts the weights. If any two are equal (-0.0
-    equals 0.0), a second default argsort puts the whole order right, on
-    the unique integer key dense weight rank * (max id + 1) + id. Neither
-    sort needs to be stable, and the default kind is several times faster
-    than a stable or multi-key sort. The key must fit in int64, as it does
-    for edge ids.
+    equals 0.0), the positions in runs of equal weights are put in id
+    order by a second default argsort, of the unique integer key run
+    number * (max id + 1) + id, which keeps each run in its own slots.
+    Neither sort needs to be stable, and the default kind is several
+    times faster than a stable or multi-key sort. The key must fit in
+    int64, as it does for edge ids.
     """
     w = np.asarray(w, dtype=np.float64)
     order = np.argsort(w)
     by_w = w[order]
-    step = by_w[1:] != by_w[:-1]
-    if step.all():
+    tie = by_w[1:] == by_w[:-1]
+    if not tie.any():
         return order
-    ids = np.asarray(ids, dtype=np.int64)
-    key = np.zeros(w.size, dtype=np.int64)
-    np.cumsum(step, out=key[1:])  # the dense rank of each sorted weight
-    key *= int(ids.max()) + 1
-    key += ids[order]
-    return order[np.argsort(key)]
+    # only a position whose weight equals a neighbour's can be out of id order
+    tied = np.zeros(w.size, dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    at = np.flatnonzero(tied)
+    w_at = by_w[at]
+    key = np.zeros(at.size, dtype=np.int64)
+    np.cumsum(w_at[1:] != w_at[:-1], out=key[1:])  # runs of equal weights, numbered in order
+    key *= int(np.max(ids)) + 1
+    edges = order[at]
+    key += np.asarray(ids, dtype=np.int64)[edges]
+    order[at] = edges[np.argsort(key)]
+    return order
 
 
 class BoruvkaTree:
