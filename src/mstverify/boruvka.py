@@ -10,12 +10,12 @@ number of path-max queries together: all of them climb the tree in
 lock-step, O(log n) array gathers and zero oracle calls. The build sorts
 the tree edges once, with edge_order, and each node keeps the rank of
 its branch in that (w, id) order, so a climb compares integers and never
-sorts. A phase finds
-the components by following the picks, one algorithm in two forms: on
-arrays for trees above SMALL_TREE_VERTICES and on Python lists for
-smaller ones, where numpy's per-call cost would dominate. The batch also
-names each path's maximum edge, which is the tree edge a violating edge
-replaces, so certification needs no walk of T.
+sorts. A phase finds the components by following the picks, one
+algorithm in two forms: on arrays for trees above SMALL_TREE_VERTICES
+and on Python lists for smaller ones, where numpy's per-call cost would
+dominate. The batch also names each path's maximum edge, which is the
+tree edge a violating edge replaces, so certification needs no walk of
+T.
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     picks. The active edges (those joining two aggregates) stay in rank
     order, their ends named by the current level's aggregate numbers
     0..k-1 (node ids base..base+k-1). Each aggregate picks its first
-    active edge. The picked edges form a functional graph
-    whose only cycles are mutual pairs (two aggregates picking the same
-    edge), so rooting each pair at its smaller end and pointer jumping to
-    a fixed point finds the groups, numbered in order of their smallest
-    member. Edges within a group then drop out. Every group has at least
+    active edge. The picked edges form a functional graph whose only
+    cycles are mutual pairs (two aggregates picking the same edge), so
+    rooting each pair at its smaller end and pointer jumping to a fixed
+    point finds the groups, numbered in order of their smallest member. Edges within a group then drop out. Every group has at least
     two members, so the height is at most ceil(log2 n). Trees above
     SMALL_TREE_VERTICES run the phases on arrays, smaller ones on Python
     lists; both give the same tree and build_work.
