@@ -10,10 +10,19 @@ of a measured index, regardless of superposition width).
 Every classical charge is one call of edge() or weight(), each taking the
 counter lock once, so a caller (or a tracer wrapping those methods) sees
 one call per query; lookup_weight charges one edge by id that way.
+
+Those two per-query methods take the lock with an explicit acquire() and
+a try/finally release() rather than a `with` block: the context-manager
+protocol was about a third of a charge's cost. Each checks its arguments
+(model, integer index, range) and reads its answer's row before it takes
+the lock, so a rejected call is never charged. reset() and
+count_quantum_applications() run once per verify or per schedule and
+keep `with`.
 """
 
 from __future__ import annotations
 
+import operator
 import threading
 from enum import Enum
 
@@ -29,7 +38,9 @@ class InstrumentedOracle:
     """Counting front end over a graph's weight data.
 
     Counter increments are lock-protected and safe under concurrent
-    callers; the counters never decrease except through reset().
+    callers; the counters never decrease except through reset(). A
+    lookup is charged only once its arguments are accepted: a wrong
+    model, a non-integer index or one out of range raises uncharged.
     """
 
     def __init__(self, graph: Graph, model: OracleModel):
@@ -37,7 +48,8 @@ class InstrumentedOracle:
         self.model = model
         self._adjacency = model is OracleModel.ADJACENCY  # else the edge-list model
         # read once, so every lookup indexes them directly
-        self._columns = graph.columns
+        self._us, self._vs, self._ws = graph.columns
+        self._m = graph.m
         self._pair_min = graph.pair_min_ids() if self._adjacency else {}
         self._lock = threading.Lock()
         self._classical = 0
@@ -72,26 +84,35 @@ class InstrumentedOracle:
         """
         if not self._adjacency:
             raise ValueError("weight(a, b) requires an adjacency-model oracle")
+        a, b = operator.index(a), operator.index(b)
         n = self.graph.n
         if not (0 <= a < n and 0 <= b < n):
             raise IndexError(f"vertex pair ({a}, {b}) outside [0, {n - 1}]^2")
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._classical += 1
+        finally:
+            lock.release()
         if a == b:
             return INFINITE_WEIGHT
         i = self._pair_min.get((a, b) if a < b else (b, a))
-        return INFINITE_WEIGHT if i is None else self._columns[2][i]
+        return INFINITE_WEIGHT if i is None else self._ws[i]
 
     def edge(self, i: int) -> tuple[int, int, float]:
         """Edge-list-model lookup: endpoints and weight of edge i."""
         if self._adjacency:
             raise ValueError("edge(i) requires an edge-list-model oracle")
-        us, vs, ws = self._columns
-        if not (0 <= i < len(ws)):
-            raise IndexError(f"edge index {i} outside [0, {self.graph.m - 1}]")
-        with self._lock:
+        if not (0 <= i < self._m):
+            raise IndexError(f"edge index {i} outside [0, {self._m - 1}]")
+        row = (self._us[i], self._vs[i], self._ws[i])  # a non-integer i raises TypeError here, uncharged
+        lock = self._lock
+        lock.acquire()
+        try:
             self._classical += 1
-        return (us[i], vs[i], ws[i])
+        finally:
+            lock.release()
+        return row
 
     def lookup_weight(self, i: int) -> float:
         """Weight of edge i, charged as one classical lookup in this oracle's model.
@@ -103,9 +124,8 @@ class InstrumentedOracle:
         An i outside the edges raises IndexError in both models, uncharged.
         """
         if self._adjacency:
-            us, vs, ws = self._columns
-            if not (0 <= i < len(ws)):
-                raise IndexError(f"edge index {i} outside [0, {self.graph.m - 1}]")
-            self.weight(us[i], vs[i])
-            return ws[i]
+            if not (0 <= i < self._m):
+                raise IndexError(f"edge index {i} outside [0, {self._m - 1}]")
+            self.weight(self._us[i], self._vs[i])
+            return self._ws[i]
         return self.edge(i)[2]

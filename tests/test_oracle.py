@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import threading
 
 import numpy as np
@@ -132,6 +133,37 @@ class TestCounters:
         assert o.classical_queries == 8 * per_thread
         assert o.quantum_queries == 8 * per_thread
 
+    @pytest.mark.parametrize(
+        "model,charge",
+        [
+            (OracleModel.ADJACENCY, lambda o, i: o.weight(i % 3, (i + 1) % 3)),
+            (OracleModel.ADJACENCY, lambda o, i: o.lookup_weight(i % 3)),
+            (OracleModel.EDGE_LIST, lambda o, i: o.lookup_weight(i % 3)),
+        ],
+        ids=["adjacency-weight", "adjacency-lookup_weight", "edgelist-lookup_weight"],
+    )
+    def test_every_per_query_method_counts_exactly_under_concurrent_callers(self, model, charge):
+        o = InstrumentedOracle(triangle(), model)
+        per_thread = 2000
+
+        def worker():
+            for i in range(per_thread):
+                charge(o, i)
+
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert o.classical_queries == 8 * per_thread
+        assert not o._lock.locked()
+
 
 class TestCallContract:
     """Every classical charge is one call of InstrumentedOracle.edge or .weight, the methods a tracer wraps."""
@@ -165,6 +197,47 @@ class TestCallContract:
         with pytest.raises(IndexError, match=re.escape(f"edge index {i} outside [0, 2]")):
             o.lookup_weight(i)
         assert o.classical_queries == 0
+
+    @pytest.mark.parametrize("model", [OracleModel.EDGE_LIST, OracleModel.ADJACENCY])
+    def test_a_rejected_call_is_uncharged_and_leaves_the_lock_free(self, model):
+        o = InstrumentedOracle(triangle(), model)
+        if model is OracleModel.ADJACENCY:
+            rejected = [
+                (IndexError, o.weight, (0, 3)),
+                (IndexError, o.weight, (-1, 0)),
+                (TypeError, o.weight, (0.5, 1)),
+                (TypeError, o.weight, (0.0, 1.0)),
+                (TypeError, o.weight, (np.float64(1.0), 0)),
+                (TypeError, o.weight, (0, "1")),
+                (ValueError, o.edge, (0,)),
+                (ValueError, o.edge, (1.0,)),
+            ]
+        else:
+            rejected = [
+                (IndexError, o.edge, (3,)),
+                (IndexError, o.edge, (-1,)),
+                (TypeError, o.edge, (1.0,)),
+                (TypeError, o.edge, (np.float64(1.0),)),
+                (ValueError, o.weight, (0, 1)),
+                (ValueError, o.weight, (0.5, 1)),
+            ]
+        rejected += [(IndexError, o.lookup_weight, (3,)), (TypeError, o.lookup_weight, (1.0,))]
+        for exc, method, args in rejected:
+            with pytest.raises(exc):
+                method(*args)
+            assert o.classical_queries == 0, (method.__name__, args)
+            assert not o._lock.locked(), (method.__name__, args)
+
+    def test_numpy_integers_and_bools_are_accepted_as_indices(self):
+        edge_list, adjacency = edge_oracle(triangle()), adj_oracle(triangle())
+        assert edge_list.edge(np.int64(2)) == edge_list.edge(2) == (0, 2, 3.0)
+        assert edge_list.edge(True) == edge_list.edge(1) == (1, 2, 2.0)
+        assert edge_list.lookup_weight(np.int32(1)) == 2.0
+        assert adjacency.weight(np.int64(0), True) == adjacency.weight(0, 1) == 1.0
+        assert adjacency.weight(np.uint8(2), np.int16(0)) == 3.0
+        assert adjacency.lookup_weight(np.int64(2)) == 3.0
+        assert edge_list.classical_queries == 5
+        assert adjacency.classical_queries == 4
 
     def test_error_texts(self):
         edge_list, adjacency = edge_oracle(triangle()), adj_oracle(triangle())
