@@ -164,6 +164,29 @@ class TestCounters:
         assert o.classical_queries == 8 * per_thread
         assert not o._lock.locked()
 
+    @pytest.mark.parametrize(
+        "model,charge",
+        [
+            (OracleModel.EDGE_LIST, lambda o: o.edge(0)),
+            (OracleModel.ADJACENCY, lambda o: o.weight(0, 1)),
+            (OracleModel.ADJACENCY, lambda o: o.lookup_weight(0)),
+            (OracleModel.EDGE_LIST, lambda o: o.lookup_weight(0)),
+        ],
+        ids=["edgelist-edge", "adjacency-weight", "adjacency-lookup_weight", "edgelist-lookup_weight"],
+    )
+    def test_a_charge_waits_for_the_counter_lock(self, model, charge):
+        # the interpreter rarely switches threads inside `+=`, so an exact count alone would not show a missing lock
+        o = InstrumentedOracle(triangle(), model)
+        th = threading.Thread(target=charge, args=(o,))
+        with o._lock:
+            th.start()
+            th.join(timeout=0.2)
+            assert th.is_alive()
+            assert o.classical_queries == 0
+        th.join(timeout=60)
+        assert not th.is_alive()
+        assert o.classical_queries == 1
+
 
 class TestCallContract:
     """Every classical charge is one call of InstrumentedOracle.edge or .weight, the methods a tracer wraps."""
