@@ -7,13 +7,13 @@ selected edges become the nodes of the next level. The maximum branch
 weight between two leaves equals the maximum edge weight on their T-path,
 so after one O(n)-query build, BoruvkaTree.path_max_batch answers any
 number of path-max queries together: all of them climb the tree in
-lock-step, O(log n) array gathers and zero oracle calls. The build sorts
-the tree edges once, with edge_order, and each node keeps the rank of
-its branch in that (w, id) order, so a climb compares integers and never
-sorts. A phase finds the components by following the picks, one
-algorithm in two forms: on arrays for trees above SMALL_TREE_VERTICES
-and on Python lists for smaller ones, where numpy's per-call cost would
-dominate. The batch also names each path's maximum edge, which is the
+lock-step, O(log n) array gathers and zero oracle calls. The build takes
+the tree edges in (w, id) order from the graph's order column, and each
+node keeps the rank of its branch in that order, so neither the build
+nor a climb sorts, and a climb compares integers. A phase finds the
+components by following the picks, one algorithm in two forms: on arrays
+for trees above SMALL_TREE_VERTICES and on Python lists for smaller
+ones, where numpy's per-call cost would dominate. The batch also names each path's maximum edge, which is the
 tree edge a violating edge replaces, so certification needs no walk of
 T.
 """
@@ -24,44 +24,12 @@ import math
 
 import numpy as np
 
-from .graph import Graph, SpanningTree, _read_only
+from .graph import Graph, SpanningTree, _read_only, non_tree_mask
 from .oracle import InstrumentedOracle
 
 
 class SameVertexError(ValueError):
     """A path query needs two distinct vertices."""
-
-
-def edge_order(w, ids) -> np.ndarray:
-    """The permutation that sorts edges by weight, equal weights by id; ids are distinct and non-negative.
-
-    numpy's default argsort sorts the weights. If any two are equal (-0.0
-    equals 0.0), the positions in runs of equal weights are put in id
-    order by a second default argsort, of the unique integer key run
-    number * (max id + 1) + id, which keeps each run in its own slots.
-    Neither sort needs to be stable, and the default kind is several
-    times faster than a stable or multi-key sort. The key must fit in
-    int64, as it does for edge ids.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    order = np.argsort(w)
-    by_w = w[order]
-    tie = by_w[1:] == by_w[:-1]
-    if not tie.any():
-        return order
-    # only a position whose weight equals a neighbour's can be out of id order
-    tied = np.zeros(w.size, dtype=bool)
-    tied[1:] = tie
-    tied[:-1] |= tie
-    at = np.flatnonzero(tied)
-    w_at = by_w[at]
-    key = np.zeros(at.size, dtype=np.int64)
-    np.cumsum(w_at[1:] != w_at[:-1], out=key[1:])  # runs of equal weights, numbered in order
-    key *= int(np.max(ids)) + 1
-    edges = order[at]
-    key += np.asarray(ids, dtype=np.int64)[edges]
-    order[at] = edges[np.argsort(key)]
-    return order
 
 
 class BoruvkaTree:
@@ -72,11 +40,10 @@ class BoruvkaTree:
     branch_rank[i] the rank, in the tree edges' (w, id) order, of the tree
     edge node i selected when it merged into its parent (-1 at the root).
     rank_w[r] / rank_id[r] are the weight and id of the rank-r tree edge,
-    with a (-inf, -1) sentinel last, so that rank -1 reads it; branch_w[i]
-    / branch_id[i] are node i's branch read off that way (-inf and -1 at
-    the root). Every leaf sits at depth `height`, so all queries can climb
-    together level by level. Path queries take vertices, the leaves
-    0..n-1.
+    with a (-inf, -1) sentinel last, so that rank -1 reads it: node i's
+    branch is rank_w[branch_rank[i]] / rank_id[branch_rank[i]]. Every
+    leaf sits at depth `height`, so all queries can climb together level
+    by level. Path queries take vertices, the leaves 0..n-1.
     """
 
     def __init__(self, n: int, parent, branch_rank, rank_w, rank_id, height: int, build_work: int):
@@ -89,8 +56,6 @@ class BoruvkaTree:
         self.branch_rank = _read_only(np.asarray(branch_rank, dtype=np.int64))
         self.rank_w = _read_only(np.asarray(rank_w, dtype=np.float64))
         self.rank_id = _read_only(np.asarray(rank_id, dtype=np.int64))
-        self.branch_w = _read_only(self.rank_w[self.branch_rank])
-        self.branch_id = _read_only(self.rank_id[self.branch_rank])
 
     def path_max_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
         """Maximum-(w, id) edge of the T-path of each vertex pair: (max weights, max edge ids).
@@ -101,10 +66,14 @@ class BoruvkaTree:
         stops taking maxima once its two ascents meet at the LCA. Branches
         are compared by the ranks the build stored, so each level costs one
         integer maximum, and two gathers map the winning ranks to weights
-        and ids. Nothing is sorted, and no oracle queries.
+        and ids. Nothing is sorted, and no oracle queries. Vertices must be
+        integers: a non-empty input of another dtype raises TypeError.
         """
-        a = np.asarray(us, dtype=np.int64)
-        b = np.asarray(vs, dtype=np.int64)
+        a, b = np.asarray(us), np.asarray(vs)
+        for x in (a, b):
+            if x.size and x.dtype.kind not in "biu":
+                raise TypeError(f"vertices must be integers, got dtype {x.dtype}")
+        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
         same = a == b
         if same.any():
             raise SameVertexError(f"path query needs distinct vertices, got {int(a[same.argmax()])} twice")
@@ -125,48 +94,53 @@ class BoruvkaTree:
 # Trees on at most this many vertices run the Boruvka phases on Python
 # lists, larger ones on arrays: an array phase costs some 25 numpy calls
 # however few aggregates it has, more than a whole Python build of a small
-# tree. Measured on the same tree edges, with weights k/2^20, as the median
-# over 40 random trees of the fastest of 100 builds (2-vCPU VM, Python
-# 3.11, numpy 2.4, edge_order sorting the array phases): n=64 87 us Python
-# against 111 us arrays, n=80 109 against 119 us, n=96 124 against 126 us,
-# n=112 142 against 139 us, n=128 159 against 142 us, n=160 195 against
-# 150 us. At n=20000, in a slower run, 80 ms against 6.6 ms.
+# tree. Measured with the tree edges picked out of g.order as the build
+# picks them, weights k/2^20, as the median over 40 random trees of the
+# fastest of 100 builds (2-vCPU VM under load, Python 3.11, numpy 2.4):
+# n=64 114 us Python against 174 us arrays, n=96 180 against 195 us,
+# n=128 227 against 230 us, n=160 270 against 242 us; the crossover fell
+# at 112 to 160 in three runs (96 to 128 when the phases sorted the edges
+# themselves), within a few percent of a build. At n=20000, 56 against 5.3 ms.
 SMALL_TREE_VERTICES = 100
 
 
 def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) -> BoruvkaTree:
     """Run Boruvka phases on T until one aggregate remains.
 
-    Each tree edge's weight is fetched through the oracle exactly once and
-    cached, so the classical counter advances by exactly n-1. The tree
-    edges are sorted once by (w, id), and the phases carry each edge's
-    rank in that order instead of its weight and id. A phase follows the
-    picks. The active edges (those joining two aggregates) stay in rank
-    order, their ends named by the current level's aggregate numbers
+    Each tree edge's weight is fetched through the oracle exactly once, in
+    the order of t.edge_ids, so the classical counter advances by exactly
+    n-1. The phases then take the tree edges in (w, id) order from
+    g.order, the order a (w, id) sort of the fetched weights gives, since
+    lookup_weight returns each edge's own stored weight; they carry each
+    edge's rank in that order instead of its weight and id. A phase follows
+    the picks. The active edges (those joining two aggregates) stay in
+    rank order, their ends named by the current level's aggregate numbers
     0..k-1 (node ids base..base+k-1). Each aggregate picks its first
     active edge. The picked edges form a functional graph whose only
     cycles are mutual pairs (two aggregates picking the same edge), so
     rooting each pair at its smaller end and pointer jumping to a fixed
-    point finds the groups, numbered in order of their smallest member. Edges within a group then drop out. Every group has at least
-    two members, so the height is at most ceil(log2 n). Trees above
+    point finds the groups, numbered in order of their smallest member.
+    Edges within a group then drop out. Every group has at least two
+    members, so the height is at most ceil(log2 n). Trees above
     SMALL_TREE_VERTICES run the phases on arrays, smaller ones on Python
     lists; both give the same tree and build_work.
     """
-    ids = list(t.edge_ids)
-    weights = list(map(oracle.lookup_weight, ids))
-    phases = _python_phases if g.n <= SMALL_TREE_VERTICES else _array_phases
-    return phases(g, ids, weights)
+    lookup_weight = oracle.lookup_weight
+    for i in t.edge_ids:
+        lookup_weight(i)
+    if g.n <= SMALL_TREE_VERTICES:
+        in_tree = set(t.edge_ids)
+        return _python_phases(g, [i for i in g.order.tolist() if i in in_tree])
+    return _array_phases(g, g.order[~non_tree_mask(g, t)[g.order]])
 
 
-def _python_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree:
-    """build_boruvka_tree's phases on Python lists; weights[j] is tree edge ids[j]'s weight."""
+def _python_phases(g: Graph, rank_id: list[int]) -> BoruvkaTree:
+    """build_boruvka_tree's phases on Python lists; rank_id lists the tree edges in (w, id) order."""
     n = g.n
-    order = sorted(range(len(ids)), key=lambda j: (weights[j], ids[j]))
-    rank_id = [ids[j] for j in order]
-    rank_w = [weights[j] for j in order]
-    us, vs, _ = g.columns
+    us, vs, ws = g.columns
+    rank_w = [ws[i] for i in rank_id]
     au, av = [us[i] for i in rank_id], [vs[i] for i in rank_id]  # vertices are the level-0 aggregates
-    rank = list(range(len(ids)))
+    rank = list(range(len(rank_id)))
     parent, branch_rank = [], []
     k = n
     base = level = work = 0
@@ -200,13 +174,10 @@ def _python_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTre
     )
 
 
-def _array_phases(g: Graph, ids: list[int], weights: list[float]) -> BoruvkaTree:
+def _array_phases(g: Graph, rank_id: np.ndarray) -> BoruvkaTree:
     """build_boruvka_tree's phases on arrays, with the same result and build_work as _python_phases."""
     n = g.n
-    rank_id = np.asarray(ids, dtype=np.int64)
-    rank_w = np.asarray(weights, dtype=np.float64)
-    order = edge_order(rank_w, rank_id)
-    rank_id, rank_w = rank_id[order], rank_w[order]
+    rank_w = g.w[rank_id]
     au, av = g.u[rank_id], g.v[rank_id]  # vertices are the level-0 aggregates
     rank = np.arange(rank_id.size)
     parent, branch_rank = [], []

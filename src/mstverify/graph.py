@@ -4,9 +4,10 @@ Vertices are the integers 0..n-1. Edges keep their position in the input
 edge list as a stable id, and all deterministic comparisons use the
 (weight, id) total order so that duplicate weights never make a result
 ambiguous. A Graph stores its edges as three read-only numpy columns u, v
-and w indexed by edge id; an Edge object is built only when a caller asks
-for one, and is then cached per id. Graph, Edge and SpanningTree are
-immutable after construction and safe to share across threads.
+and w indexed by edge id, and sorts them once into a fourth, order: the
+edge ids in (w, id) order. An Edge object is built only when a caller
+asks for one, and is then cached per id. Graph, Edge and SpanningTree
+are immutable after construction and safe to share across threads.
 
 The loaders accept exactly what int() and float() accept. A large file in
 the layout serialize_graph writes is read by one np.loadtxt pass over its
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import compress
@@ -117,6 +119,33 @@ def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
     return None
 
 
+def _weight_order(w: np.ndarray) -> np.ndarray:
+    """The edge ids in (w, id) order, edge ids being the positions of w.
+
+    numpy's default argsort sorts the weights. If any two are equal (-0.0
+    equals 0.0), only the tied positions are repaired: sorting the unique
+    integer keys run number * m + id puts each run of equal weights in id
+    order within its own slots, and the keys mod m are the ids. Neither
+    sort needs to be stable, and the default kind is several times faster
+    than a stable or multi-key sort.
+    """
+    m = w.size
+    order = np.argsort(w)
+    by_w = w[order]
+    tie = by_w[1:] == by_w[:-1]
+    if not tie.any():
+        return order
+    # only a position whose weight equals a neighbour's can be out of id order
+    tied = np.zeros(m, dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    at = np.flatnonzero(tied)
+    w_at = by_w[at]
+    run = np.concatenate(([0], np.cumsum(w_at[1:] != w_at[:-1])))  # runs of equal weights, numbered in order
+    order[at] = np.sort(run * m + order[at]) % m
+    return order
+
+
 # Graphs with at most this many edges are checked for connectivity edge by
 # edge in Python, and their files and tree id lists are read and checked
 # the same way: on a few edges that beats numpy, whose fixed cost per call
@@ -183,7 +212,8 @@ class Graph:
     Parallel edges are permitted in the edge list (each keeps its own id);
     self-loops are not. Connectivity is validated at construction time, so
     every Graph instance supports a spanning tree. Edge i is the row
-    (u[i], v[i], w[i]) of three read-only numpy columns, with u[i] < v[i].
+    (u[i], v[i], w[i]) of three read-only numpy columns, with u[i] < v[i];
+    the read-only int64 column order lists the edge ids in (w, id) order.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
@@ -214,6 +244,7 @@ class Graph:
         components = _component_count(n, u, v)
         if components != 1:
             raise DisconnectedError(f"graph has {components} components, expected 1")
+        self.order = _read_only(_weight_order(w))
 
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
@@ -246,10 +277,9 @@ class Graph:
     def pair_min_ids(self) -> Mapping[tuple[int, int], int]:
         """Read-only map (a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use."""
         if self._pair_min is None:
-            us, vs, ws = self.columns
+            us, vs, _ = self.columns
             # descending (w, id) order, so the lightest edge of a pair is written last
-            order = sorted(range(self.m), key=ws.__getitem__)[::-1]
-            self._pair_min = MappingProxyType({(us[i], vs[i]): i for i in order})
+            self._pair_min = MappingProxyType({(us[i], vs[i]): i for i in reversed(self.order.tolist())})
         return self._pair_min
 
     def __repr__(self) -> str:
@@ -281,13 +311,14 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
 
     Raises NotInGraphError for unknown ids and NotSpanningError when the
     edge count is wrong or the edges contain a cycle (equivalently, fail
-    to connect all vertices). Above SMALL_GRAPH_EDGES ids the checks run
-    on whole arrays (edge_ids itself when it is an int64 array), and the
-    ids are walked one by one only after one fails, to raise the first
-    error.
+    to connect all vertices); an id that is not an integer raises
+    TypeError, as operator.index does. Above SMALL_GRAPH_EDGES ids the
+    checks run on whole arrays (edge_ids itself when it is an int64 array),
+    and the ids are walked one by one only after one fails, to raise the
+    first error.
     """
     at = edge_ids if isinstance(edge_ids, np.ndarray) and edge_ids.dtype == np.int64 else None
-    ids = tuple(map(int, edge_ids)) if at is None else tuple(at.tolist())
+    ids = tuple(map(operator.index, edge_ids)) if at is None else tuple(at.tolist())
     if len(ids) > SMALL_GRAPH_EDGES and 0 <= min(ids) and max(ids) < g.m and len(ids) == g.n - 1:
         at = np.array(ids, dtype=np.int64) if at is None else at
         if _component_count(g.n, g.u[at], g.v[at]) == 1:

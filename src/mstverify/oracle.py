@@ -70,7 +70,8 @@ class InstrumentedOracle:
             self._quantum = 0
 
     def count_quantum_applications(self, k: int = 1) -> None:
-        """Record k whole oracle applications issued by a quantum engine."""
+        """Record k whole oracle applications issued by a quantum engine; k must be an integer."""
+        k = operator.index(k)
         if k < 0:
             raise ValueError("application count must be >= 0")
         with self._lock:

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .boruvka import BoruvkaTree, build_boruvka_tree, edge_order
+from .boruvka import BoruvkaTree, build_boruvka_tree
 from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, non_tree_mask, spanning_tree
 from .grover import BbhtStats, SearchSpace, bbht_restarts, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
@@ -101,10 +101,9 @@ def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree, non_tree: np.ndarray 
 def kruskal_mst(g: Graph) -> SpanningTree:
     """Ground-truth minimum spanning tree: (w, id)-sorted edges + union-find."""
     uf = UnionFind(g.n)
-    us, vs, ws = g.columns
+    us, vs, _ = g.columns
     ids = []
-    # a stable sort by weight is the (w, id) order, edge ids being positions
-    for i in sorted(range(g.m), key=ws.__getitem__):
+    for i in g.order.tolist():
         if uf.union(us[i], vs[i]):
             ids.append(i)
             if len(ids) == g.n - 1:
@@ -152,25 +151,21 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
     Each candidate up to and including the first violation is charged one
     weight lookup, in scan order, exactly as an edge-by-edge scan charges
     it: the predicate is evaluated for all candidates in one batch first,
-    the (w, id) minimum of the violating ones is taken, and only the
-    candidates up to it are sorted and charged.
+    the non-tree edges are taken in (w, id) order from g.order, and the
+    first violator's position in that scan ends the charged prefix.
     """
-    charged = non_tree_mask(g, t)
-    replaced = _violations(g, t, b, charged)
-    hits = np.flatnonzero(replaced >= 0)
-    found = None
-    if hits.size:
-        # argmin takes the first of equal weights, so the smallest id
-        found = int(hits[np.argmin(g.w[hits])])
-        w = g.w[found]
-        # the candidates up to it in (w, id) order: as heavy at most up to its id, lighter after it
-        charged[: found + 1] &= g.w[: found + 1] <= w
-        charged[found + 1 :] &= g.w[found + 1 :] < w
-    candidates = np.flatnonzero(charged)
+    non_tree = non_tree_mask(g, t)
+    replaced = _violations(g, t, b, non_tree)
+    scan = g.order[non_tree[g.order]]
+    hits = np.flatnonzero(replaced[scan] >= 0)
+    stop = int(hits[0]) + 1 if hits.size else scan.size
     lookup_weight = oracle.lookup_weight
-    for i in candidates[edge_order(g.w[candidates], candidates)].tolist():
+    for i in scan[:stop].tolist():
         lookup_weight(i)
-    return None if found is None else (found, int(replaced[found]))
+    if not hits.size:
+        return None
+    found = int(scan[stop - 1])
+    return found, int(replaced[found])
 
 
 def _search_space(

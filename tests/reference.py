@@ -61,7 +61,7 @@ class BNode(NamedTuple):
 
 def nodes(b: BoruvkaTree) -> tuple[BNode, ...]:
     """The tree as one BNode per node id, derived from the arrays."""
-    up, bw, bid = b.parent.tolist(), b.branch_w.tolist(), b.branch_id.tolist()
+    up, bw, bid = b.parent.tolist(), b.rank_w[b.branch_rank].tolist(), b.rank_id[b.branch_rank].tolist()
     children: list[list[int]] = [[] for _ in up]
     level = [0] * len(up)
     for i, p in enumerate(up[:-1]):  # children come before their parent
@@ -124,9 +124,9 @@ _tree_lists: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _lists(b: BoruvkaTree) -> tuple[list, list, list]:
-    """b's read-only parent, branch_w and branch_id arrays as lists, made once per tree: lists index faster."""
+    """b's parents, and each node's branch weight and id, as lists made once per tree: lists index faster."""
     if b not in _tree_lists:
-        _tree_lists[b] = (b.parent.tolist(), b.branch_w.tolist(), b.branch_id.tolist())
+        _tree_lists[b] = (b.parent.tolist(), b.rank_w[b.branch_rank].tolist(), b.rank_id[b.branch_rank].tolist())
     return _tree_lists[b]
 
 

@@ -227,6 +227,20 @@ class TestPathMaxBatch:
         with pytest.raises(SameVertexError):
             b.path_max_batch([0, 3], [1, 3])
 
+    def test_non_integer_vertices_raise_type_error(self, rng):
+        g = random_tree_graph(rng, 9)
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        for us, vs in (([0.5], [2.2]), ([0], [2.0]), (np.array([0.0]), [2]), ([1], np.array([3], dtype=np.float32))):
+            with pytest.raises(TypeError, match="vertices must be integers"):
+                b.path_max_batch(us, vs)
+        # before the range check, which would reject 9.5 as out of range
+        with pytest.raises(TypeError):
+            b.path_max_batch([0], [9.5])
+        # integer and bool dtypes are vertices
+        expected = [x.tolist() for x in b.path_max_batch(np.array([0]), np.array([1]))]
+        for us, vs in (([0], [1]), (np.array([0], dtype=np.int32), np.array([1], dtype=np.uint8)), ([False], [True])):
+            assert [x.tolist() for x in b.path_max_batch(us, vs)] == expected
+
     def test_vertex_outside_tree_rejected(self, rng):
         g = random_tree_graph(rng, 9)
         b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
@@ -249,7 +263,8 @@ class TestPathMaxBatch:
         for node in nodes(b):
             assert b.parent[node.id] == (-1 if node.parent is None else node.parent)
             if node.parent is not None:
-                assert (b.branch_w[node.id], b.branch_id[node.id]) == (node.branch_weight, node.branch_edge_id)
+                r = b.branch_rank[node.id]
+                assert (b.rank_w[r], b.rank_id[r]) == (node.branch_weight, node.branch_edge_id)
 
     @pytest.mark.parametrize("n", [30, 300])  # the Python and the array phases
     def test_branch_ranks_are_read_only(self, rng, n):

@@ -91,6 +91,16 @@ class TestCounters:
         o.count_quantum_applications()
         assert o.quantum_queries == 6
 
+    def test_non_integer_application_count_rejected_uncounted(self):
+        o = edge_oracle(triangle())
+        for k in (2.5, 2.0, np.float64(1.0)):
+            with pytest.raises(TypeError):
+                o.count_quantum_applications(k)
+        o.count_quantum_applications(np.int64(2))
+        o.count_quantum_applications(True)
+        assert o.quantum_queries == 3
+        assert type(o.quantum_queries) is int
+
     def test_reset(self):
         o = edge_oracle(triangle())
         o.edge(0)

@@ -59,6 +59,7 @@ def test_public_name_resolves(name):
         (boruvka, "tree_path_edges"),
         (boruvka, "_tour_parents"),
         (boruvka, "_search_parents"),
+        (boruvka, "edge_order"),
     ],
 )
 def test_test_only_references_are_not_in_the_package(owner, name):

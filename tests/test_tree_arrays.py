@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, random_spanning_tree, tree_weight
 from mstverify import boruvka, graph
-from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, SameVertexError, build_boruvka_tree, edge_order
+from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, SameVertexError, build_boruvka_tree
 from mstverify.generate import perturbed_mst
-from mstverify.graph import SMALL_GRAPH_EDGES, spanning_tree
+from mstverify.graph import SMALL_GRAPH_EDGES, _weight_order, spanning_tree
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle
@@ -52,7 +52,8 @@ def multigraph(rng, n: int, weight) -> Graph:
 
 
 def fields(b) -> tuple:
-    return b.parent.tolist(), b.branch_rank.tolist(), b.branch_w.tolist(), b.branch_id.tolist(), b.height, b.build_work
+    branch_w, branch_id = b.rank_w[b.branch_rank].tolist(), b.rank_id[b.branch_rank].tolist()
+    return b.parent.tolist(), b.branch_rank.tolist(), branch_w, branch_id, b.height, b.build_work
 
 
 # few distinct weights, so that ties are heavy, and -0.0 beside 0.0
@@ -60,14 +61,18 @@ TIED_WEIGHTS = st.one_of(st.integers(0, 3).map(float), st.just(-0.0), st.floats(
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(st.tuples(TIED_WEIGHTS, st.integers(0, 10**6)), max_size=60, unique_by=lambda e: e[1]))
+@given(st.lists(TIED_WEIGHTS, max_size=60))
 @example([])
-@example([(1.0, 7)])
-@example([(0.0, 3), (-0.0, 1), (0.0, 2), (-0.0, 0)])
-def test_edge_order_is_the_weight_then_id_order(edges):
-    w = np.array([x for x, _ in edges], dtype=np.float64)
-    ids = np.array([i for _, i in edges], dtype=np.int64)
-    assert edge_order(w, ids).tolist() == np.lexsort((ids, w)).tolist()
+@example([1.0])
+@example([0.0, -0.0, 0.0, -0.0])
+def test_weight_order_is_the_weight_then_id_order(weights):
+    w = np.array(weights, dtype=np.float64)
+    expected = np.lexsort((np.arange(w.size), w)).tolist()
+    assert _weight_order(w).tolist() == expected
+    g = Graph(w.size + 1, [(i, i + 1, x) for i, x in enumerate(weights)])
+    assert g.order.tolist() == expected
+    with pytest.raises(ValueError):
+        g.order[:1] = 0
 
 
 class TestArrayBuild:
@@ -77,9 +82,9 @@ class TestArrayBuild:
         for _ in range(4):
             g = tree_graph(rng, n, shape)
             ids = [int(i) for i in rng.permutation(g.m)]
-            weights = [g.columns[2][i] for i in ids]
-            python = boruvka._python_phases(g, ids, weights)
-            array = boruvka._array_phases(g, ids, weights)
+            # every edge of a tree graph is a tree edge, so its (w, id) order is g.order
+            python = boruvka._python_phases(g, g.order.tolist())
+            array = boruvka._array_phases(g, g.order)
             assert fields(array) == fields(python)
             built = build_boruvka_tree(g, spanning_tree(g, ids), edge_oracle(g))
             assert fields(built) == fields(python)
@@ -91,10 +96,11 @@ class TestArrayBuild:
         ws = g.columns[2]
         by_rank = sorted(range(g.m), key=lambda i: (ws[i], i))
         b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
-        assert (b.branch_rank[b.root], b.branch_w[b.root], b.branch_id[b.root]) == (-1, -math.inf, -1)
+        branch_w, branch_id = b.rank_w[b.branch_rank], b.rank_id[b.branch_rank]
+        assert (b.branch_rank[b.root], branch_w[b.root], branch_id[b.root]) == (-1, -math.inf, -1)
         for node in range(b.root):
             i = by_rank[b.branch_rank[node]]
-            assert (b.branch_w[node], b.branch_id[node]) == (ws[i], i)
+            assert (branch_w[node], branch_id[node]) == (ws[i], i)
 
     def test_array_tree_answers_scalar_and_batched_queries(self, rng):
         g = tree_graph(rng, 300, "random")
@@ -154,6 +160,17 @@ class TestSpanningTreeCheck:
         assert {"ok", graph.NotInGraphError, graph.NotSpanningError} <= kinds
         assert any("closes a cycle" in str(result[1]) for result in walked)
         assert any("expected" in str(result[1]) for result in walked)
+
+    @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])  # the id-by-id and the array check
+    def test_non_integer_ids_raise_type_error(self, n):
+        g = Graph(n, [(v - 1, v, 1.0) for v in range(1, n)] + [(0, n - 1, 2.0)])
+        ids = list(range(n - 1))
+        for bad in ([0.5, 1.9, *ids[2:]], [*ids[:-1], float(ids[-1])], np.array(ids, dtype=np.float64)):
+            with pytest.raises(TypeError):
+                spanning_tree(g, bad)
+        # integers of any integer type, and bool, are ids
+        for good in (np.array(ids), np.array(ids, dtype=np.int32), [np.int64(i) for i in ids], [False, True, *ids[2:]]):
+            assert spanning_tree(g, good).edge_ids == tuple(ids)
 
 
 def certified(certify, g: Graph, t, witness) -> tuple:
