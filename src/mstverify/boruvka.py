@@ -98,9 +98,9 @@ class BoruvkaTree:
 # picks them, weights k/2^20, as the median over 40 random trees of the
 # fastest of 100 builds (2-vCPU VM under load, Python 3.11, numpy 2.4):
 # n=64 114 us Python against 174 us arrays, n=96 180 against 195 us,
-# n=128 227 against 230 us, n=160 270 against 242 us; the crossover fell
-# at 112 to 160 in three runs (96 to 128 when the phases sorted the edges
-# themselves), within a few percent of a build. At n=20000, 56 against 5.3 ms.
+# n=128 227 against 230 us, n=160 270 against 242 us. The crossover fell
+# between 112 and 160 in three runs, and near it the two forms are within
+# a few percent of each other. At n=20000, 56 against 5.3 ms.
 SMALL_TREE_VERTICES = 100
 
 
