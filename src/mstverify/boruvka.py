@@ -66,10 +66,13 @@ class BoruvkaTree:
         stops taking maxima once its two ascents meet at the LCA. Branches
         are compared by the ranks the build stored, so each level costs one
         integer maximum, and two gathers map the winning ranks to weights
-        and ids. Nothing is sorted, and no oracle queries. Vertices must be
-        integers: a non-empty input of another dtype raises TypeError.
+        and ids. Nothing is sorted, and no oracle queries. us and vs must
+        have the same shape (ValueError), and vertices must be integers: a
+        non-empty input of another dtype raises TypeError.
         """
         a, b = np.asarray(us), np.asarray(vs)
+        if a.shape != b.shape:
+            raise ValueError(f"vertex arrays differ in shape: {a.shape} and {b.shape}")
         for x in (a, b):
             if x.size and x.dtype.kind not in "biu":
                 raise TypeError(f"vertices must be integers, got dtype {x.dtype}")
@@ -82,6 +85,10 @@ class BoruvkaTree:
             k = int(outside.argmax())
             x = int(a[k]) if not (0 <= a[k] < self.n) else int(b[k])
             raise IndexError(f"vertex {x} out of range [0, {self.n - 1}]")
+        return self._climb(a, b)
+
+    def _climb(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """path_max_batch without its checks: a and b are int64 vertex arrays of one shape, a != b everywhere."""
         rank, parent = self.branch_rank, self.parent
         best = np.full(a.shape, -1, dtype=np.int64)
         for _ in range(self.height):

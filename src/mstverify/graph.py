@@ -88,14 +88,22 @@ class UnionFind:
         return x
 
     def union(self, a: int, b: int) -> bool:
-        """Merge the sets of a and b; return False if already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Merge the sets of a and b; return False if already joined.
+
+        find's path halving is inlined: the two calls were most of a union's cost.
+        """
+        parent = self._parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]  # parent[a] is set before a is rebound
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
             return False
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
+        size = self._size
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
         self.components -= 1
         return True
 
@@ -104,6 +112,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """a made read-only, returned as a view: a view of a read-only base cannot be made writeable."""
     a.flags.writeable = False
     return a.view()
+
+
+# Graphs with at most this many edges are checked and sorted edge by edge
+# in Python, and their files and tree id lists are read and checked the
+# same way: on a few edges that beats numpy, whose fixed cost per call
+# dominates.
+SMALL_GRAPH_EDGES = 32
 
 
 def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
@@ -119,17 +134,23 @@ def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
     return None
 
 
-def _weight_order(w: np.ndarray) -> np.ndarray:
+def _weight_order(w: Sequence[float]) -> np.ndarray:
     """The edge ids in (w, id) order, edge ids being the positions of w.
 
-    numpy's default argsort sorts the weights. If any two are equal (-0.0
-    equals 0.0), only the tied positions are repaired: sorting the unique
+    w is a float64 array, or a list or tuple of at most SMALL_GRAPH_EDGES
+    floats. Up to SMALL_GRAPH_EDGES weights, Python's sorted() orders the
+    ids by weight; it is stable, so equal weights (-0.0 equals 0.0) stay in id
+    order. Above it numpy's default argsort sorts the weights. If any two
+    are equal, only the tied positions are repaired: sorting the unique
     integer keys run number * m + id puts each run of equal weights in id
     order within its own slots, and the keys mod m are the ids. Neither
     sort needs to be stable, and the default kind is several times faster
     than a stable or multi-key sort.
     """
-    m = w.size
+    m = len(w)
+    if m <= SMALL_GRAPH_EDGES:
+        ws = w.tolist() if isinstance(w, np.ndarray) else w
+        return np.array(sorted(range(m), key=ws.__getitem__), dtype=np.int64)
     order = np.argsort(w)
     by_w = w[order]
     tie = by_w[1:] == by_w[:-1]
@@ -146,12 +167,21 @@ def _weight_order(w: np.ndarray) -> np.ndarray:
     return order
 
 
-# Graphs with at most this many edges are checked for connectivity edge by
-# edge in Python, and their files and tree id lists are read and checked
-# the same way: on a few edges that beats numpy, whose fixed cost per call
-# dominates (a 5-edge graph's connectivity costs about 3 us with a
-# union-find against 14 us in array rounds).
-SMALL_GRAPH_EDGES = 32
+def _small_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[list, list, Sequence] | None:
+    """_edge_columns' result as Python sequences if the edges are valid rows of exact int, int and float, else None.
+
+    The line parser's columns and Graph(n, edges)'s tuples of Python
+    numbers are checked by builtins over whole columns, with no numpy
+    call. Anything else (bool, numpy scalars, integer weights, or an edge
+    that fails a check) gives None, and _edge_columns checks the edges
+    and raises their error.
+    """
+    if {*map(type, us), *map(type, vs)} != {int} or set(map(type, ws)) != {float}:
+        return None
+    lo, hi = list(map(min, us, vs)), list(map(max, us, vs))
+    if not (0 <= min(lo) and max(hi) < n and all(map(operator.ne, lo, hi))):
+        return None
+    return (lo, hi, ws) if all(map(math.isfinite, ws)) and min(ws) >= 0.0 else None
 
 
 def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,19 +207,35 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
     raise ParseError("edge endpoints must be integers")
 
 
-def _component_count(n: int, u: np.ndarray, v: np.ndarray) -> int:
-    """Connected components of the graph on 0..n-1 with edges zip(u, v).
+# Graphs with at most this many edges are checked for connectivity by a
+# union-find, edge by edge; larger ones in array rounds, each of which
+# costs about a dozen numpy calls however few edges there are. Measured on random connected graphs
+# shaped like the tiny-batch ones (n from 9 to 32, m up to 4n), median of
+# the fastest of 5 x 100 calls, in us, union-find (with the tolist of the
+# arrays) against array rounds (2-vCPU VM, Python 3.11, numpy 2.4):
+# m in [33, 48) 11.3 against 20.9, [64, 80) 17.3 against 21.9, [80, 96)
+# 20.6 against 19.9, [96, 112) 23.9 against 19.4. Union-find was faster on
+# 43 of 45 graphs in [64, 80) and 12 of 33 in [80, 96).
+UNION_FIND_EDGES = 80
 
-    Above SMALL_GRAPH_EDGES: min-label hooking with full pointer jumping.
-    Every round hooks each root onto its smallest adjacent root, so within
-    two rounds every root is either hooked or gains a hooked neighbor, and
-    O(log n) rounds of O(m) array work suffice. It is some 9x faster than
-    the union-find loop on large graphs (n=20000 m=80000: 6.5 ms against
-    59 ms; n=8192 m=24576: 2.0 against 16.7 ms).
+
+def _component_count(n: int, u: Sequence[int], v: Sequence[int]) -> int:
+    """Connected components of the graph on 0..n-1 with edges zip(u, v), as lists or arrays.
+
+    Up to UNION_FIND_EDGES edges a union-find joins them one by one.
+    Above it (u and v are then arrays): min-label hooking with full
+    pointer jumping. Every round hooks each root onto its smallest
+    adjacent root, so within two rounds every root is either hooked or
+    gains a hooked neighbor, and O(log n) rounds of O(m) array work
+    suffice. It is some 9x faster than the union-find loop on large graphs
+    (n=20000 m=80000: 6.5 ms against 59 ms; n=8192 m=24576: 2.0 against
+    16.7 ms).
     """
-    if u.size <= SMALL_GRAPH_EDGES:
+    if len(u) <= UNION_FIND_EDGES:
         uf = UnionFind(n)
-        for a, b in zip(u.tolist(), v.tolist()):
+        if isinstance(u, np.ndarray):
+            u, v = u.tolist(), v.tolist()
+        for a, b in zip(u, v):
             uf.union(a, b)
         return uf.components
     root = np.arange(n)
@@ -218,7 +264,13 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
         rows = list(edges)
-        columns = zip(*rows, strict=True) if rows else ((), (), ())
+        try:
+            columns = tuple(zip(*rows, strict=True)) if rows else ((), (), ())
+        except ValueError:  # rows of different lengths
+            columns = ()
+        if len(columns) != 3:
+            eid, row = next((eid, row) for eid, row in enumerate(rows) if len(row) != 3)
+            raise ParseError(f"edge {eid}: expected (u, v, w), got {len(row)} values")
         self._init(n, *columns)
 
     @classmethod
@@ -233,10 +285,11 @@ class Graph:
         if len(us) < n - 1:
             # before any per-vertex allocation, so a huge n costs nothing
             raise DisconnectedError(f"{len(us)} edges cannot connect {n} vertices")
-        u, v, w = _edge_columns(n, us, vs, ws)
+        # lists for a small graph of Python numbers, else arrays
+        columns = _small_columns(n, us, vs, ws) if len(us) <= SMALL_GRAPH_EDGES else None
+        u, v, w = _edge_columns(n, us, vs, ws) if columns is None else columns
         self.n = n
         self.m = len(w)
-        self.u, self.v, self.w = _read_only(u), _read_only(v), _read_only(w)
         self._columns: tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]] | None = None
         self._edge_cache: dict[int, Edge] = {}
         self._edges: tuple[Edge, ...] | None = None
@@ -245,6 +298,9 @@ class Graph:
         if components != 1:
             raise DisconnectedError(f"graph has {components} components, expected 1")
         self.order = _read_only(_weight_order(w))
+        self.u = _read_only(np.asarray(u, dtype=np.int64))
+        self.v = _read_only(np.asarray(v, dtype=np.int64))
+        self.w = _read_only(np.asarray(w, dtype=np.float64))
 
     @property
     def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:

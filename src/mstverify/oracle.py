@@ -43,9 +43,10 @@ class InstrumentedOracle:
     model, a non-integer index or one out of range raises uncharged.
     """
 
-    def __init__(self, graph: Graph, model: OracleModel):
+    def __init__(self, graph: Graph, model: OracleModel | str):
+        """model is an OracleModel or its value ("adjacency" or "edgelist"); anything else raises ValueError."""
+        self.model = model = OracleModel(model)
         self.graph = graph
-        self.model = model
         self._adjacency = model is OracleModel.ADJACENCY  # else the edge-list model
         # read once, so every lookup indexes them directly
         self._us, self._vs, self._ws = graph.columns

@@ -89,11 +89,13 @@ def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree, non_tree: np.ndarray 
     Tree edges never violate. Equal weight does not violate: an equally
     heavy alternative never refutes minimality. non_tree is
     non_tree_mask(g, t), for a caller that has built it. No oracle calls:
-    callers charge the lookups their query model requires.
+    callers charge the lookups their query model requires. The batch skips
+    path_max_batch's checks: a Graph's endpoint columns are int64 vertices
+    with u < v on every row.
     """
     outside = np.flatnonzero(non_tree_mask(g, t) if non_tree is None else non_tree)
     replaced = np.full(g.m, -1, dtype=np.int64)
-    max_w, max_id = b.path_max_batch(g.u[outside], g.v[outside])
+    max_w, max_id = b._climb(g.u[outside], g.v[outside])
     replaced[outside] = np.where(g.w[outside] < max_w, max_id, -1)
     return replaced
 

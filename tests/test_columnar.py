@@ -169,6 +169,7 @@ class TestConnectivity:
 
     def test_component_count_matches_union_find(self, rng):
         checked = 0
+        union_find_sizes = set()  # whether each case is small enough for _component_count's union-find
         for _ in range(60):
             k = int(rng.integers(1, 8))
             sizes = [int(x) for x in rng.integers(1, 30, size=k)]
@@ -179,11 +180,13 @@ class TestConnectivity:
             for a, b in zip(u.tolist(), v.tolist()):
                 uf.union(a, b)
             assert graph._component_count(n, u, v) == uf.components == k
+            union_find_sizes.add(u.size <= graph.UNION_FIND_EDGES)
             if u.size > graph.SMALL_GRAPH_EDGES and u.size >= n - 1 and k > 1:
                 checked += 1
                 with pytest.raises(DisconnectedError, match=f"graph has {k} components"):
                     Graph(n, edges)
         assert checked >= 20
+        assert union_find_sizes == {True, False}
 
 
 class TestPathMaxBatch:
@@ -226,6 +229,22 @@ class TestPathMaxBatch:
         assert max_w.size == max_id.size == 0
         with pytest.raises(SameVertexError):
             b.path_max_batch([0, 3], [1, 3])
+
+    def test_inputs_of_different_shapes_rejected(self, rng):
+        g = random_tree_graph(rng, 9)
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        for us, vs, shapes in (
+            ([0, 1], [3], r"\(2,\) and \(1,\)"),  # numpy would broadcast these
+            ([0, 1], [3, 2, 1], r"\(2,\) and \(3,\)"),
+            (0, [3], r"\(\) and \(1,\)"),
+            ([[0, 1]], [3, 2], r"\(1, 2\) and \(2,\)"),
+        ):
+            with pytest.raises(ValueError, match=f"vertex arrays differ in shape: {shapes}"):
+                b.path_max_batch(us, vs)
+        # the same shape is answered elementwise, whatever it is
+        max_w, max_id = b.path_max_batch([[0, 1]], [[3, 2]])
+        assert max_w.shape == max_id.shape == (1, 2)
+        assert max_id.ravel().tolist() == b.path_max_batch([0, 1], [3, 2])[1].tolist()
 
     def test_non_integer_vertices_raise_type_error(self, rng):
         g = random_tree_graph(rng, 9)

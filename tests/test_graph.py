@@ -100,6 +100,86 @@ class TestLoadGraph:
         g = load_graph("1 0\n")
         assert (g.n, g.m) == (1, 0)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, 1), (1, 2)], "edge 0: expected \\(u, v, w\\), got 2 values"),
+            ([(0, 1, 1.0, 7), (1, 2, 1.0, 7)], "edge 0: expected \\(u, v, w\\), got 4 values"),
+            ([(0, 1, 1.0), (1, 2), (0, 2, 1.0)], "edge 1: expected \\(u, v, w\\), got 2 values"),
+            ([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0, 7)], "edge 2: expected \\(u, v, w\\), got 4 values"),
+            ([(0, 1, 1.0), ()], "edge 1: expected \\(u, v, w\\), got 0 values"),
+        ],
+    )
+    def test_row_that_is_not_a_triple_named(self, rows, message):
+        with pytest.raises(ParseError, match=message):
+            Graph(3, rows)
+
+
+# few distinct weights, -0.0 beside 0.0, and values each check rejects
+_SMALL_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(0.0, 1e300))
+_BAD_WEIGHTS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -5e-324, 1, 0, True, np.float64(1.5), np.float32(2.0)])
+_BAD_ENDPOINTS = st.sampled_from([-1, 99, True, False, np.int64(1), np.int32(0), 1.0, 2**70, -(2**70)])
+
+
+@st.composite
+def small_edge_lists(draw):
+    """n and up to SMALL_GRAPH_EDGES rows: a random tree plus extra edges, some rows corrupted, in random order."""
+    n = draw(st.integers(1, 12))
+    rows = [[draw(st.integers(0, v - 1)), v, draw(_SMALL_WEIGHTS)] for v in range(1, n)]
+    for _ in range(draw(st.integers(0, SMALL_GRAPH_EDGES - len(rows))) if n > 1 else 0):
+        u = draw(st.integers(0, n - 1))
+        rows.append([u, (u + draw(st.integers(1, n - 1))) % n, draw(_SMALL_WEIGHTS)])
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        if rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            field = draw(st.integers(0, 3))
+            if field == 3:
+                row[1] = row[0]  # a self-loop
+            else:
+                row[field] = draw(_BAD_WEIGHTS if field == 2 else _BAD_ENDPOINTS)
+    if rows and draw(st.booleans()):  # drop an edge: the graph may come apart
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    rows = [(v, u, w) if draw(st.booleans()) else (u, v, w) for u, v, w in rows]
+    return n, draw(st.permutations(rows))
+
+
+def built(n: int, rows: list[tuple], columns: bool):
+    """Graph(n, rows), or Graph._from_columns on lists, as comparable data, or the exception's type and text."""
+    try:
+        g = Graph._from_columns(n, *map(list, zip(*rows))) if columns and rows else Graph(n, rows)
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (g.u, g.v, g.w, g.order)
+    assert not any(a.flags.writeable for a in arrays)
+    return g.n, g.m, [(a.dtype.str, a.tobytes()) for a in arrays]
+
+
+class TestSmallGraphPath:
+    """Graphs of at most SMALL_GRAPH_EDGES edges of Python numbers are checked and sorted in Python."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_edge_lists(), st.booleans())
+    def test_same_graph_or_error_as_the_array_path(self, instance, columns):
+        n, rows = instance
+        small = built(n, rows, columns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "SMALL_GRAPH_EDGES", -1)  # every edge list takes the array checks and argsort
+            assert built(n, rows, columns) == small
+
+    def test_python_numbers_take_the_small_path(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("array checks")
+
+        monkeypatch.setattr(graph, "_edge_columns", unreachable)
+        g = Graph(3, [(1, 0, 2.0), (2, 1, -0.0), (0, 2, 0.0)])
+        assert (g.u.tolist(), g.v.tolist(), g.order.tolist()) == ([0, 1, 0], [1, 2, 2], [1, 2, 0])
+        assert math.copysign(1.0, g.w[1]) == -1.0
+        load_graph(TRIANGLE_TEXT)
+        # an integer weight or a numpy scalar is left to the array checks
+        for rows in ([(0, 1, 1), (1, 2, 1.0)], [(0, 1, 1.0), (1, np.int64(2), 1.0)]):
+            with pytest.raises(AssertionError, match="array checks"):
+                Graph(3, rows)
+
 
 class TestLoadTree:
     def test_indices(self):

@@ -84,6 +84,26 @@ class TestEdgeListModel:
             o.weight(0, 1)
 
 
+class TestModelArgument:
+    @pytest.mark.parametrize("model", list(OracleModel))
+    def test_model_given_by_value(self, model):
+        g = path_graph([2.0, 1.0, 3.0])
+        o = InstrumentedOracle(g, model.value)
+        assert o.model is model
+        if model is OracleModel.ADJACENCY:
+            assert o.weight(1, 2) == 1.0
+        else:
+            assert o.edge(1) == (1, 2, 1.0)
+        assert o.classical_queries == 1
+        verdict, report = quantum_verify(g, spanning_tree(g, range(g.m)), InstrumentedOracle(g, model.value))
+        assert verdict.minimal and report.mode == model.value
+
+    @pytest.mark.parametrize("model", ["bogus", "ADJACENCY", "edge_list", None, 0])
+    def test_unknown_model_rejected(self, model):
+        with pytest.raises(ValueError, match="is not a valid OracleModel"):
+            InstrumentedOracle(triangle(), model)
+
+
 class TestCounters:
     def test_quantum_application_counting(self):
         o = edge_oracle(triangle())

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +70,34 @@ def test_test_only_references_are_not_in_the_package(owner, name):
 
 def test_improve_takes_no_path():
     assert "path" not in inspect.signature(verify.improve).parameters
+
+
+class _WeightSorts(ast.NodeVisitor):
+    """The enclosing function of every argsort, lexsort, and sorted() or .sort() given a key, in one module."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.found: list[str] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        keyed = name in ("sorted", "sort") and any(k.arg == "key" for k in node.keywords)
+        if name in ("argsort", "lexsort") or keyed:
+            self.found.append(".".join(self.scope) or "<module>")
+        self.generic_visit(node)
+
+
+def test_weights_are_sorted_only_in_weight_order():
+    """Every (w, id) order is read from Graph.order, which graph._weight_order alone computes."""
+    found = set()
+    for path in sorted(Path(mstverify.__file__).parent.glob("*.py")):
+        visitor = _WeightSorts()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found.update((path.name, scope) for scope in visitor.found)
+    assert found == {("graph.py", "_weight_order")}

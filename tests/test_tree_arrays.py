@@ -242,13 +242,13 @@ def test_tree_path_equals_the_dfs_reference(rng, shape, n):
 
 def test_witness_is_the_brute_force_path_max(monkeypatch):
     batches = []
-    batch = BoruvkaTree.path_max_batch
+    climb = BoruvkaTree._climb  # every batch, checked at path_max_batch or not, runs through it
 
     def counted(self, *args):
         batches.append(args)
-        return batch(self, *args)
+        return climb(self, *args)
 
-    monkeypatch.setattr(BoruvkaTree, "path_max_batch", counted)
+    monkeypatch.setattr(BoruvkaTree, "_climb", counted)
     checked = 0
     for n, mode in [(12, "classical"), (300, "classical"), (40, "edgelist"), (20, "adjacency")]:
         for seed in range(3):
