@@ -65,6 +65,8 @@ TIED_WEIGHTS = st.one_of(st.integers(0, 3).map(float), st.just(-0.0), st.floats(
 @example([])
 @example([1.0])
 @example([0.0, -0.0, 0.0, -0.0])
+@example([2.0, 0.0, -0.0, 1.0] * 10)  # above SMALL_GRAPH_EDGES, where argsort and the tie repair run
+@example([1.0] * (SMALL_GRAPH_EDGES + 1))
 def test_weight_order_is_the_weight_then_id_order(weights):
     w = np.array(weights, dtype=np.float64)
     expected = np.lexsort((np.arange(w.size), w)).tolist()
