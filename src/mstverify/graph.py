@@ -80,17 +80,11 @@ class UnionFind:
         self._size = [1] * size
         self.components = size
 
-    def find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     def union(self, a: int, b: int) -> bool:
         """Merge the sets of a and b; return False if already joined.
 
-        find's path halving is inlined: the two calls were most of a union's cost.
+        Both roots are found by path halving in line: two calls of a find
+        method were most of a union's cost.
         """
         parent = self._parent
         while parent[a] != a:
