@@ -8,7 +8,6 @@ or mstverify.grover.SearchSpace).
 from .boruvka import BoruvkaTree
 from .generate import GenError, random_connected_graph, random_spanning_tree, tree_of_kind
 from .graph import (
-    Edge,
     Graph,
     GraphError,
     SpanningTree,
@@ -23,7 +22,6 @@ from .verify import classical_verify, kruskal_mst, quantum_verify
 
 __all__ = [
     "BoruvkaTree",
-    "Edge",
     "GenError",
     "Graph",
     "GraphError",

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, SpanningTree, _read_only, non_tree_mask
+from .graph import Graph, SpanningTree, _read_only
 from .oracle import InstrumentedOracle
 
 
@@ -116,14 +116,14 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
 
     Each tree edge's weight is fetched through the oracle exactly once, in
     the order of t.edge_ids, so the classical counter advances by exactly
-    n-1. The phases then take the tree edges in (w, id) order from
-    g.order, the order a (w, id) sort of the fetched weights gives, since
-    lookup_weight returns each edge's own stored weight; they carry each
-    edge's rank in that order instead of its weight and id. A phase follows
-    the picks. The active edges (those joining two aggregates) stay in
-    rank order, their ends named by the current level's aggregate numbers
-    0..k-1 (node ids base..base+k-1). Each aggregate picks its first
-    active edge. The picked edges form a functional graph whose only
+    n-1. The phases then take the tree edges in (w, id) order, g.order
+    picked by the tree's mask t.in_tree: the order a (w, id) sort of the
+    fetched weights gives, since lookup_weight returns each edge's own
+    stored weight. They carry each edge's rank in that order instead of its
+    weight and id. A phase follows the picks. The active edges (those
+    joining two aggregates) stay in rank order, their ends named by the
+    current level's aggregate numbers 0..k-1 (node ids base..base+k-1).
+    Each aggregate picks its first active edge. The picked edges form a functional graph whose only
     cycles are mutual pairs (two aggregates picking the same edge), so
     rooting each pair at its smaller end and pointer jumping to a fixed
     point finds the groups, numbered in order of their smallest member.
@@ -135,10 +135,10 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     lookup_weight = oracle.lookup_weight
     for i in t.edge_ids:
         lookup_weight(i)
+    rank_id = g.order[t.in_tree[g.order]]
     if g.n <= SMALL_TREE_VERTICES:
-        in_tree = set(t.edge_ids)
-        return _python_phases(g, [i for i in g.order.tolist() if i in in_tree])
-    return _array_phases(g, g.order[~non_tree_mask(g, t)[g.order]])
+        return _python_phases(g, rank_id.tolist())
+    return _array_phases(g, rank_id)
 
 
 def _python_phases(g: Graph, rank_id: list[int]) -> BoruvkaTree:

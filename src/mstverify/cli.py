@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 = the tree is minimal, 3 = the tree
 is not minimal (the report carries the improvement), 1 = any input or
-usage error. Reports are byte-identical for identical inputs and seed.
+usage error, or running out of memory. Reports are byte-identical for
+identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         return _cmd_oracle(args)
-    except (GraphError, GenError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GraphError, GenError, OSError, ValueError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

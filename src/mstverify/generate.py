@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .boruvka import build_boruvka_tree
-from .graph import Graph, SpanningTree, non_tree_mask, spanning_tree
+from .graph import Graph, SpanningTree, spanning_tree
 from .oracle import InstrumentedOracle, OracleModel
 from .verify import Witness, improve, kruskal_mst
 
@@ -116,7 +116,7 @@ def perturbed_mst(g: Graph, rng: np.random.Generator) -> SpanningTree:
     mst = kruskal_mst(g)
     # one batched path-max over the non-tree edges, in id order; the build's
     # n-1 weight lookups go to a throwaway oracle
-    outside = np.flatnonzero(non_tree_mask(g, mst))
+    outside = np.flatnonzero(~mst.in_tree)
     b = build_boruvka_tree(g, mst, InstrumentedOracle(g, OracleModel.EDGE_LIST))
     max_w, max_id = b.path_max_batch(g.u[outside], g.v[outside])
     increasing = g.w[outside] > max_w

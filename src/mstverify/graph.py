@@ -5,9 +5,11 @@ edge list as a stable id, and all deterministic comparisons use the
 (weight, id) total order so that duplicate weights never make a result
 ambiguous. A Graph stores its edges as three read-only numpy columns u, v
 and w indexed by edge id, and sorts them once into a fourth, order: the
-edge ids in (w, id) order. An Edge object is built only when a caller
-asks for one, and is then cached per id. Graph, Edge and SpanningTree
-are immutable after construction and safe to share across threads.
+edge ids in (w, id) order. The edge of id i is the row (u[i], v[i], w[i]);
+there is no per-edge object. A SpanningTree is its edge ids and a
+read-only bool mask over all edge ids, built once when the tree is
+validated. Graph and SpanningTree are immutable after construction and
+safe to share across threads.
 
 The loaders accept exactly what int() and float() accept. A large file in
 the layout serialize_graph writes is read by one np.loadtxt pass over its
@@ -22,7 +24,7 @@ import io
 import math
 import operator
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from numbers import Integral
 from types import MappingProxyType
@@ -55,21 +57,6 @@ class NotInGraphError(GraphError):
 
 class NotSpanningError(GraphError):
     """The candidate edge set is not a spanning tree."""
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Undirected weighted edge, normalized so that u < v."""
-
-    id: int
-    u: int
-    v: int
-    w: float
-
-    @property
-    def key(self) -> tuple[float, int]:
-        """Deterministic total order: weight first, id breaks ties."""
-        return (self.w, self.id)
 
 
 class UnionFind:
@@ -251,9 +238,11 @@ class Graph:
 
     Parallel edges are permitted in the edge list (each keeps its own id);
     self-loops are not. Connectivity is validated at construction time, so
-    every Graph instance supports a spanning tree. Edge i is the row
-    (u[i], v[i], w[i]) of three read-only numpy columns, with u[i] < v[i];
-    the read-only int64 column order lists the edge ids in (w, id) order.
+    every Graph instance supports a spanning tree. The edge of id i is the
+    row (u[i], v[i], w[i]) of three read-only numpy columns, with u[i] <
+    v[i], or of the tuples in columns for code that reads edges one at a
+    time; the read-only int64 column order lists the edge ids in (w, id)
+    order.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
@@ -285,8 +274,6 @@ class Graph:
         self.n = n
         self.m = len(w)
         self._columns: tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]] | None = None
-        self._edge_cache: dict[int, Edge] = {}
-        self._edges: tuple[Edge, ...] | None = None
         self._pair_min: Mapping[tuple[int, int], int] | None = None
         components = _component_count(n, u, v)
         if components != 1:
@@ -307,23 +294,6 @@ class Graph:
             self._columns = (tuple(self.u.tolist()), tuple(self.v.tolist()), tuple(self.w.tolist()))
         return self._columns
 
-    def edge(self, i: int) -> Edge:
-        """Edge i as an object, built on first request; later calls return the same object."""
-        e = self._edge_cache.get(i)
-        if e is None:
-            if not (0 <= i < self.m):
-                raise IndexError(f"edge id {i} out of range [0, {self.m - 1}]")
-            us, vs, ws = self.columns
-            e = self._edge_cache.setdefault(i, Edge(int(i), us[i], vs[i], ws[i]))
-        return e
-
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        """Every edge as an object, in id order; built on first access from edge()."""
-        if self._edges is None:
-            self._edges = tuple(map(self.edge, range(self.m)))
-        return self._edges
-
     def pair_min_ids(self) -> Mapping[tuple[int, int], int]:
         """Read-only map (a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use."""
         if self._pair_min is None:
@@ -338,22 +308,36 @@ class Graph:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """n-1 edge ids of the parent graph forming a spanning tree.
+    """n-1 edge ids of the parent graph forming a spanning tree, and their mask.
 
-    Construct through spanning_tree() or load_tree(), which validate the
-    spanning/acyclic invariant against the graph.
+    edge_ids are Python ints in the order the tree was given. in_tree is a
+    read-only bool array over the graph's edge ids, True at exactly
+    edge_ids. Trees come only from spanning_tree() (which load_tree and the
+    verify and generate functions call), which validates the
+    spanning/acyclic invariant against the graph and builds the mask once.
+    Equality and hashing read edge_ids alone.
     """
 
     edge_ids: tuple[int, ...]
+    in_tree: np.ndarray = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_id_set", frozenset(self.edge_ids))
-
-    def __contains__(self, edge_id: int) -> bool:
-        return edge_id in self._id_set  # type: ignore[attr-defined]
+    def __contains__(self, edge_id: object) -> bool:
+        """Whether edge_id, an integer (bool and numpy integers included), is a tree edge; False for anything else."""
+        try:
+            i = operator.index(edge_id)  # a True index on a bool array would add an axis
+        except TypeError:
+            return False
+        return 0 <= i < self.in_tree.size and bool(self.in_tree[i])
 
     def __len__(self) -> int:
         return len(self.edge_ids)
+
+
+def _tree(g: Graph, ids: tuple[int, ...], at: np.ndarray | None = None) -> SpanningTree:
+    """The SpanningTree of validated ids, at being them as an int64 array if the caller has one."""
+    in_tree = np.zeros(g.m, dtype=bool)
+    in_tree[list(ids) if at is None else at] = True  # a list: a tuple index is multi-dimensional
+    return SpanningTree(ids, _read_only(in_tree))
 
 
 def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
@@ -373,7 +357,7 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
         at = np.array(ids, dtype=np.int64) if at is None else at
         if _component_count(g.n, g.u[at], g.v[at]) == 1:
             # n-1 edges connecting n vertices are necessarily acyclic
-            return SpanningTree(ids)
+            return _tree(g, ids, at)
     for i in ids:
         if not (0 <= i < g.m):
             raise NotInGraphError(f"edge index {i} out of range [0, {g.m - 1}]")
@@ -385,14 +369,7 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
         if not uf.union(us[i], vs[i]):
             raise NotSpanningError(f"edge {i} ({us[i]}, {vs[i]}) closes a cycle")
     # n-1 acyclic edges on n vertices are necessarily spanning
-    return SpanningTree(ids)
-
-
-def non_tree_mask(g: Graph, t: SpanningTree) -> np.ndarray:
-    """Boolean mask over edge ids, True for the edges outside t."""
-    mask = np.ones(g.m, dtype=bool)
-    mask[list(t.edge_ids)] = False
-    return mask
+    return _tree(g, ids)
 
 
 def tree_weight(g: Graph, t: SpanningTree) -> float:

@@ -102,7 +102,7 @@ class InstrumentedOracle:
         return INFINITE_WEIGHT if i is None else self._ws[i]
 
     def edge(self, i: int) -> tuple[int, int, float]:
-        """Edge-list-model lookup: endpoints and weight of edge i."""
+        """The edge-list model's lookup: endpoints and weight of edge i."""
         if self._adjacency:
             raise ValueError("edge(i) requires an edge-list-model oracle")
         if not (0 <= i < self._m):
@@ -121,8 +121,9 @@ class InstrumentedOracle:
 
         The lookup is a call of self.edge or self.weight, whichever the model
         answers, so every charge passes through the method that counts it.
-        Edge i's own weight is returned: the adjacency model serves a pair by
-        its minimum edge, which is not edge i when it is a heavier parallel edge.
+        The weight of edge i itself is returned: the adjacency model serves a
+        pair by its minimum edge, which is not edge i when it is a heavier
+        parallel edge.
         An i outside the edges raises IndexError in both models, uncharged.
         """
         if self._adjacency:

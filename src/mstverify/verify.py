@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree
-from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, non_tree_mask, spanning_tree
+from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, spanning_tree
 from .grover import BbhtStats, SearchSpace, bbht_restarts, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
@@ -80,20 +80,20 @@ def validate_search_settings(delta: float) -> None:
         raise ValueError(f"delta {delta} is too small: 1/delta overflows a float")
 
 
-def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree, non_tree: np.ndarray | None = None) -> np.ndarray:
+def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree) -> np.ndarray:
     """The violation predicate of every edge, from stored weights: the id of the tree edge it would replace, or -1.
 
     An edge violates iff it is outside T and strictly lighter than its
     T-path maximum, which one batched path-max gives for all non-tree edges
     at once; a violating edge would replace that maximum-(w, id) tree edge.
     Tree edges never violate. Equal weight does not violate: an equally
-    heavy alternative never refutes minimality. non_tree is
-    non_tree_mask(g, t), for a caller that has built it. No oracle calls:
-    callers charge the lookups their query model requires. The batch skips
-    path_max_batch's checks: a Graph's endpoint columns are int64 vertices
-    with u < v on every row.
+    heavy alternative never refutes minimality. The non-tree edges are
+    those t.in_tree leaves False. No oracle calls: callers charge the
+    lookups their query model requires. The batch skips path_max_batch's
+    checks: a Graph's endpoint columns are int64 vertices with u < v on
+    every row.
     """
-    outside = np.flatnonzero(non_tree_mask(g, t) if non_tree is None else non_tree)
+    outside = np.flatnonzero(~t.in_tree)
     replaced = np.full(g.m, -1, dtype=np.int64)
     max_w, max_id = b._climb(g.u[outside], g.v[outside])
     replaced[outside] = np.where(g.w[outside] < max_w, max_id, -1)
@@ -156,9 +156,8 @@ def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle)
     the non-tree edges are taken in (w, id) order from g.order, and the
     first violator's position in that scan ends the charged prefix.
     """
-    non_tree = non_tree_mask(g, t)
-    replaced = _violations(g, t, b, non_tree)
-    scan = g.order[non_tree[g.order]]
+    replaced = _violations(g, t, b)
+    scan = g.order[~t.in_tree[g.order]]
     hits = np.flatnonzero(replaced[scan] >= 0)
     stop = int(hits[0]) + 1 if hits.size else scan.size
     lookup_weight = oracle.lookup_weight

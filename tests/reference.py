@@ -5,13 +5,13 @@
   lists, and direct_path_max the brute-force T-path maximum: the batched
   BoruvkaTree.path_max_batch must equal both. nodes and dump read a tree's
   arrays as one BNode per node.
-- Tree paths: dfs_tree_path_edges, a depth-first search over Python
-  adjacency lists. walk_improve certifies a swap by walking the incoming
+- Tree paths: dfs_tree_path_edges, the path's edge ids by a depth-first
+  search over Python adjacency lists. walk_improve certifies a swap by walking the incoming
   edge's T-path, as the package did before it checked the swapped tree
   instead; improve must give the same tree or the same error.
-- Verification: is_violating, the cycle-property test for one Edge, as an
-  edge-by-edge scan would call it.
-- Graphs: pair_min, the minimum-(w, id) edge of a vertex pair as an Edge.
+- Verification: is_violating, the cycle-property test for one edge id, as
+  an edge-by-edge scan would call it.
+- Graphs: pair_min, the id of the minimum-(w, id) edge of a vertex pair.
 - Grover: the known-count optimal_iterations, and a dense state-vector
   simulation. The package samples every search round from the closed-form
   law sin^2((2r+1)θ); StateVector iterates the full real amplitude vector
@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from mstverify.boruvka import BoruvkaTree, SameVertexError
-from mstverify.graph import Edge, Graph, SpanningTree, spanning_tree
+from mstverify.graph import Graph, SpanningTree, spanning_tree
 from mstverify.grover import BBHT_GROWTH, ROUND_CHUNK, BbhtStats, SearchSpace, bbht_cutoff, success_probability
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness
@@ -159,12 +159,13 @@ def path_max(b: BoruvkaTree, u: int, v: int) -> PathMaxAnswer:
 def direct_path_max(g: Graph, t: SpanningTree, u: int, v: int) -> PathMaxAnswer:
     """Brute-force reference for path_max: walk the T-path, take the (w, id) max."""
     path = dfs_tree_path_edges(g, t, u, v)
-    best = max(path, key=lambda e: e.key)
-    return PathMaxAnswer(best.w, best.id, ascent_steps=len(path))
+    ws = g.columns[2]
+    best = max(path, key=lambda i: (ws[i], i))
+    return PathMaxAnswer(ws[best], best, ascent_steps=len(path))
 
 
-def dfs_tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]:
-    """The unique T-path between u and v in u -> v order, by a depth-first search over adjacency lists."""
+def dfs_tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[int]:
+    """The edge ids of the unique T-path between u and v in u -> v order, by a depth-first search over adjacency lists."""
     if u == v:
         raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
     us, vs, _ = g.columns
@@ -185,11 +186,11 @@ def dfs_tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[Edge]
                 seen[y] = True
                 via[y] = (x, i)
                 stack.append(y)
-    path: list[Edge] = []
+    path: list[int] = []
     x = v
     while x != u:
         x, i = via[x]
-        path.append(g.edge(i))
+        path.append(i)
     path.reverse()
     return path
 
@@ -203,12 +204,11 @@ def walk_improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
         raise InvalidWitnessError(f"incoming edge {in_id} is already in the tree")
     if out_id not in t:
         raise InvalidWitnessError(f"outgoing edge {out_id} is not in the tree")
-    e_in = g.edge(in_id)
-    path = dfs_tree_path_edges(g, t, e_in.u, e_in.v)
-    if all(p.id != out_id for p in path):
+    us, vs, ws = g.columns
+    if out_id not in dfs_tree_path_edges(g, t, us[in_id], vs[in_id]):
         raise InvalidWitnessError(f"edge {out_id} is not on the tree path of edge {in_id}")
-    if not e_in.w < g.edge(out_id).w:
-        raise InvalidWitnessError(f"swap does not decrease weight ({e_in.w} >= {g.edge(out_id).w})")
+    if not ws[in_id] < ws[out_id]:
+        raise InvalidWitnessError(f"swap does not decrease weight ({ws[in_id]} >= {ws[out_id]})")
     ids = sorted([i for i in t.edge_ids if i != out_id] + [in_id])
     return spanning_tree(g, ids)
 
@@ -217,24 +217,24 @@ def is_violating(
     g: Graph,
     t: SpanningTree,
     b: BoruvkaTree,
-    e: Edge,
+    i: int,
     oracle: InstrumentedOracle | None = None,
 ) -> bool:
-    """True iff e is outside T and strictly lighter than its T-path maximum.
+    """True iff edge i is outside T and strictly lighter than its T-path maximum.
 
-    With an oracle, w(e) costs one weight-oracle call; without one the
+    With an oracle, w(i) costs one weight-oracle call; without one the
     stored weight is used. Equal weight does not violate.
     """
-    if e.id in t:
+    if i in t:
         return False
-    w = e.w if oracle is None else oracle.lookup_weight(e.id)
-    return w < path_max(b, e.u, e.v).max_weight
+    us, vs, ws = g.columns
+    w = ws[i] if oracle is None else oracle.lookup_weight(i)
+    return w < path_max(b, us[i], vs[i]).max_weight
 
 
-def pair_min(g: Graph, a: int, b: int) -> Edge | None:
-    """Minimum-(w, id) edge between a and b, or None for a non-edge pair."""
-    i = g.pair_min_ids().get((a, b) if a < b else (b, a))
-    return None if i is None else g.edge(i)
+def pair_min(g: Graph, a: int, b: int) -> int | None:
+    """Id of the minimum-(w, id) edge between a and b, or None for a non-edge pair."""
+    return g.pair_min_ids().get((a, b) if a < b else (b, a))
 
 
 class KZeroError(ValueError):

@@ -90,9 +90,10 @@ def connected_edge_sets(n: int):
 
 
 def all_spanning_trees(g: Graph):
+    us, vs, _ = g.columns
     for ids in combinations(range(g.m), g.n - 1):
         uf = UnionFind(g.n)
-        if all(uf.union(g.edges[i].u, g.edges[i].v) for i in ids):
+        if all(uf.union(us[i], vs[i]) for i in ids):
             yield spanning_tree(g, ids)
 
 
@@ -157,10 +158,10 @@ def test_criterion_2_path_max_differential():
 
     def brute_all_pairs(g: Graph, t):
         adjacency = [[] for _ in range(g.n)]
+        us, vs, ws = g.columns
         for i in t.edge_ids:
-            e = g.edges[i]
-            adjacency[e.u].append(e)
-            adjacency[e.v].append(e)
+            adjacency[us[i]].append((vs[i], ws[i], i))  # (other end, w, id)
+            adjacency[vs[i]].append((us[i], ws[i], i))
         table = []
         for root in range(g.n):
             best: list[tuple[float, int] | None] = [None] * g.n
@@ -169,12 +170,11 @@ def test_criterion_2_path_max_differential():
             seen[root] = True
             while stack:
                 x, bw, bid = stack.pop()
-                for e in adjacency[x]:
-                    y = e.v if x == e.u else e.u
+                for y, w, i in adjacency[x]:
                     if seen[y]:
                         continue
                     seen[y] = True
-                    key = max((bw, bid), (e.w, e.id))
+                    key = max((bw, bid), (w, i))
                     best[y] = key
                     stack.append((y, key[0], key[1]))
             table.append(best)
@@ -302,10 +302,11 @@ def test_criterion_6_quantum_agreement():
 
         if not verdict.minimal:
             witnesses += 1
-            e_in = g.edges[verdict.witness.violating_edge_id]
-            assert e_in.id not in t
-            certified = direct_path_max(g, t, e_in.u, e_in.v)
-            assert e_in.w < certified.max_weight
+            us, vs, ws = g.columns
+            in_id = verdict.witness.violating_edge_id
+            assert in_id not in t
+            certified = direct_path_max(g, t, us[in_id], vs[in_id])
+            assert ws[in_id] < certified.max_weight
             assert verdict.witness.replaced_edge_id == certified.max_edge_id
             assert tree_weight(g, verdict.improved_tree) < tree_weight(g, t)
 

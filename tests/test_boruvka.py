@@ -164,4 +164,4 @@ class TestDirectPathMax:
     def test_path_edges_order(self):
         g = path_graph([5.0, 1.0, 7.0])
         path = dfs_tree_path_edges(g, whole_tree(g), 0, 3)
-        assert [e.id for e in path] == [0, 1, 2]
+        assert path == [0, 1, 2]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mstverify
-from mstverify import verify
+from mstverify import cli, verify
 from mstverify.cli import main
 from mstverify.graph import Graph, spanning_tree
 from mstverify.oracle import InstrumentedOracle, OracleModel
@@ -79,6 +79,18 @@ class TestVerifyCommand:
         tree.write_text("indices\n0\n")
         code, _, err = run(capsys, "verify", "--graph", str(graph), "--tree", str(tree))
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_out_of_memory_exits_one(self, capsys, monkeypatch, triangle_files, command):
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "load_graph", exhausted)
+        graph, good, _ = triangle_files
+        argv = ["--tree", str(good)] if command == "verify" else []
+        code, out, err = run(capsys, command, "--graph", str(graph), *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("error:") == 1 and "Traceback" not in err
 
     def test_bad_delta_exits_one(self, capsys, triangle_files):
         graph, good, _ = triangle_files

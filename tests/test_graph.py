@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from mstverify import (
     Graph,
     GraphError,
+    kruskal_mst,
     load_graph,
     load_tree,
     random_connected_graph,
@@ -22,6 +24,7 @@ from mstverify import (
     tree_weight,
 )
 from mstverify import graph
+from mstverify.generate import perturbed_mst
 from mstverify.graph import (
     SMALL_GRAPH_EDGES,
     DisconnectedError,
@@ -32,6 +35,7 @@ from mstverify.graph import (
     UnionFind,
     spanning_tree,
 )
+from mstverify.verify import Witness, improve
 
 from .conftest import TRIANGLE_TEXT, triangle
 from .reference import pair_min
@@ -41,7 +45,7 @@ class TestLoadGraph:
     def test_triangle(self):
         g = load_graph(TRIANGLE_TEXT)
         assert (g.n, g.m) == (3, 3)
-        assert [(e.u, e.v, e.w) for e in g.edges] == [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
+        assert list(zip(*g.columns)) == [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)]
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopError):
@@ -63,13 +67,13 @@ class TestLoadGraph:
 
     def test_endpoint_normalized(self):
         g = load_graph("2 1\n1 0 1.0\n")
-        assert (g.edges[0].u, g.edges[0].v) == (0, 1)
+        assert (g.u[0], g.v[0]) == (0, 1)
 
     def test_parallel_edges_keep_ids(self):
         g = load_graph("2 2\n0 1 2.0\n0 1 1.0\n")
         assert g.m == 2
-        assert pair_min(g, 0, 1).id == 1  # lighter parallel edge wins
-        assert pair_min(g, 1, 0).id == 1
+        assert pair_min(g, 0, 1) == 1  # lighter parallel edge wins
+        assert pair_min(g, 1, 0) == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -268,7 +272,7 @@ class TestSerializeRoundTrip:
         canonical = serialize_graph(g)
         g2 = load_graph(canonical)
         assert g2.n == g.n
-        assert [(e.u, e.v, e.w) for e in g2.edges] == [(e.u, e.v, e.w) for e in g.edges]
+        assert g2.columns == g.columns
         assert serialize_graph(g2) == canonical
 
     def test_tree_round_trip_both_formats(self):
@@ -287,13 +291,74 @@ class TestSpanningInvariant:
         order = list(range(g.m))
         rnd.shuffle(order)
         uf = UnionFind(g.n)
-        ids = [i for i in order if uf.union(g.edges[i].u, g.edges[i].v)]
+        us, vs, _ = g.columns
+        ids = [i for i in order if uf.union(us[i], vs[i])]
         t = spanning_tree(g, sorted(ids))
         assert len(t) == g.n - 1
         check = UnionFind(g.n)
         for i in t.edge_ids:
-            assert check.union(g.edges[i].u, g.edges[i].v)
+            assert check.union(us[i], vs[i])
         assert check.components == 1
+
+
+def every_tree_kind(rng, monkeypatch) -> list[tuple[str, Graph, object]]:
+    """(constructor, graph, tree) from every function that makes a SpanningTree, each load_tree path included."""
+    small = triangle()
+    big = random_connected_graph(60, 150, rng)  # 59 tree edges, above SMALL_GRAPH_EDGES
+    mst = kruskal_mst(big)
+    loadtxt, fast = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: fast.append(1) or loadtxt(*a, **k))
+    trees = [("load_tree fast", big, load_tree(serialize_tree(big, mst), big))]
+    assert fast == [1]
+    trees += [
+        ("load_tree line by line", big, load_tree(serialize_tree(big, mst).replace("\n", " \n"), big)),
+        ("load_tree small", small, load_tree("indices\n0\n1\n", small)),
+        ("load_tree pairs", big, load_tree(serialize_tree(big, mst, "pairs"), big)),
+        ("kruskal_mst", big, mst),
+        ("improve", small, improve(small, spanning_tree(small, (0, 2)), Witness(1, 2))),
+        ("random_spanning_tree", big, random_spanning_tree(big, rng)),
+        ("perturbed_mst", big, perturbed_mst(big, rng)),
+        ("spanning_tree of an int64 array", big, spanning_tree(big, np.array(mst.edge_ids))),
+        ("spanning_tree of numpy scalars and bools", small, spanning_tree(small, [np.int64(2), True])),
+    ]
+    assert fast == [1]
+    return trees
+
+
+class TestSpanningTreeContract:
+    def test_edge_ids_are_python_ints_from_every_constructor(self, rng, monkeypatch):
+        for how, _, t in every_tree_kind(rng, monkeypatch):
+            assert type(t.edge_ids) is tuple and all(type(i) is int for i in t.edge_ids), how
+            assert json.loads(json.dumps(list(t.edge_ids))) == list(t.edge_ids), how
+
+    def test_mask_is_read_only_and_exactly_the_ids(self, rng, monkeypatch):
+        for how, g, t in every_tree_kind(rng, monkeypatch):
+            assert t.in_tree.dtype == bool and t.in_tree.shape == (g.m,), how
+            assert np.flatnonzero(t.in_tree).tolist() == sorted(t.edge_ids), how
+            with pytest.raises(ValueError):
+                t.in_tree[0] = not t.in_tree[0]
+            with pytest.raises(ValueError):
+                t.in_tree.flags.writeable = True
+
+    def test_in_answers_as_the_id_set(self, rng):
+        g = random_connected_graph(40, 100, rng)
+        for t in (random_spanning_tree(g, rng), spanning_tree(triangle(), (0, 1)), spanning_tree(triangle(), (0, 2))):
+            ids = frozenset(t.edge_ids)
+            for i in range(-3, len(t.in_tree) + 3):
+                assert (i in t) == (np.int64(i) in t) == (i in ids)
+            # bool members are 0 and 1; a True index on a bool array would add an axis instead
+            assert (True in t, False in t) == (True in ids, False in ids)
+            for x in (10**30, -(10**30), 1.5, float(t.edge_ids[0]), np.float64(0.0), "0", None, [0]):
+                assert x not in t
+
+    def test_equality_and_hash_read_edge_ids_only(self, rng):
+        g = random_connected_graph(50, 120, rng)
+        t = random_spanning_tree(g, rng)
+        same = load_tree(serialize_tree(g, t), g)
+        assert same is not t and same.in_tree is not t.in_tree
+        assert same == t and hash(same) == hash(t) and {same, t} == {t}
+        assert spanning_tree(g, t.edge_ids[::-1]) != t  # the order of the ids is part of the tree
+        assert "in_tree" not in repr(t)
 
 
 # One token's replacements in the fast-parse differential: each is a field

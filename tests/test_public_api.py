@@ -13,7 +13,6 @@ from mstverify import boruvka, graph, grover, verify
 
 PUBLIC = [
     "BoruvkaTree",
-    "Edge",
     "GenError",
     "Graph",
     "GraphError",
@@ -52,7 +51,10 @@ def test_public_name_resolves(name):
         (grover, "optimal_iterations"),
         (grover, "KZeroError"),
         (graph.Graph, "pair_min"),
-        (graph.Edge, "other"),
+        (graph, "Edge"),
+        (graph.Graph, "edge"),
+        (graph.Graph, "edges"),
+        (graph, "non_tree_mask"),
         (boruvka.BoruvkaTree, "nodes"),
         (boruvka.BoruvkaTree, "dump"),
         (verify, "is_violating"),

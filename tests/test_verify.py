@@ -19,7 +19,7 @@ from mstverify import (
 from mstverify import grover, verify
 from mstverify.boruvka import build_boruvka_tree
 from mstverify.generate import perturbed_mst
-from mstverify.graph import non_tree_mask, spanning_tree
+from mstverify.graph import spanning_tree
 from mstverify.grover import SearchSpace, bbht_cutoff
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
@@ -35,20 +35,20 @@ class TestIsViolating:
         g = triangle()
         t = spanning_tree(g, (0, 2))  # weight 4 tree
         b = build_boruvka_tree(g, t, edge_oracle(g))
-        assert is_violating(g, t, b, g.edges[1], edge_oracle(g))
+        assert is_violating(g, t, b, 1, edge_oracle(g))
 
     def test_heavier_chord_does_not_violate(self):
         g = triangle()
         t = spanning_tree(g, (0, 1))  # the MST
         b = build_boruvka_tree(g, t, edge_oracle(g))
-        assert not is_violating(g, t, b, g.edges[2], edge_oracle(g))
+        assert not is_violating(g, t, b, 2, edge_oracle(g))
 
     def test_tree_edge_never_violates(self):
         g = triangle()
         t = spanning_tree(g, (0, 1))
         b = build_boruvka_tree(g, t, edge_oracle(g))
         o = edge_oracle(g)
-        assert not is_violating(g, t, b, g.edges[0], o)
+        assert not is_violating(g, t, b, 0, o)
         assert o.classical_queries == 0  # rejected before any weight lookup
 
     def test_equal_weight_does_not_violate(self):
@@ -56,14 +56,14 @@ class TestIsViolating:
         g = Graph(4, [(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0), (0, 3, 2.0)])
         t = spanning_tree(g, (0, 1, 2))
         b = build_boruvka_tree(g, t, edge_oracle(g))
-        assert not is_violating(g, t, b, g.edges[3], edge_oracle(g))
+        assert not is_violating(g, t, b, 3, edge_oracle(g))
 
     def test_costs_one_weight_query(self):
         g = triangle()
         t = spanning_tree(g, (0, 2))
         b = build_boruvka_tree(g, t, edge_oracle(g))
         o = edge_oracle(g)
-        is_violating(g, t, b, g.edges[1], o)
+        is_violating(g, t, b, 1, o)
         assert o.classical_queries == 1
 
 
@@ -98,12 +98,9 @@ class TestClassicalVerify:
             if verdict.minimal:
                 continue
             b = build_boruvka_tree(g, t, edge_oracle(g))
-            violators = [
-                e.id
-                for e in g.edges
-                if e.id not in t and e.w < path_max(b, e.u, e.v).max_weight
-            ]
-            expected = min(violators, key=lambda i: g.edges[i].key)
+            us, vs, ws = g.columns
+            violators = [i for i in range(g.m) if i not in t and ws[i] < path_max(b, us[i], vs[i]).max_weight]
+            expected = min(violators, key=lambda i: (ws[i], i))
             assert verdict.witness.violating_edge_id == expected
 
 
@@ -273,8 +270,7 @@ class TestQuantumVerify:
             verdict, report = quantum_verify(g, t, oracle(g), mode, 2)
             assert report.analytic_mode
             assert verdict.minimal == classical.minimal
-            e_in = g.edges[verdict.witness.violating_edge_id]
-            assert e_in.id not in t
+            assert verdict.witness.violating_edge_id not in t
 
     def test_mode_oracle_mismatch_rejected(self):
         g = triangle()
@@ -315,9 +311,9 @@ def all_pairs_marked(g: Graph, t, b) -> dict:
     marked, p = {}, 0
     for a in range(g.n):
         for c in range(a + 1, g.n):
-            e = pair_min(g, a, c)
-            if e is not None and is_violating(g, t, b, e):
-                marked[p] = e
+            i = pair_min(g, a, c)
+            if i is not None and is_violating(g, t, b, i):
+                marked[p] = i
             p += 1
     return marked
 
@@ -325,8 +321,8 @@ def all_pairs_marked(g: Graph, t, b) -> dict:
 def full_sort_charges(g: Graph, t, b) -> list[int]:
     """The ids a scan charges, from a stable argsort of every edge: the non-tree edges up to the first violation."""
     order = np.argsort(g.w, kind="stable")
-    candidates = order[non_tree_mask(g, t)[order]].tolist()
-    first = next((k for k, i in enumerate(candidates) if is_violating(g, t, b, g.edge(i))), len(candidates) - 1)
+    candidates = order[~t.in_tree[order]].tolist()
+    first = next((k for k, i in enumerate(candidates) if is_violating(g, t, b, i)), len(candidates) - 1)
     return candidates[: first + 1]
 
 
@@ -355,7 +351,7 @@ class TestScanChargeOrder:
                 found = verify._scan(g, t, b, edge_oracle(g))
                 expected = full_sort_charges(g, t, b)
                 assert charged == expected
-                assert (found is None) == (not is_violating(g, t, b, g.edge(expected[-1])))
+                assert (found is None) == (not is_violating(g, t, b, expected[-1]))
                 assert found is None or found == (expected[-1], witness_edge(g, t, expected[-1]))
                 verdicts.add(found is None)
         assert verdicts == {True, False} and tiny >= 5
@@ -366,14 +362,14 @@ class TestSearchDomain:
         marked_total = parallel_graphs = 0
         for _ in range(40):
             g = multigraph(rng, 2 + int(rng.integers(15)))
-            parallel_graphs += len({(e.u, e.v) for e in g.edges}) < g.m
+            parallel_graphs += len(set(zip(g.u.tolist(), g.v.tolist()))) < g.m
             for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
                 b = build_boruvka_tree(g, t, edge_oracle(g))
                 space, witness_of = verify._search_space(g, t, b, "adjacency")
                 expected = all_pairs_marked(g, t, b)
                 assert space.logical_size == g.n * (g.n - 1) // 2
                 assert space.marked_indices().tolist() == sorted(expected)
-                assert all(witness_of(p) == (e.id, witness_edge(g, t, e.id)) for p, e in expected.items())
+                assert all(witness_of(p) == (i, witness_edge(g, t, i)) for p, i in expected.items())
                 marked_total += len(expected)
         assert marked_total > 0 and parallel_graphs > 0
 
