@@ -136,17 +136,15 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     for i in t.edge_ids:
         lookup_weight(i)
     rank_id = g.order[t.in_tree[g.order]]
-    if g.n <= SMALL_TREE_VERTICES:
-        return _python_phases(g, rank_id.tolist())
-    return _array_phases(g, rank_id)
+    return (_python_phases if g.n <= SMALL_TREE_VERTICES else _array_phases)(g, rank_id)
 
 
-def _python_phases(g: Graph, rank_id: list[int]) -> BoruvkaTree:
+def _python_phases(g: Graph, rank_id: np.ndarray) -> BoruvkaTree:
     """build_boruvka_tree's phases on Python lists; rank_id lists the tree edges in (w, id) order."""
     n = g.n
-    us, vs, ws = g.columns
-    rank_w = [ws[i] for i in rank_id]
-    au, av = [us[i] for i in rank_id], [vs[i] for i in rank_id]  # vertices are the level-0 aggregates
+    # gathered as lists: on a small tree that beats reading the columns edge by edge
+    au, av = g.u[rank_id].tolist(), g.v[rank_id].tolist()  # vertices are the level-0 aggregates
+    rank_w, rank_id = g.w[rank_id].tolist(), rank_id.tolist()
     rank = list(range(len(rank_id)))
     parent, branch_rank = [], []
     k = n

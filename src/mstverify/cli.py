@@ -9,6 +9,7 @@ identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,6 +33,7 @@ def _validate_seed(seed: int) -> None:
         raise ValueError(f"--seed must be in [0, 2^64), got {seed}")
 
 
+@functools.cache  # built on first use; only a process that calls main more than once reuses it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mstverify",
@@ -161,9 +163,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # fold argparse usage failures into the error exit contract
         return EXIT_MINIMAL if exc.code == 0 else EXIT_ERROR

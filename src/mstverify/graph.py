@@ -6,10 +6,10 @@ edge list as a stable id, and all deterministic comparisons use the
 ambiguous. A Graph stores its edges as three read-only numpy columns u, v
 and w indexed by edge id, and sorts them once into a fourth, order: the
 edge ids in (w, id) order. The edge of id i is the row (u[i], v[i], w[i]);
-there is no per-edge object. A SpanningTree is its edge ids and a
-read-only bool mask over all edge ids, built once when the tree is
-validated. Graph and SpanningTree are immutable after construction and
-safe to share across threads.
+the columns are the only copy of the edges. A SpanningTree is its edge
+ids and a read-only bool mask over all edge ids, built once when the
+tree is validated. Graph and SpanningTree are immutable, unpickled ones
+too, and safe to share across threads.
 
 The loaders accept exactly what int() and float() accept. A large file in
 the layout serialize_graph writes is read by one np.loadtxt pass over its
@@ -240,9 +240,9 @@ class Graph:
     self-loops are not. Connectivity is validated at construction time, so
     every Graph instance supports a spanning tree. The edge of id i is the
     row (u[i], v[i], w[i]) of three read-only numpy columns, with u[i] <
-    v[i], or of the tuples in columns for code that reads edges one at a
-    time; the read-only int64 column order lists the edge ids in (w, id)
-    order.
+    v[i], which columns gives as memoryviews for code that reads edges
+    one at a time; the read-only int64 column order lists the edge ids in
+    (w, id) order.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
@@ -273,7 +273,6 @@ class Graph:
         u, v, w = _edge_columns(n, us, vs, ws) if columns is None else columns
         self.n = n
         self.m = len(w)
-        self._columns: tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]] | None = None
         self._pair_min: Mapping[tuple[int, int], int] | None = None
         components = _component_count(n, u, v)
         if components != 1:
@@ -284,23 +283,26 @@ class Graph:
         self.w = _read_only(np.asarray(w, dtype=np.float64))
 
     @property
-    def columns(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[float, ...]]:
-        """u, v and w as Python tuples, made on first use.
-
-        For code that reads edges one at a time: indexing a tuple is several
-        times faster than reading a numpy scalar.
-        """
-        if self._columns is None:
-            self._columns = (tuple(self.u.tolist()), tuple(self.v.tolist()), tuple(self.w.tolist()))
-        return self._columns
+    def columns(self) -> tuple[memoryview, memoryview, memoryview]:
+        """u, v and w as read-only memoryviews, for reads one edge at a time: no copy, and exact Python numbers."""
+        return memoryview(self.u), memoryview(self.v), memoryview(self.w)
 
     def pair_min_ids(self) -> Mapping[tuple[int, int], int]:
         """Read-only map (a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use."""
         if self._pair_min is None:
-            us, vs, _ = self.columns
-            # descending (w, id) order, so the lightest edge of a pair is written last
-            self._pair_min = MappingProxyType({(us[i], vs[i]): i for i in reversed(self.order.tolist())})
+            desc = self.order[::-1]  # descending (w, id) order, so the lightest edge of a pair is written last
+            pairs = zip(self.u[desc].tolist(), self.v[desc].tolist())
+            self._pair_min = MappingProxyType(dict(zip(pairs, desc.tolist())))
         return self._pair_min
+
+    def __getstate__(self) -> tuple:
+        """n, m and the four columns, made read-only again by __setstate__; the pair map is not pickled."""
+        return self.n, self.m, self.u, self.v, self.w, self.order
+
+    def __setstate__(self, state: tuple) -> None:
+        self.n, self.m, *columns = state
+        self.u, self.v, self.w, self.order = map(_read_only, columns)
+        self._pair_min = None
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -331,6 +333,9 @@ class SpanningTree:
 
     def __len__(self) -> int:
         return len(self.edge_ids)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, in_tree=_read_only(state["in_tree"]))  # read-only, as spanning_tree() made it
 
 
 def _tree(g: Graph, ids: tuple[int, ...], at: np.ndarray | None = None) -> SpanningTree:
@@ -374,8 +379,7 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
 
 def tree_weight(g: Graph, t: SpanningTree) -> float:
     """Total weight of the tree, from stored edge data (no oracle calls)."""
-    ws = g.columns[2]
-    return sum((ws[i] for i in t.edge_ids), 0.0)
+    return sum(map(g.columns[2].__getitem__, t.edge_ids), 0.0)
 
 
 def _fields(text: str) -> tuple[list[int], list[int], list[str]]:
@@ -549,9 +553,7 @@ def load_graph(text: str) -> Graph:
 
 def serialize_graph(g: Graph) -> str:
     """Canonical text form; load_graph(serialize_graph(g)) is a fixed point."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v} {w!r}" for u, v, w in zip(*g.columns))
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{g.n} {g.m}", *(f"{u} {v} {w!r}" for u, v, w in zip(*g.columns))]) + "\n"
 
 
 def load_tree(text: str, g: Graph) -> SpanningTree:

@@ -14,10 +14,10 @@ one call per query; lookup_weight charges one edge by id that way.
 Those two per-query methods take the lock with an explicit acquire() and
 a try/finally release() rather than a `with` block: the context-manager
 protocol was about a third of a charge's cost. Each checks its arguments
-(model, integer index, range) and reads its answer's row before it takes
-the lock, so a rejected call is never charged. reset() and
-count_quantum_applications() run once per verify or per schedule and
-keep `with`.
+(model, integer index, range) and reads its answer's row from memoryviews
+of the graph's numpy columns (no copy) before it takes the lock, so a
+rejected call is never charged. reset() and count_quantum_applications()
+run once per verify or per schedule and keep `with`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class InstrumentedOracle:
         self.model = model = OracleModel(model)
         self.graph = graph
         self._adjacency = model is OracleModel.ADJACENCY  # else the edge-list model
-        # read once, so every lookup indexes them directly
+        # made once: a lookup reads its cells of the columns as exact Python numbers, with no copy
         self._us, self._vs, self._ws = graph.columns
         self._m = graph.m
         self._pair_min = graph.pair_min_ids() if self._adjacency else {}

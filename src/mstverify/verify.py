@@ -103,10 +103,9 @@ def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree) -> np.ndarray:
 def kruskal_mst(g: Graph) -> SpanningTree:
     """Ground-truth minimum spanning tree: (w, id)-sorted edges + union-find."""
     uf = UnionFind(g.n)
-    us, vs, _ = g.columns
     ids = []
-    for i in g.order.tolist():
-        if uf.union(us[i], vs[i]):
+    for i, a, b in zip(g.order.tolist(), g.u[g.order].tolist(), g.v[g.order].tolist()):
+        if uf.union(a, b):
             ids.append(i)
             if len(ids) == g.n - 1:
                 break

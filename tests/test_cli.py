@@ -188,6 +188,26 @@ class TestVerifyCommand:
         assert "status: minimal" in out
 
 
+    def test_cached_parser_answers_as_a_fresh_one(self, capsys, triangle_files):
+        graph, good, bad = triangle_files
+        files = ["--graph", str(graph), "--tree", str(bad)]
+        calls = [
+            ["verify", *files, "--seed", "5"],
+            ["verify", *files, "--mode", "adjacency", "--seed", "9"],
+            ["verify", *files, "--output", "text"],
+            ["verify", *files, "--mode", "warp"],
+            ["verify", "--graph", str(graph), "--tree", str(good)],
+        ]
+        cli._build_parser.cache_clear()
+        reused = [run(capsys, *argv) for argv in calls]  # one parser, built by the first call
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [3, 3, 3, 1, 0]
+
+
 class TestGenCommand:
     def test_gen_then_verify_mst(self, capsys, tmp_path):
         prefix = str(tmp_path / "inst")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -35,9 +37,9 @@ from mstverify.graph import (
     UnionFind,
     spanning_tree,
 )
-from mstverify.verify import Witness, improve
+from mstverify.verify import Witness, classical_verify, improve
 
-from .conftest import TRIANGLE_TEXT, triangle
+from .conftest import TRIANGLE_TEXT, edge_oracle, triangle
 from .reference import pair_min
 
 
@@ -359,6 +361,59 @@ class TestSpanningTreeContract:
         assert same == t and hash(same) == hash(t) and {same, t} == {t}
         assert spanning_tree(g, t.edge_ids[::-1]) != t  # the order of the ids is part of the tree
         assert "in_tree" not in repr(t)
+
+
+def some_graphs(rng) -> list[Graph]:
+    """A graph of the small path, one of the array path, and one loaded by np.loadtxt."""
+    big = random_connected_graph(60, 150, rng)
+    return [triangle(), big, load_graph(serialize_graph(big))]
+
+
+class TestColumnsContract:
+    def test_columns_are_read_only_views_of_the_arrays(self, rng):
+        for g in some_graphs(rng):
+            for view, column in zip(g.columns, (g.u, g.v, g.w)):
+                assert isinstance(view, memoryview) and view.readonly
+                assert np.shares_memory(np.asarray(view), column)
+                with pytest.raises(TypeError):
+                    view[0] = view[1]
+            assert not any(isinstance(x, memoryview) for x in vars(g).values())  # made per call, never kept
+
+    def test_reads_are_exact_python_numbers(self, rng):
+        for g in some_graphs(rng):
+            us, vs, ws = g.columns
+            assert {type(x) for x in us} | {type(x) for x in vs} == {int} and {type(x) for x in ws} == {float}
+            assert list(zip(us, vs, ws)) == list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+
+
+class TestPickle:
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda x: pickle.loads(pickle.dumps(x, 0)), lambda x: pickle.loads(pickle.dumps(x, -1)), copy.deepcopy],
+        ids=["protocol 0", "highest protocol", "deepcopy"],
+    )
+    def test_round_trip_is_equal_and_read_only(self, rng, round_trip):
+        for g in some_graphs(rng):
+            g.pair_min_ids()  # its cached mappingproxy cannot be pickled
+            g.columns  # nor could a memoryview kept on the instance
+            t = random_spanning_tree(g, rng)
+            g2, t2 = round_trip((g, t))
+            assert (g2.n, g2.m) == (g.n, g.m)
+            for name in ("u", "v", "w", "order"):
+                a, b = getattr(g, name), getattr(g2, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                with pytest.raises(ValueError):
+                    b[0] = b[-1]
+                with pytest.raises(ValueError):
+                    b.flags.writeable = True
+            assert np.shares_memory(np.asarray(g2.columns[2]), g2.w)
+            assert g2.pair_min_ids() == g.pair_min_ids()
+            assert t2 == t and t2.in_tree.tobytes() == t.in_tree.tobytes()
+            with pytest.raises(ValueError):
+                t2.in_tree[0] = not t2.in_tree[0]
+            with pytest.raises(ValueError):
+                t2.in_tree.flags.writeable = True
+            assert classical_verify(g2, t2, edge_oracle(g2)) == classical_verify(g, t, edge_oracle(g))
 
 
 # One token's replacements in the fast-parse differential: each is a field

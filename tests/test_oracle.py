@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mstverify import (
     quantum_verify,
     random_connected_graph,
     random_spanning_tree,
+    tree_weight,
 )
 from mstverify.generate import perturbed_mst
 from mstverify.graph import spanning_tree
@@ -308,3 +310,31 @@ class TestCallContract:
         with pytest.raises(ValueError, match="mode 'edgelist' does not match the oracle model 'adjacency'"):
             quantum_verify(g, spanning_tree(g, (0, 1)), adjacency, "edgelist")
         assert edge_list.classical_queries == adjacency.classical_queries == 0
+
+
+class TestAnswersAreExactPythonNumbers:
+    def test_every_model_answers_int_and_float(self, rng):
+        for g in (triangle(), random_connected_graph(60, 150, rng)):
+            edge_list, adjacency = edge_oracle(g), adj_oracle(g)
+            for i in range(g.m):
+                u, v, w = edge_list.edge(i)
+                assert (type(u), type(v), type(w)) == (int, int, float)
+                assert type(adjacency.weight(u, v)) is type(adjacency.weight(v, v)) is float
+                assert type(edge_list.lookup_weight(i)) is type(adjacency.lookup_weight(i)) is float
+            mst = kruskal_mst(g)
+            assert type(tree_weight(g, mst)) is float
+            t = perturbed_mst(g, rng)
+            verdicts = [classical_verify(g, t, edge_list)[0], classical_verify(g, t, adjacency)[0]]
+            verdicts += [quantum_verify(g, t, oracle(g), oracle(g).model.value)[0] for oracle in (edge_oracle, adj_oracle)]
+            for verdict in verdicts:
+                assert not verdict.minimal and type(verdict.weight_delta) is float
+
+    def test_an_edge_list_oracle_copies_no_edge(self):
+        g = random_connected_graph(5000, 20000, np.random.default_rng(7))
+        tracemalloc.start()
+        try:
+            edge_oracle(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024

@@ -85,7 +85,7 @@ class TestArrayBuild:
             g = tree_graph(rng, n, shape)
             ids = [int(i) for i in rng.permutation(g.m)]
             # every edge of a tree graph is a tree edge, so its (w, id) order is g.order
-            python = boruvka._python_phases(g, g.order.tolist())
+            python = boruvka._python_phases(g, g.order)
             array = boruvka._array_phases(g, g.order)
             assert fields(array) == fields(python)
             built = build_boruvka_tree(g, spanning_tree(g, ids), edge_oracle(g))
