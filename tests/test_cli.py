@@ -187,7 +187,6 @@ class TestVerifyCommand:
         assert code == 0
         assert "status: minimal" in out
 
-
     def test_cached_parser_answers_as_a_fresh_one(self, capsys, triangle_files):
         graph, good, bad = triangle_files
         files = ["--graph", str(graph), "--tree", str(bad)]

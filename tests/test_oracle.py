@@ -325,7 +325,7 @@ class TestAnswersAreExactPythonNumbers:
             assert type(tree_weight(g, mst)) is float
             t = perturbed_mst(g, rng)
             verdicts = [classical_verify(g, t, edge_list)[0], classical_verify(g, t, adjacency)[0]]
-            verdicts += [quantum_verify(g, t, oracle(g), oracle(g).model.value)[0] for oracle in (edge_oracle, adj_oracle)]
+            verdicts += [quantum_verify(g, t, o, o.model.value)[0] for o in (edge_oracle(g), adj_oracle(g))]
             for verdict in verdicts:
                 assert not verdict.minimal and type(verdict.weight_delta) is float
 
