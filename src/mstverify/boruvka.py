@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .graph import Graph, SpanningTree, _read_only
+from .graph import Graph, SpanningTree, _jump, _read_only
 from .oracle import InstrumentedOracle
 
 
@@ -198,12 +198,7 @@ def _array_phases(g: Graph, rank_id: np.ndarray) -> BoruvkaTree:
         np.minimum.at(best, au, at)
         np.minimum.at(best, av, at)
         to = au[best] + av[best] - me  # the picked edge's other end
-        root = np.where((to[to] == me) & (me < to), me, to)
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
+        root = _jump(np.where((to[to] == me) & (me < to), me, to))
         # number the components in order of their smallest member
         smallest = np.full(k, k)
         np.minimum.at(smallest, root, me)

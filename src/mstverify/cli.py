@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .generate import GenError, random_connected_graph, tree_of_kind
+from .generate import TREE_KINDS, GenError, random_connected_graph, tree_of_kind
 from .graph import GraphError, load_graph, load_tree, serialize_graph, serialize_tree, tree_weight
 from .oracle import InstrumentedOracle, OracleModel
 from .verify import DEFAULT_DELTA, classical_verify, kruskal_mst, quantum_verify, validate_search_settings
@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--weights", default="0.0:1.0", help="LO:HI uniform weight range")
-    p_gen.add_argument("--tree-kind", choices=["mst", "perturbed", "random"], default="mst")
+    p_gen.add_argument("--tree-kind", choices=TREE_KINDS, default="mst")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out-prefix", required=True, help="writes PREFIX.graph and PREFIX.tree")
 

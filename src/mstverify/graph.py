@@ -9,7 +9,8 @@ edge ids in (w, id) order. The edge of id i is the row (u[i], v[i], w[i]);
 the columns are the only copy of the edges. A SpanningTree is its edge
 ids and a read-only bool mask over all edge ids, built once when the
 tree is validated. Graph and SpanningTree are immutable, unpickled ones
-too, and safe to share across threads.
+too, and safe to share across threads. Input is walked edge by edge or
+id by id only after a check of whole columns fails, to name its error.
 
 The loaders accept exactly what int() and float() accept. A large file in
 the layout serialize_graph writes is read by one np.loadtxt pass over its
@@ -26,7 +27,7 @@ import operator
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
-from numbers import Integral
+from numbers import Complex, Integral, Number, Real
 from types import MappingProxyType
 from typing import Iterable
 
@@ -95,43 +96,48 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a.view()
 
 
-# Graphs with at most this many edges are checked and sorted edge by edge
-# in Python, and their files and tree id lists are read and checked the
-# same way: on a few edges that beats numpy, whose fixed cost per call
-# dominates.
+# Graphs with at most this many edges of Python numbers are checked by
+# builtins, and graph and tree files of at most this many lines are read
+# line by line: on a few edges that beats numpy, whose fixed cost per call
+# dominates. Their weights are sorted by one stable argsort.
 SMALL_GRAPH_EDGES = 32
+
+
+def _is_real(x: object) -> bool:
+    """Whether x is a real number: a numbers.Real, or a Number that is not Complex, as a Decimal is."""
+    return isinstance(x, Real) or (isinstance(x, Number) and not isinstance(x, Complex))
 
 
 def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
     """Why edge eid is invalid, or None: the per-edge checks in their reporting order."""
+    if not (_is_real(u) and _is_real(v)):
+        return ParseError(f"edge {eid}: endpoints must be integers, got ({u!r}, {v!r})")
     if not (0 <= u < n and 0 <= v < n):
         return ParseError(f"edge {eid}: endpoint out of range [0, {n - 1}]")
     if u == v:
         return SelfLoopError(f"edge {eid}: self-loop at vertex {u}")
-    if not (math.isfinite(w) and w >= 0.0):
+    if not (_is_real(w) and math.isfinite(w) and w >= 0.0):
         return ParseError(f"edge {eid}: weight must be finite and >= 0, got {w!r}")
     if not (isinstance(u, Integral) and isinstance(v, Integral)):
         return ParseError(f"edge {eid}: endpoints must be integers, got ({u!r}, {v!r})")
     return None
 
 
-def _weight_order(w: Sequence[float]) -> np.ndarray:
-    """The edge ids in (w, id) order, edge ids being the positions of w.
+def _weight_order(w: np.ndarray) -> np.ndarray:
+    """The edge ids in (w, id) order, edge ids being the positions of the float64 array w.
 
-    w is a float64 array, or a list or tuple of at most SMALL_GRAPH_EDGES
-    floats. Up to SMALL_GRAPH_EDGES weights, Python's sorted() orders the
-    ids by weight; it is stable, so equal weights (-0.0 equals 0.0) stay in id
-    order. Above it numpy's default argsort sorts the weights. If any two
-    are equal, only the tied positions are repaired: sorting the unique
-    integer keys run number * m + id puts each run of equal weights in id
-    order within its own slots, and the keys mod m are the ids. Neither
-    sort needs to be stable, and the default kind is several times faster
-    than a stable or multi-key sort.
+    Up to SMALL_GRAPH_EDGES weights a stable argsort orders them, so
+    equal weights (-0.0 equals 0.0) stay in id order. Above it numpy's
+    default argsort sorts the weights. If any two are equal, only the
+    tied positions are repaired: sorting the unique integer keys run
+    number * m + id puts each run of equal weights in id order within its
+    own slots, and the keys mod m are the ids. Neither of these two sorts
+    needs to be stable, and on many edges the default kind is several
+    times faster than a stable or multi-key sort.
     """
-    m = len(w)
+    m = w.size
     if m <= SMALL_GRAPH_EDGES:
-        ws = w.tolist() if isinstance(w, np.ndarray) else w
-        return np.array(sorted(range(m), key=ws.__getitem__), dtype=np.int64)
+        return np.argsort(w, kind="stable")
     order = np.argsort(w)
     by_w = w[order]
     tie = by_w[1:] == by_w[:-1]
@@ -148,34 +154,37 @@ def _weight_order(w: Sequence[float]) -> np.ndarray:
     return order
 
 
-def _small_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[list, list, Sequence] | None:
-    """_edge_columns' result as Python sequences if the edges are valid rows of exact int, int and float, else None.
+def _small_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.ndarray, ...] | None:
+    """_edge_columns' result if the edges are valid rows of exact int, int and float, else None.
 
     The line parser's columns and Graph(n, edges)'s tuples of Python
     numbers are checked by builtins over whole columns, with no numpy
-    call. Anything else (bool, numpy scalars, integer weights, or an edge
-    that fails a check) gives None, and _edge_columns checks the edges
-    and raises their error.
+    call but the three that make the columns. Anything else (bool, numpy
+    scalars, integer weights, or an edge that fails a check) gives None,
+    and _edge_columns checks the edges and raises their error.
     """
     if {*map(type, us), *map(type, vs)} != {int} or set(map(type, ws)) != {float}:
         return None
     lo, hi = list(map(min, us, vs)), list(map(max, us, vs))
-    if not (0 <= min(lo) and max(hi) < n and all(map(operator.ne, lo, hi))):
+    if not (0 <= min(lo) and max(hi) < n and all(map(operator.ne, lo, hi)) and all(map(math.isfinite, ws))):
         return None
-    return (lo, hi, ws) if all(map(math.isfinite, ws)) and min(ws) >= 0.0 else None
+    return (np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64), np.array(ws)) if min(ws) >= 0.0 else None
 
 
 def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validated int64 endpoint and float64 weight columns, u < v on every row.
 
-    The edges are checked column by column. When a check fails (or an
-    endpoint column is not integer-typed) they are walked one by one to
-    raise the first invalid edge's error.
+    The edges are checked column by column. When a check fails, or a
+    column does not hold numbers of its kind (integers for the endpoints;
+    reals for the weights, so no string is parsed), they are walked one
+    by one to raise the first invalid edge's error.
     """
     uv = np.asarray((us, vs))
-    w = np.asarray(ws, dtype=np.float64)
-    if uv.size == 0 or uv.dtype.kind in "biu":
-        uv = uv.astype(np.int64)
+    w = np.asarray(ws)
+    if w.dtype == object and all(map(_is_real, w.tolist())):  # Fraction or Decimal weights
+        w = w.astype(np.float64)
+    if (uv.size == 0 or uv.dtype.kind in "biu") and w.dtype.kind in "biuf":
+        uv, w = uv.astype(np.int64), w.astype(np.float64, copy=False)
         lo, hi = uv.min(axis=0), uv.max(axis=0)
         if ((lo >= 0) & (hi < n) & (lo != hi) & (w >= 0.0) & (w < math.inf)).all():
             return lo, hi, w
@@ -200,23 +209,29 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
 UNION_FIND_EDGES = 80
 
 
-def _component_count(n: int, u: Sequence[int], v: Sequence[int]) -> int:
-    """Connected components of the graph on 0..n-1 with edges zip(u, v), as lists or arrays.
+def _jump(root: np.ndarray) -> np.ndarray:
+    """Full pointer jumping: root with each entry replaced by the fixed point of following root from it."""
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
 
-    Up to UNION_FIND_EDGES edges a union-find joins them one by one.
-    Above it (u and v are then arrays): min-label hooking with full
-    pointer jumping. Every round hooks each root onto its smallest
-    adjacent root, so within two rounds every root is either hooked or
-    gains a hooked neighbor, and O(log n) rounds of O(m) array work
-    suffice. It is some 9x faster than the union-find loop on large graphs
-    (n=20000 m=80000: 6.5 ms against 59 ms; n=8192 m=24576: 2.0 against
-    16.7 ms).
+
+def _component_count(n: int, u: np.ndarray, v: np.ndarray) -> int:
+    """Connected components of the graph on 0..n-1 with edges zip(u, v), two int64 arrays.
+
+    Up to UNION_FIND_EDGES edges a union-find joins them one by one, on
+    Python lists. Above it: min-label hooking with full pointer jumping.
+    Every round hooks each root onto its smallest adjacent root, so
+    within two rounds every root is either hooked or gains a hooked
+    neighbor, and O(log n) rounds of O(m) array work suffice. It is some
+    9x faster than the union-find loop on large graphs (n=20000 m=80000:
+    6.5 ms against 59 ms; n=8192 m=24576: 2.0 against 16.7 ms).
     """
-    if len(u) <= UNION_FIND_EDGES:
+    if u.size <= UNION_FIND_EDGES:
         uf = UnionFind(n)
-        if isinstance(u, np.ndarray):
-            u, v = u.tolist(), v.tolist()
-        for a, b in zip(u, v):
+        for a, b in zip(u.tolist(), v.tolist()):
             uf.union(a, b)
         return uf.components
     root = np.arange(n)
@@ -226,11 +241,7 @@ def _component_count(n: int, u: Sequence[int], v: Sequence[int]) -> int:
         if not hook.any():
             return int(np.count_nonzero(root == np.arange(n)))
         np.minimum.at(root, np.maximum(ru, rv)[hook], np.minimum(ru, rv)[hook])
-        while True:
-            up = root[root]
-            if np.array_equal(up, root):
-                break
-            root = up
+        root = _jump(root)
 
 
 class Graph:
@@ -268,19 +279,16 @@ class Graph:
         if len(us) < n - 1:
             # before any per-vertex allocation, so a huge n costs nothing
             raise DisconnectedError(f"{len(us)} edges cannot connect {n} vertices")
-        # lists for a small graph of Python numbers, else arrays
         columns = _small_columns(n, us, vs, ws) if len(us) <= SMALL_GRAPH_EDGES else None
         u, v, w = _edge_columns(n, us, vs, ws) if columns is None else columns
         self.n = n
-        self.m = len(w)
+        self.m = w.size
         self._pair_min: Mapping[tuple[int, int], int] | None = None
         components = _component_count(n, u, v)
         if components != 1:
             raise DisconnectedError(f"graph has {components} components, expected 1")
         self.order = _read_only(_weight_order(w))
-        self.u = _read_only(np.asarray(u, dtype=np.int64))
-        self.v = _read_only(np.asarray(v, dtype=np.int64))
-        self.w = _read_only(np.asarray(w, dtype=np.float64))
+        self.u, self.v, self.w = _read_only(u), _read_only(v), _read_only(w)
 
     @property
     def columns(self) -> tuple[memoryview, memoryview, memoryview]:
@@ -338,31 +346,26 @@ class SpanningTree:
         self.__dict__.update(state, in_tree=_read_only(state["in_tree"]))  # read-only, as spanning_tree() made it
 
 
-def _tree(g: Graph, ids: tuple[int, ...], at: np.ndarray | None = None) -> SpanningTree:
-    """The SpanningTree of validated ids, at being them as an int64 array if the caller has one."""
-    in_tree = np.zeros(g.m, dtype=bool)
-    in_tree[list(ids) if at is None else at] = True  # a list: a tuple index is multi-dimensional
-    return SpanningTree(ids, _read_only(in_tree))
-
-
 def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
     """Validate edge_ids as a spanning tree of g and wrap them.
 
     Raises NotInGraphError for unknown ids and NotSpanningError when the
     edge count is wrong or the edges contain a cycle (equivalently, fail
     to connect all vertices); an id that is not an integer raises
-    TypeError, as operator.index does. Above SMALL_GRAPH_EDGES ids the
-    checks run on whole arrays (edge_ids itself when it is an int64 array),
-    and the ids are walked one by one only after one fails, to raise the
-    first error.
+    TypeError, as operator.index does. The count, the range (by min and
+    max) and the edges' component count are checked on all ids at once;
+    only after one fails are the ids walked one by one, to raise the
+    first error: a range error in id order, a wrong count, or a cycle.
     """
     at = edge_ids if isinstance(edge_ids, np.ndarray) and edge_ids.dtype == np.int64 else None
     ids = tuple(map(operator.index, edge_ids)) if at is None else tuple(at.tolist())
-    if len(ids) > SMALL_GRAPH_EDGES and 0 <= min(ids) and max(ids) < g.m and len(ids) == g.n - 1:
+    if len(ids) == g.n - 1 and 0 <= min(ids, default=0) and max(ids, default=-1) < g.m:
         at = np.array(ids, dtype=np.int64) if at is None else at
         if _component_count(g.n, g.u[at], g.v[at]) == 1:
             # n-1 edges connecting n vertices are necessarily acyclic
-            return _tree(g, ids, at)
+            in_tree = np.zeros(g.m, dtype=bool)
+            in_tree[at] = True
+            return SpanningTree(ids, _read_only(in_tree))
     for i in ids:
         if not (0 <= i < g.m):
             raise NotInGraphError(f"edge index {i} out of range [0, {g.m - 1}]")
@@ -373,8 +376,7 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
     for i in ids:
         if not uf.union(us[i], vs[i]):
             raise NotSpanningError(f"edge {i} ({us[i]}, {vs[i]}) closes a cycle")
-    # n-1 acyclic edges on n vertices are necessarily spanning
-    return _tree(g, ids)
+    raise AssertionError("n-1 acyclic edges on n vertices span them")
 
 
 def tree_weight(g: Graph, t: SpanningTree) -> float:
@@ -489,6 +491,18 @@ def _fast_fields(text: str, head: int, k: int, ints: int, rows: int) -> bytes | 
     return None if starts.startswith(run) or b" " + run in starts else data
 
 
+def _fast_rows(text: str, head: int, k: int, ints: int, rows: int, dtype: np.dtype) -> np.ndarray | None:
+    """The rows lines of text in _fast_fields' layout, read by np.loadtxt into dtype, else None."""
+    data = _fast_fields(text, head, k, ints, rows)
+    if data is None:
+        return None
+    try:
+        a = np.loadtxt(io.BytesIO(data), dtype=dtype, delimiter=" ", comments=None, skiprows=1 if head else 0)
+    except (ValueError, OverflowError):
+        return None
+    return a if a.shape == (rows,) else None
+
+
 def _load_graph_fast(text: str) -> Graph | None:
     """load_graph for a graph file of more than SMALL_GRAPH_EDGES edges in the fast layout, else None.
 
@@ -505,14 +519,8 @@ def _load_graph_fast(text: str) -> Graph | None:
     n, m = int(n_text), int(m_text)
     if not (SMALL_GRAPH_EDGES < m and 1 <= n <= m + 1):
         return None
-    data = _fast_fields(text, 2, 3, 2, m)
-    if data is None:
-        return None
-    try:
-        rows = np.loadtxt(io.BytesIO(data), dtype=_EDGE_ROW, delimiter=" ", comments=None, skiprows=1)
-    except (ValueError, OverflowError):
-        return None
-    if rows.shape != (m,):
+    rows = _fast_rows(text, 2, 3, 2, m, _EDGE_ROW)
+    if rows is None:
         return None
     # a contiguous copy of w, so that no column keeps the row array alive
     return Graph._from_columns(n, rows["u"], rows["v"], rows["w"].copy())
@@ -567,13 +575,9 @@ def load_tree(text: str, g: Graph) -> SpanningTree:
     is read line by line, which names the first bad line.
     """
     if text.startswith("indices\n") and g.n - 1 > SMALL_GRAPH_EDGES:
-        data = _fast_fields(text[len("indices\n") :], 0, 1, 1, g.n - 1)
-        try:
-            ids = None if data is None else np.loadtxt(io.BytesIO(data), dtype=np.int64, comments=None)
-        except (ValueError, OverflowError):
-            ids = None
+        ids = _fast_rows(text[len("indices\n") :], 0, 1, 1, g.n - 1, np.dtype(np.int64))
         # digits only, so no index is negative
-        if ids is not None and ids.shape == (g.n - 1,) and (ids < g.m).all():
+        if ids is not None and (ids < g.m).all():
             return spanning_tree(g, ids)
     linenos, counts, fields = _fields(text)
     if not linenos:

@@ -9,6 +9,9 @@
   search over Python adjacency lists. walk_improve certifies a swap by walking the incoming
   edge's T-path, as the package did before it checked the swapped tree
   instead; improve must give the same tree or the same error.
+- Trees: walk_spanning_tree checks tree ids one by one, as spanning_tree
+  did up to 32 ids before it checked all ids at once at every size; it
+  must give the same ids or the same error.
 - Verification: is_violating, the cycle-property test for one edge id, as
   an edge-by-edge scan would call it.
 - Graphs: pair_min, the id of the minimum-(w, id) edge of a vertex pair.
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -38,7 +42,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from mstverify.boruvka import BoruvkaTree, SameVertexError
-from mstverify.graph import Graph, SpanningTree, spanning_tree
+from mstverify.graph import Graph, NotInGraphError, NotSpanningError, SpanningTree, UnionFind, spanning_tree
 from mstverify.grover import BBHT_GROWTH, ROUND_CHUNK, BbhtStats, SearchSpace, bbht_cutoff, success_probability
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness
@@ -211,6 +215,23 @@ def walk_improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
         raise InvalidWitnessError(f"swap does not decrease weight ({ws[in_id]} >= {ws[out_id]})")
     ids = sorted([i for i in t.edge_ids if i != out_id] + [in_id])
     return spanning_tree(g, ids)
+
+
+def walk_spanning_tree(g: Graph, edge_ids) -> tuple[int, ...]:
+    """Reference for spanning_tree: the ids, or the first error, found by walking the ids one by one."""
+    ids = tuple(map(operator.index, edge_ids))
+    for i in ids:
+        if not (0 <= i < g.m):
+            raise NotInGraphError(f"edge index {i} out of range [0, {g.m - 1}]")
+    if len(ids) != g.n - 1:
+        raise NotSpanningError(f"expected {g.n - 1} edges, got {len(ids)}")
+    uf = UnionFind(g.n)
+    us, vs, _ = g.columns
+    for i in ids:
+        if not uf.union(us[i], vs[i]):
+            raise NotSpanningError(f"edge {i} ({us[i]}, {vs[i]}) closes a cycle")
+    # n-1 acyclic edges on n vertices are necessarily spanning
+    return ids
 
 
 def is_violating(

@@ -246,6 +246,18 @@ class TestGenCommand:
         assert err == f"error: --seed must be in [0, 2^64), got {seed}\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--n", "5", "--m", "6", "--weights", "abc"], "error: --weights expects LO:HI, got 'abc'\n"),
+            (["--n", "2000", "--m", "1000001"], "error: need m <= 1000000, got m=1000001\n"),
+        ],
+    )
+    def test_error_exits_one_before_writing(self, capsys, tmp_path, args, error):
+        code, out, err = run(capsys, "gen", *args, "--out-prefix", str(tmp_path / "x"))
+        assert (code, out, err) == (1, "", error)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_weight_range_exits_one(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "gen", "--n", "5", "--m", "6", "--weights", "5:1", "--out-prefix", str(tmp_path / "x")
@@ -306,6 +318,11 @@ class TestOracleCommand:
         doc = json.loads(out)
         assert doc["mst_weight"] == 3.0
         assert doc["mst_indices"] == [0, 1]
+
+    def test_text_output(self, capsys, triangle_files):
+        graph, _, _ = triangle_files
+        code, out, _ = run(capsys, "oracle", "--graph", str(graph), "--output", "text")
+        assert (code, out) == (0, "mst weight: 3.0\nmst indices: [0, 1]\n")
 
     def test_tree_graph_returns_its_edges(self, capsys, tmp_path):
         graph = tmp_path / "p.graph"

@@ -7,6 +7,8 @@ import json
 import math
 import pickle
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,6 +104,21 @@ class TestLoadGraph:
         with pytest.raises(ParseError):
             Graph(2, [(0, 1, math.inf)])
 
+    def test_vertex_count_must_be_positive_on_direct_construction(self):
+        with pytest.raises(ParseError, match="vertex count must be >= 1, got 0"):
+            Graph(0, [])
+
+    @pytest.mark.parametrize("row", [(0, 1, "1.0"), (0, 1, b"1.0"), ("0", 1, 1.0), (0, 1, None), (0, 1, 1 + 0j)])
+    @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])
+    def test_value_that_is_not_a_number_named(self, row, n):
+        # a path, then the bad row: at n = 3 a small graph, at SMALL_GRAPH_EDGES + 2 one past the small path
+        with pytest.raises(ParseError, match=f"^edge {n - 1}: "):
+            Graph(n, [(v - 1, v, 1.0) for v in range(1, n)] + [row])
+
+    def test_fraction_and_decimal_weights_are_read_as_floats(self):
+        g = Graph(3, [(0, 1, Fraction(1, 3)), (1, 2, Decimal("0.1")), (0, 2, 2)])
+        assert g.w.tolist() == [1 / 3, 0.1, 2.0]
+
     def test_single_vertex(self):
         g = load_graph("1 0\n")
         assert (g.n, g.m) == (1, 0)
@@ -123,8 +140,12 @@ class TestLoadGraph:
 
 # few distinct weights, -0.0 beside 0.0, and values each check rejects
 _SMALL_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(0.0, 1e300))
-_BAD_WEIGHTS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -5e-324, 1, 0, True, np.float64(1.5), np.float32(2.0)])
-_BAD_ENDPOINTS = st.sampled_from([-1, 99, True, False, np.int64(1), np.int32(0), 1.0, 2**70, -(2**70)])
+_BAD_WEIGHTS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1.0, -5e-324, 1, 0, True, np.float64(1.5), np.float32(2.0), "1.0", b"1.0", None, 1 + 0j]
+)
+_BAD_ENDPOINTS = st.sampled_from(
+    [-1, 99, True, False, np.int64(1), np.int32(0), 1.0, 2**70, -(2**70), "0", b"1", None, 1 + 0j]
+)
 
 
 @st.composite
@@ -233,6 +254,10 @@ class TestLoadTree:
         t = load_tree("pairs\n0 1\n", g)
         assert t.edge_ids == (1,)
 
+    def test_empty_file_rejected(self):
+        with pytest.raises(ParseError, match="empty tree file"):
+            load_tree("", triangle())
+
     def test_single_vertex_tree(self):
         g = load_graph("1 0\n")
         t = load_tree("indices\n", g)
@@ -282,6 +307,8 @@ class TestSerializeRoundTrip:
         t = spanning_tree(g, (0, 1))
         assert load_tree(serialize_tree(g, t, "indices"), g).edge_ids == (0, 1)
         assert load_tree(serialize_tree(g, t, "pairs"), g).edge_ids == (0, 1)
+        with pytest.raises(ValueError, match="unknown tree format 'csv'"):
+            serialize_tree(g, t, "csv")
 
 
 class TestSpanningInvariant:

@@ -56,6 +56,10 @@ class TestClosedForms:
     def test_zero_marked_is_zero(self):
         assert success_probability(32, 0, 7) == 0.0
 
+    def test_more_marked_than_the_domain_rejected(self):
+        with pytest.raises(ValueError, match="need 0 <= k <= N, got k=5 N=4"):
+            success_probability(4, 5, 1)
+
     @pytest.mark.parametrize("n_k_r", [((4, 1), 1), ((1024, 1), 25), ((64, 64), 0)])
     def test_optimal_iterations(self, n_k_r):
         (n, k), expected = n_k_r
@@ -70,6 +74,10 @@ class TestSearchSpace:
     @pytest.mark.parametrize("logical,domain", [(0, 2), (1, 2), (2, 2), (3, 4), (5, 8), (1024, 1024)])
     def test_domain_is_least_power_of_two(self, logical, domain):
         assert space(logical, []).domain_size == domain
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="logical size must be >= 0"):
+            SearchSpace(-1, bool)
 
     def test_padding_never_marked(self):
         s = SearchSpace(3, lambda i: True)

@@ -123,6 +123,12 @@ class TestCounters:
         assert o.quantum_queries == 3
         assert type(o.quantum_queries) is int
 
+    def test_negative_application_count_rejected_uncounted(self):
+        o = edge_oracle(triangle())
+        with pytest.raises(ValueError, match="application count must be >= 0"):
+            o.count_quantum_applications(-1)
+        assert o.quantum_queries == 0
+
     def test_reset(self):
         o = edge_oracle(triangle())
         o.edge(0)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from mstverify import kruskal_mst, load_graph, load_tree
 from mstverify.cli import main
-from mstverify.grover import SearchSpace, bbht_cutoff
+from mstverify.grover import SearchSpace, bbht_cutoff, bbht_restarts
 from mstverify.verify import DEFAULT_DELTA, Witness, improve
 
 FIXTURE = Path(__file__).parent / "data" / "reports_golden.json"
@@ -88,7 +88,7 @@ def test_reports_hold_ground_truth():
             assert list(improve(g, t, witness).edge_ids) == doc["improved_tree_indices"], run
         assert doc["queries"]["classical"] == g.n - 1, run
         logical = g.m if mode == "edgelist" else g.n * (g.n - 1) // 2
-        restarts = math.ceil(math.log2(1 / float(_flag(run["args"], "--delta", DEFAULT_DELTA))) / 2)
+        restarts = bbht_restarts(float(_flag(run["args"], "--delta", DEFAULT_DELTA)))
         domain = SearchSpace(logical, lambda i: False).domain_size
         budget = restarts * bbht_cutoff(domain)
         assert doc["queries"]["grover_iterations"] <= budget, run

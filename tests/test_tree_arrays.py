@@ -17,7 +17,7 @@ from mstverify.graph import SMALL_GRAPH_EDGES, _weight_order, spanning_tree
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import dfs_tree_path_edges, direct_path_max, path_max, validate_structure, walk_improve
+from .reference import dfs_tree_path_edges, direct_path_max, path_max, validate_structure, walk_improve, walk_spanning_tree
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
 
@@ -129,17 +129,17 @@ class TestArrayBuild:
         assert sorted(looked_up) == list(range(g.m))
 
 
-def outcome(g: Graph, ids) -> tuple:
-    """spanning_tree's result as comparable data: the error's type and message, or the tree's ids."""
+def outcome(check, g: Graph, ids) -> tuple:
+    """check(g, ids)'s result as comparable data: the error's type and message, or the tree's ids."""
     try:
-        return ("ok", spanning_tree(g, ids).edge_ids)
+        return ("ok", check(g, ids))
     except GraphError as exc:
         return (type(exc), str(exc))
 
 
 class TestSpanningTreeCheck:
     @pytest.mark.parametrize("n", [12, SMALL_GRAPH_EDGES + 1, SMALL_GRAPH_EDGES + 2, 120])
-    def test_same_error_as_the_edge_walk(self, rng, monkeypatch, n):
+    def test_same_error_as_the_edge_walk(self, rng, n):
         g = multigraph(rng, n, lambda: float(rng.integers(1, 4)))
         tree = list(kruskal_mst(g).edge_ids)
         outside = [i for i in range(g.m) if i not in set(tree)]
@@ -154,16 +154,15 @@ class TestSpanningTreeCheck:
             bad[int(rng.integers(len(bad)))] = -1 - int(rng.integers(3))
             cases.append(bad)
             cases.append(bad[1:])
-        arrays = [outcome(g, ids) for ids in cases]
-        monkeypatch.setattr(graph, "SMALL_GRAPH_EDGES", 10**9)
-        walked = [outcome(g, ids) for ids in cases]
+        arrays = [outcome(lambda g, ids: spanning_tree(g, ids).edge_ids, g, ids) for ids in cases]
+        walked = [outcome(walk_spanning_tree, g, ids) for ids in cases]
         assert arrays == walked
         kinds = {result[0] for result in walked}
         assert {"ok", graph.NotInGraphError, graph.NotSpanningError} <= kinds
         assert any("closes a cycle" in str(result[1]) for result in walked)
         assert any("expected" in str(result[1]) for result in walked)
 
-    @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])  # the id-by-id and the array check
+    @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])  # trees on either side of SMALL_GRAPH_EDGES
     def test_non_integer_ids_raise_type_error(self, n):
         g = Graph(n, [(v - 1, v, 1.0) for v in range(1, n)] + [(0, n - 1, 2.0)])
         ids = list(range(n - 1))
