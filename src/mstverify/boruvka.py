@@ -47,15 +47,15 @@ class BoruvkaTree:
     """
 
     def __init__(self, n: int, parent, branch_rank, rank_w, rank_id, height: int, build_work: int):
-        """The tree arrays come as lists (Python phases) or arrays (array phases), the sentinels included."""
+        """The tree arrays: int64 parent, branch_rank and rank_id, float64 rank_w, the sentinels included."""
         self.n = n
         self.root = len(parent) - 1
         self.height = height
         self.build_work = build_work
-        self.parent = _read_only(np.asarray(parent, dtype=np.int64))
-        self.branch_rank = _read_only(np.asarray(branch_rank, dtype=np.int64))
-        self.rank_w = _read_only(np.asarray(rank_w, dtype=np.float64))
-        self.rank_id = _read_only(np.asarray(rank_id, dtype=np.int64))
+        self.parent = _read_only(parent)
+        self.branch_rank = _read_only(branch_rank)
+        self.rank_w = _read_only(rank_w)
+        self.rank_id = _read_only(rank_id)
 
     def path_max_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
         """Maximum-(w, id) edge of the T-path of each vertex pair: (max weights, max edge ids).
@@ -130,22 +130,28 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     Edges within a group then drop out. Every group has at least two
     members, so the height is at most ceil(log2 n). Trees above
     SMALL_TREE_VERTICES run the phases on arrays, smaller ones on Python
-    lists; both give the same tree and build_work.
+    lists; both give the same parent and branch_rank arrays, height and
+    build_work, and the rank-ordered weights and ids are gathered here.
     """
     lookup_weight = oracle.lookup_weight
     for i in t.edge_ids:
         lookup_weight(i)
     rank_id = g.order[t.in_tree[g.order]]
-    return (_python_phases if g.n <= SMALL_TREE_VERTICES else _array_phases)(g, rank_id)
+    phases = _python_phases if g.n <= SMALL_TREE_VERTICES else _array_phases
+    parent, branch_rank, height, work = phases(g.n, g.u[rank_id], g.v[rank_id])
+    rank_w, rank_id = np.concatenate((g.w[rank_id], [-math.inf])), np.concatenate((rank_id, [-1]))
+    return BoruvkaTree(g.n, parent, branch_rank, rank_w, rank_id, height=height, build_work=work)
 
 
-def _python_phases(g: Graph, rank_id: np.ndarray) -> BoruvkaTree:
-    """build_boruvka_tree's phases on Python lists; rank_id lists the tree edges in (w, id) order."""
-    n = g.n
-    # gathered as lists: on a small tree that beats reading the columns edge by edge
-    au, av = g.u[rank_id].tolist(), g.v[rank_id].tolist()  # vertices are the level-0 aggregates
-    rank_w, rank_id = g.w[rank_id].tolist(), rank_id.tolist()
-    rank = list(range(len(rank_id)))
+def _python_phases(n: int, au: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """build_boruvka_tree's phases on Python lists: (parent, branch_rank, height, build_work).
+
+    au and av are the int64 end columns of the tree edges in (w, id) order,
+    whose vertices are the level-0 aggregates. parent and branch_rank come
+    back as int64 arrays, the root's -1 last.
+    """
+    au, av = au.tolist(), av.tolist()  # on a small tree, lists beat reading the columns edge by edge
+    rank = list(range(len(au)))
     parent, branch_rank = [], []
     k = n
     base = level = work = 0
@@ -174,17 +180,12 @@ def _python_phases(g: Graph, rank_id: np.ndarray) -> BoruvkaTree:
         au, av = [group[au[j]] for j in keep], [group[av[j]] for j in keep]
         rank = [rank[j] for j in keep]
         work += n + len(rank)
-    return BoruvkaTree(
-        n, parent + [-1], branch_rank + [-1], rank_w + [-math.inf], rank_id + [-1], height=level, build_work=work
-    )
+    return np.array(parent + [-1], dtype=np.int64), np.array(branch_rank + [-1], dtype=np.int64), level, work
 
 
-def _array_phases(g: Graph, rank_id: np.ndarray) -> BoruvkaTree:
-    """build_boruvka_tree's phases on arrays, with the same result and build_work as _python_phases."""
-    n = g.n
-    rank_w = g.w[rank_id]
-    au, av = g.u[rank_id], g.v[rank_id]  # vertices are the level-0 aggregates
-    rank = np.arange(rank_id.size)
+def _array_phases(n: int, au: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """build_boruvka_tree's phases on arrays, with the same result as _python_phases."""
+    rank = np.arange(au.size)
     parent, branch_rank = [], []
     k = n
     base = level = work = 0
@@ -214,12 +215,4 @@ def _array_phases(g: Graph, rank_id: np.ndarray) -> BoruvkaTree:
         keep = au != av
         au, av, rank = au[keep], av[keep], rank[keep]
         work += n + rank.size
-    return BoruvkaTree(
-        n,
-        np.concatenate(parent + [[-1]]),
-        np.concatenate(branch_rank + [[-1]]),
-        np.append(rank_w, -math.inf),
-        np.append(rank_id, -1),
-        height=level,
-        build_work=work,
-    )
+    return np.concatenate(parent + [[-1]]), np.concatenate(branch_rank + [[-1]]), level, work

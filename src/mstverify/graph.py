@@ -108,6 +108,14 @@ def _is_real(x: object) -> bool:
     return isinstance(x, Real) or (isinstance(x, Number) and not isinstance(x, Complex))
 
 
+def _finite(x) -> bool:
+    """math.isfinite of a real x, False where x has no float value: 10**400 overflows one, Decimal("sNaN") signals."""
+    try:
+        return math.isfinite(x)
+    except (OverflowError, ValueError):
+        return False
+
+
 def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
     """Why edge eid is invalid, or None: the per-edge checks in their reporting order."""
     if not (_is_real(u) and _is_real(v)):
@@ -116,7 +124,7 @@ def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
         return ParseError(f"edge {eid}: endpoint out of range [0, {n - 1}]")
     if u == v:
         return SelfLoopError(f"edge {eid}: self-loop at vertex {u}")
-    if not (_is_real(w) and math.isfinite(w) and w >= 0.0):
+    if not (_is_real(w) and _finite(w) and w >= 0.0):
         return ParseError(f"edge {eid}: weight must be finite and >= 0, got {w!r}")
     if not (isinstance(u, Integral) and isinstance(v, Integral)):
         return ParseError(f"edge {eid}: endpoints must be integers, got ({u!r}, {v!r})")
@@ -176,12 +184,13 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
 
     The edges are checked column by column. When a check fails, or a
     column does not hold numbers of its kind (integers for the endpoints;
-    reals for the weights, so no string is parsed), they are walked one
-    by one to raise the first invalid edge's error.
+    reals with a finite float value for the weights, so no string is
+    parsed), they are walked one by one to raise the first invalid edge's
+    error.
     """
     uv = np.asarray((us, vs))
     w = np.asarray(ws)
-    if w.dtype == object and all(map(_is_real, w.tolist())):  # Fraction or Decimal weights
+    if w.dtype == object and all(_is_real(x) and _finite(x) for x in w.tolist()):  # Fraction or Decimal weights
         w = w.astype(np.float64)
     if (uv.size == 0 or uv.dtype.kind in "biu") and w.dtype.kind in "biuf":
         uv, w = uv.astype(np.int64), w.astype(np.float64, copy=False)

@@ -138,55 +138,41 @@ def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
     return improved
 
 
-def _not_minimal(g: Graph, t: SpanningTree, in_id: int, out_id: int) -> Verdict:
-    """The certified NotMinimal verdict for violating edge in_id and the T-path maximum out_id it replaces."""
-    witness = Witness(in_id, out_id)
-    improved = improve(g, t, witness)
-    ws = g.columns[2]
-    return Verdict(minimal=False, witness=witness, improved_tree=improved, weight_delta=ws[in_id] - ws[out_id])
-
-
-def _scan(g: Graph, t: SpanningTree, b: BoruvkaTree, oracle: InstrumentedOracle) -> tuple[int, int] | None:
-    """The first violating non-tree edge in (w, id) order and the tree edge it replaces, as ids, or None.
+def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedOracle) -> int | None:
+    """The id of the first violating non-tree edge in (w, id) order, or None.
 
     Each candidate up to and including the first violation is charged one
     weight lookup, in scan order, exactly as an edge-by-edge scan charges
-    it: the predicate is evaluated for all candidates in one batch first,
-    the non-tree edges are taken in (w, id) order from g.order, and the
-    first violator's position in that scan ends the charged prefix.
+    it: replaced is every edge's predicate, batched by _violations, the
+    non-tree edges are taken in (w, id) order from g.order, and the first
+    violator's position in that scan ends the charged prefix.
     """
-    replaced = _violations(g, t, b)
     scan = g.order[~t.in_tree[g.order]]
     hits = np.flatnonzero(replaced[scan] >= 0)
     stop = int(hits[0]) + 1 if hits.size else scan.size
     lookup_weight = oracle.lookup_weight
     for i in scan[:stop].tolist():
         lookup_weight(i)
-    if not hits.size:
-        return None
-    found = int(scan[stop - 1])
-    return found, int(replaced[found])
+    return int(scan[stop - 1]) if hits.size else None
 
 
-def _search_space(
-    g: Graph, t: SpanningTree, b: BoruvkaTree, mode: str
-) -> tuple[SearchSpace, Callable[[int], tuple[int, int]]]:
-    """The search domain of a quantum mode and its index -> (violating edge id, replaced edge id) map.
+def _search_space(g: Graph, replaced: np.ndarray, mode: str) -> tuple[SearchSpace, Callable[[int], int]]:
+    """The search domain of a quantum mode and its index -> violating edge id map.
 
     "edgelist" searches edge indices. "adjacency" searches the n(n-1)/2
     unordered vertex pairs, pair (a, b) with a < b at index
     a*(2n-a-1)/2 + b-a-1. Only a pair's minimum-(w, id) edge can be
     marked: a non-edge pair has no candidate, and a heavier parallel edge
     never violates where the pair minimum does not. So the marker reads
-    the batched predicate only at the pair-minimum edges' indices.
+    replaced, the batched predicate, only at the pair-minimum edges'
+    indices.
     """
-    replaced = _violations(g, t, b)
     marks = (replaced >= 0).tolist()
     if mode == OracleModel.EDGE_LIST.value:
-        return SearchSpace(g.m, marks.__getitem__), lambda i: (i, int(replaced[i]))
+        return SearchSpace(g.m, marks.__getitem__), int
     n = g.n
     at = {a * (2 * n - a - 1) // 2 + b - a - 1: i for (a, b), i in g.pair_min_ids().items()}
-    return SearchSpace(n * (n - 1) // 2, lambda i: marks[at[i]], sorted(at)), lambda i: (at[i], int(replaced[at[i]]))
+    return SearchSpace(n * (n - 1) // 2, lambda i: marks[at[i]], sorted(at)), at.__getitem__
 
 
 def _verify(
@@ -202,27 +188,33 @@ def _verify(
     Mode "classical" scans the candidates in (w, id) order, charging one
     weight query each; a quantum mode runs up to bbht_restarts(delta) =
     ceil(log4(1/delta)) BBHT schedules over its search space, each of
-    which misses a marked index with probability at most 1/4. Both
-    evaluate the violation predicate in one batch.
+    which misses a marked index with probability at most 1/4. Both read
+    the violation predicate that one batch evaluated before, which also
+    names the tree edge the found edge replaces.
     """
     c0 = oracle.classical_queries
     b = build_boruvka_tree(g, t, oracle)
     c_build = oracle.classical_queries
-    found: tuple[int, int] | None = None
+    replaced = _violations(g, t, b)
+    found: int | None = None
     stats = BbhtStats()
     if mode == "classical":
-        found = _scan(g, t, b, oracle)
+        found = _scan(g, t, replaced, oracle)
     else:
-        space, witness_of = _search_space(g, t, b, mode)
+        space, edge_of = _search_space(g, replaced, mode)
         if space.logical_size > 0:
             rng = np.random.default_rng(rng_seed)
             for _ in range(bbht_restarts(delta)):
                 index, run = bbht_search(space, rng, oracle)
                 stats.merge(run)
                 if index is not None:
-                    found = witness_of(index)
+                    found = edge_of(index)
                     break
-    verdict = Verdict(minimal=True) if found is None else _not_minimal(g, t, *found)
+    verdict = Verdict(minimal=True)
+    if found is not None:
+        witness = Witness(found, int(replaced[found]))
+        ws = g.columns[2]
+        verdict = Verdict(False, witness, improve(g, t, witness), weight_delta=ws[found] - ws[witness.replaced_edge_id])
     # every predicate evaluation is one oracle query, classical in the scan and
     # quantum in the search, and costs one ascent plus one compare
     evaluations = oracle.classical_queries - c_build + stats.oracle_applications

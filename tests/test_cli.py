@@ -187,6 +187,24 @@ class TestVerifyCommand:
         assert code == 0
         assert "status: minimal" in out
 
+    @pytest.mark.parametrize("mode", ["classical", "edgelist", "adjacency"])
+    def test_not_minimal_text_carries_the_json_report(self, capsys, triangle_files, mode):
+        graph, _, bad = triangle_files
+        argv = ["verify", "--graph", str(graph), "--tree", str(bad), "--mode", mode, "--seed", "3"]
+        code, out, _ = run(capsys, *argv)
+        text_code, text, _ = run(capsys, *argv, "--output", "text")
+        assert code == text_code == 3
+        doc = json.loads(out)
+        w, q = doc["witness"], doc["queries"]
+        assert (w["in_edge"], w["out_edge"], doc["improved_tree_indices"]) == (1, 2, [0, 1])
+        assert text.splitlines() == [
+            "status: not_minimal",
+            f"n: 3  m: 3  mode: {mode}  analytic: {mode != 'classical'}",
+            f"queries: classical={q['classical']} quantum={q['quantum']} grover_iterations={q['grover_iterations']}",
+            f"witness: swap in edge 1, out edge 2 (delta {w['delta']})",
+            "improved tree: [0, 1]",
+        ]
+
     def test_cached_parser_answers_as_a_fresh_one(self, capsys, triangle_files):
         graph, good, bad = triangle_files
         files = ["--graph", str(graph), "--tree", str(bad)]

@@ -108,7 +108,20 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match="vertex count must be >= 1, got 0"):
             Graph(0, [])
 
-    @pytest.mark.parametrize("row", [(0, 1, "1.0"), (0, 1, b"1.0"), ("0", 1, 1.0), (0, 1, None), (0, 1, 1 + 0j)])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            (0, 1, "1.0"),
+            (0, 1, b"1.0"),
+            ("0", 1, 1.0),
+            (0, 1, None),
+            (0, 1, 1 + 0j),
+            # real, but with no float value: too large for one, or a signaling NaN
+            (0, 1, 10**400),
+            (0, 1, Fraction(10**400)),
+            (0, 1, Decimal("sNaN")),
+        ],
+    )
     @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])
     def test_value_that_is_not_a_number_named(self, row, n):
         # a path, then the bad row: at n = 3 a small graph, at SMALL_GRAPH_EDGES + 2 one past the small path

@@ -51,9 +51,11 @@ def multigraph(rng, n: int, weight) -> Graph:
     return Graph(n, edges)
 
 
-def fields(b) -> tuple:
-    branch_w, branch_id = b.rank_w[b.branch_rank].tolist(), b.rank_id[b.branch_rank].tolist()
-    return b.parent.tolist(), b.branch_rank.tolist(), branch_w, branch_id, b.height, b.build_work
+def fields(phases) -> tuple:
+    """A phase form's (parent, branch_rank, height, build_work), the arrays as lists; both arrays must be int64."""
+    parent, branch_rank, height, build_work = phases
+    assert parent.dtype == branch_rank.dtype == np.int64
+    return parent.tolist(), branch_rank.tolist(), height, build_work
 
 
 # few distinct weights, so that ties are heavy, and -0.0 beside 0.0
@@ -85,11 +87,12 @@ class TestArrayBuild:
             g = tree_graph(rng, n, shape)
             ids = [int(i) for i in rng.permutation(g.m)]
             # every edge of a tree graph is a tree edge, so its (w, id) order is g.order
-            python = boruvka._python_phases(g, g.order)
-            array = boruvka._array_phases(g, g.order)
+            au, av = g.u[g.order], g.v[g.order]
+            python = boruvka._python_phases(g.n, au, av)
+            array = boruvka._array_phases(g.n, au, av)
             assert fields(array) == fields(python)
             built = build_boruvka_tree(g, spanning_tree(g, ids), edge_oracle(g))
-            assert fields(built) == fields(python)
+            assert fields((built.parent, built.branch_rank, built.height, built.build_work)) == fields(python)
 
     @pytest.mark.parametrize("shape", ["random", "path"])
     @pytest.mark.parametrize("n", [2, 17, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257])

@@ -347,12 +347,13 @@ class TestScanChargeOrder:
             tiny += g.m <= 32
             for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
                 b = build_boruvka_tree(g, t, edge_oracle(g))
+                replaced = verify._violations(g, t, b)
                 charged.clear()
-                found = verify._scan(g, t, b, edge_oracle(g))
+                found = verify._scan(g, t, replaced, edge_oracle(g))
                 expected = full_sort_charges(g, t, b)
                 assert charged == expected
                 assert (found is None) == (not is_violating(g, t, b, expected[-1]))
-                assert found is None or found == (expected[-1], witness_edge(g, t, expected[-1]))
+                assert found is None or (found, replaced[found]) == (expected[-1], witness_edge(g, t, expected[-1]))
                 verdicts.add(found is None)
         assert verdicts == {True, False} and tiny >= 5
 
@@ -365,11 +366,12 @@ class TestSearchDomain:
             parallel_graphs += len(set(zip(g.u.tolist(), g.v.tolist()))) < g.m
             for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
                 b = build_boruvka_tree(g, t, edge_oracle(g))
-                space, witness_of = verify._search_space(g, t, b, "adjacency")
+                replaced = verify._violations(g, t, b)
+                space, edge_of = verify._search_space(g, replaced, "adjacency")
                 expected = all_pairs_marked(g, t, b)
                 assert space.logical_size == g.n * (g.n - 1) // 2
                 assert space.marked_indices().tolist() == sorted(expected)
-                assert all(witness_of(p) == (i, witness_edge(g, t, i)) for p, i in expected.items())
+                assert all((edge_of(p), replaced[edge_of(p)]) == (i, witness_edge(g, t, i)) for p, i in expected.items())
                 marked_total += len(expected)
         assert marked_total > 0 and parallel_graphs > 0
 
