@@ -7,7 +7,7 @@ from typing import Sequence
 import numpy as np
 
 from .boruvka import build_boruvka_tree
-from .graph import Graph, SpanningTree, spanning_tree
+from .graph import Graph, SpanningTree, pair_index, spanning_tree
 from .oracle import InstrumentedOracle, OracleModel
 from .verify import Witness, improve, kruskal_mst
 
@@ -50,26 +50,21 @@ def random_connected_graph(
     extra = m - (n - 1)
     if extra > 0:
         if max_m <= 4 * m or max_m < 100_000:
-            # the unused pairs in (a, b) order; pair (a, b) is entry a*(2n-a-1)/2 + b-a-1 of triu_indices
+            # the unused pairs in (a, b) order; pair (a, b) is entry pair_index(n, a, b) of triu_indices
             a_s, b_s = np.triu_indices(n, 1)
             free = np.ones(max_m, dtype=bool)
-            free[[a * (2 * n - a - 1) // 2 + b - a - 1 for a, b in pairs]] = False
+            free[[pair_index(n, a, b) for a, b in pairs]] = False
             free = np.flatnonzero(free)
             take = free[np.sort(rng.choice(free.size, size=extra, replace=False))]
             pairs.extend(zip(a_s[take].tolist(), b_s[take].tolist()))
         else:
             used = set(pairs)
-            while extra > 0:
-                a, b = int(rng.integers(n)), int(rng.integers(n))
-                if a == b:
-                    continue
-                if a > b:
-                    a, b = b, a
-                if (a, b) in used:
+            while len(pairs) < m:
+                a, b = sorted((int(rng.integers(n)), int(rng.integers(n))))
+                if a == b or (a, b) in used:
                     continue
                 used.add((a, b))
                 pairs.append((a, b))
-                extra -= 1
     if weight_alphabet is not None:
         weights = [float(weight_alphabet[int(i)]) for i in rng.integers(len(weight_alphabet), size=m)]
     else:

@@ -116,6 +116,11 @@ def _finite(x) -> bool:
         return False
 
 
+def pair_index(n: int, a, b):
+    """The index of pair a < b among the n(n-1)/2 vertex pairs in (a, b) order: ints or int64 arrays, 0 <= a < b < n."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
 def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
     """Why edge eid is invalid, or None: the per-edge checks in their reporting order."""
     if not (_is_real(u) and _is_real(v)):
@@ -183,16 +188,19 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
     """Validated int64 endpoint and float64 weight columns, u < v on every row.
 
     The edges are checked column by column. When a check fails, or a
-    column does not hold numbers of its kind (integers for the endpoints;
-    reals with a finite float value for the weights, so no string is
-    parsed), they are walked one by one to raise the first invalid edge's
-    error.
+    column does not hold one number of its kind per edge (integers for the
+    endpoints; reals with a finite float value for the weights, so no
+    string is parsed, and no sequence), they are walked one by one to
+    raise the first invalid edge's error.
     """
-    uv = np.asarray((us, vs))
-    w = np.asarray(ws)
+    try:
+        uv, w = np.asarray((us, vs)), np.asarray(ws)
+    except ValueError:  # ragged: a sequence among numbers
+        uv = w = np.zeros((0, 0))
     if w.dtype == object and all(_is_real(x) and _finite(x) for x in w.tolist()):  # Fraction or Decimal weights
         w = w.astype(np.float64)
-    if (uv.size == 0 or uv.dtype.kind in "biu") and w.dtype.kind in "biuf":
+    one_per_edge = uv.shape == (2, len(ws)) and w.shape == (len(ws),)  # a sequence in every row adds an axis
+    if one_per_edge and (uv.size == 0 or uv.dtype.kind in "biu") and w.dtype.kind in "biuf":
         uv, w = uv.astype(np.int64), w.astype(np.float64, copy=False)
         lo, hi = uv.min(axis=0), uv.max(axis=0)
         if ((lo >= 0) & (hi < n) & (lo != hi) & (w >= 0.0) & (w < math.inf)).all():
@@ -292,7 +300,7 @@ class Graph:
         u, v, w = _edge_columns(n, us, vs, ws) if columns is None else columns
         self.n = n
         self.m = w.size
-        self._pair_min: Mapping[tuple[int, int], int] | None = None
+        self._pair_min: Mapping[int, int] | None = None
         components = _component_count(n, u, v)
         if components != 1:
             raise DisconnectedError(f"graph has {components} components, expected 1")
@@ -304,12 +312,12 @@ class Graph:
         """u, v and w as read-only memoryviews, for reads one edge at a time: no copy, and exact Python numbers."""
         return memoryview(self.u), memoryview(self.v), memoryview(self.w)
 
-    def pair_min_ids(self) -> Mapping[tuple[int, int], int]:
-        """Read-only map (a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use."""
+    def pair_min_ids(self) -> Mapping[int, int]:
+        """Read-only map pair_index(n, a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use."""
         if self._pair_min is None:
             desc = self.order[::-1]  # descending (w, id) order, so the lightest edge of a pair is written last
-            pairs = zip(self.u[desc].tolist(), self.v[desc].tolist())
-            self._pair_min = MappingProxyType(dict(zip(pairs, desc.tolist())))
+            keys = pair_index(self.n, self.u[desc], self.v[desc])
+            self._pair_min = MappingProxyType(dict(zip(keys.tolist(), desc.tolist())))
         return self._pair_min
 
     def __getstate__(self) -> tuple:
@@ -611,11 +619,11 @@ def load_tree(text: str, g: Graph) -> SpanningTree:
     def check_pair(lineno: int, a: int, b: int) -> None:
         if not (0 <= a < g.n and 0 <= b < g.n):
             raise NotInGraphError(f"line {lineno}: vertex out of range")
-        if ((a, b) if a < b else (b, a)) not in pair_min:
+        if a == b or pair_index(g.n, min(a, b), max(a, b)) not in pair_min:  # (a, a) would alias another pair
             raise NotInGraphError(f"line {lineno}: ({a}, {b}) is not an edge of the graph")
 
     a_s, b_s = _columns(linenos, counts, fields, (int, int), "expected 'u v'", "non-integer endpoint", check_pair)
-    return spanning_tree(g, [pair_min[(a, b) if a < b else (b, a)] for a, b in zip(a_s, b_s)])
+    return spanning_tree(g, [pair_min[pair_index(g.n, min(a, b), max(a, b))] for a, b in zip(a_s, b_s)])
 
 
 def serialize_tree(g: Graph, t: SpanningTree, fmt: str = "indices") -> str:

@@ -26,7 +26,7 @@ import operator
 import threading
 from enum import Enum
 
-from .graph import INFINITE_WEIGHT, Graph
+from .graph import INFINITE_WEIGHT, Graph, pair_index
 
 
 class OracleModel(Enum):
@@ -96,9 +96,9 @@ class InstrumentedOracle:
             self._classical += 1
         finally:
             lock.release()
-        if a == b:
+        if a == b:  # before pair_index, for which (a, a) would alias another pair
             return INFINITE_WEIGHT
-        i = self._pair_min.get((a, b) if a < b else (b, a))
+        i = self._pair_min.get(pair_index(n, a, b) if a < b else pair_index(n, b, a))
         return INFINITE_WEIGHT if i is None else self._ws[i]
 
     def edge(self, i: int) -> tuple[int, int, float]:

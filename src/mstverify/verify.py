@@ -161,18 +161,17 @@ def _search_space(g: Graph, replaced: np.ndarray, mode: str) -> tuple[SearchSpac
 
     "edgelist" searches edge indices. "adjacency" searches the n(n-1)/2
     unordered vertex pairs, pair (a, b) with a < b at index
-    a*(2n-a-1)/2 + b-a-1. Only a pair's minimum-(w, id) edge can be
+    graph.pair_index(n, a, b). Only a pair's minimum-(w, id) edge can be
     marked: a non-edge pair has no candidate, and a heavier parallel edge
     never violates where the pair minimum does not. So the marker reads
-    replaced, the batched predicate, only at the pair-minimum edges'
-    indices.
+    replaced, the batched predicate, only at the keys of the graph's pair
+    map, which is also the index -> edge map.
     """
     marks = (replaced >= 0).tolist()
     if mode == OracleModel.EDGE_LIST.value:
         return SearchSpace(g.m, marks.__getitem__), int
-    n = g.n
-    at = {a * (2 * n - a - 1) // 2 + b - a - 1: i for (a, b), i in g.pair_min_ids().items()}
-    return SearchSpace(n * (n - 1) // 2, lambda i: marks[at[i]], sorted(at)), at.__getitem__
+    at = g.pair_min_ids()
+    return SearchSpace(g.n * (g.n - 1) // 2, lambda i: marks[at[i]], sorted(at)), at.__getitem__
 
 
 def _verify(
@@ -190,14 +189,16 @@ def _verify(
     ceil(log4(1/delta)) BBHT schedules over its search space, each of
     which misses a marked index with probability at most 1/4. Both read
     the violation predicate that one batch evaluated before, which also
-    names the tree edge the found edge replaces.
+    names the tree edge the found edge replaces. A tree sized for another
+    graph raises NotSpanningError before any charge.
     """
+    if t.in_tree.size != g.m or len(t.edge_ids) != g.n - 1:
+        raise NotSpanningError(f"tree of {len(t.edge_ids)} edges over {t.in_tree.size} edge ids is not one of {g!r}")
     c0 = oracle.classical_queries
     b = build_boruvka_tree(g, t, oracle)
     c_build = oracle.classical_queries
     replaced = _violations(g, t, b)
-    found: int | None = None
-    stats = BbhtStats()
+    found, stats = None, BbhtStats()
     if mode == "classical":
         found = _scan(g, t, replaced, oracle)
     else:

@@ -254,8 +254,10 @@ def is_violating(
 
 
 def pair_min(g: Graph, a: int, b: int) -> int | None:
-    """Id of the minimum-(w, id) edge between a and b, or None for a non-edge pair."""
-    return g.pair_min_ids().get((a, b) if a < b else (b, a))
+    """Id of the minimum-(w, id) edge between a and b, or None for a non-edge pair: a scan of every edge."""
+    ends = (min(a, b), max(a, b))
+    joining = [(w, i) for i, (u, v, w) in enumerate(zip(*g.columns)) if (u, v) == ends]
+    return min(joining)[1] if joining else None
 
 
 class KZeroError(ValueError):

@@ -328,6 +328,24 @@ class TestGenCommand:
         assert not prefix.with_suffix(".graph").exists()
 
 
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random takes some 15 ms to import, which every run of the CLI would pay;
+    # a numpy that imports it itself (numpy 1.x does) is not the package's doing
+    src = str(Path(mstverify.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = (
+        "import sys, numpy\n"
+        "by_numpy = 'numpy.random' in sys.modules\n"
+        "import mstverify.cli\n"
+        "print(by_numpy, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    by_numpy, by_cli = proc.stdout.split()
+    assert by_cli == by_numpy
+
+
 class TestOracleCommand:
     def test_triangle_mst(self, capsys, triangle_files):
         graph, _, _ = triangle_files

@@ -20,7 +20,7 @@ from mstverify import (
 from mstverify import graph
 from mstverify.boruvka import SameVertexError, build_boruvka_tree
 from mstverify.generate import perturbed_mst
-from mstverify.graph import DisconnectedError, NotInGraphError, spanning_tree
+from mstverify.graph import DisconnectedError, NotInGraphError, pair_index, spanning_tree
 
 from .conftest import adj_oracle, edge_oracle
 from .reference import direct_path_max, is_violating, nodes, pair_min, path_max
@@ -55,10 +55,16 @@ class TestColumnarGraph:
             g.w.flags.writeable = True
         assert g.u.tolist() == [0, 1, 0] and g.v.tolist() == [1, 2, 2]
 
+    @pytest.mark.parametrize("n", [2, 5, 33])
+    def test_pair_index_numbers_pairs_in_triu_order(self, n):
+        a_s, b_s = np.triu_indices(n, 1)
+        assert pair_index(n, a_s, b_s).tolist() == list(range(n * (n - 1) // 2))
+        assert [pair_index(n, a, b) for a, b in zip(a_s.tolist(), b_s.tolist())] == list(range(a_s.size))
+
     def test_pair_min_breaks_weight_ties_by_id(self):
         g = Graph(3, [(0, 1, 2.0), (1, 2, 1.0), (1, 0, 1.0), (0, 1, 1.0), (2, 1, 1.0)])
         assert pair_min(g, 1, 0) == 2 and pair_min(g, 1, 2) == 1
-        assert dict(g.pair_min_ids()) == {(0, 1): 2, (1, 2): 1}
+        assert dict(g.pair_min_ids()) == {0: 2, 2: 1}
         assert pair_min(g, 0, 2) is None
         g = load_graph("3 3\n0 1 1.0\n2 1 2.0\n0 2 3.0\n")  # the row "2 1" is stored as (1, 2)
         assert pair_min(g, 2, 1) == pair_min(g, 1, 2) == 1
@@ -126,6 +132,9 @@ class TestColumnarGraph:
             (["indices", "0", "1", "2", "3 3"], GraphError, "line 5: expected one edge index"),
             (["pairs", "0 1", "0 7", "1 x", "3 4"], NotInGraphError, "line 3: vertex out of range"),
             (["pairs", "0 1", "0 2", "1 x", "3 4"], NotInGraphError, r"line 3: \(0, 2\) is not an edge"),
+            # pair_index(n, a, a) is the index of (a - 1, n - 1): here of the non-edge (2, 4), and of the edge (3, 4)
+            (["pairs", "0 1", "3 3", "1 x", "3 4"], NotInGraphError, r"line 3: \(3, 3\) is not an edge"),
+            (["pairs", "0 1", "4 4", "1 x", "3 4"], NotInGraphError, r"line 3: \(4, 4\) is not an edge"),
             (["pairs", "0 1", "1 x", "0 2", "3 4"], GraphError, "line 3: non-integer endpoint"),
             (["pairs", "0 1", "2", "0 7", "3 4"], GraphError, "line 3: expected 'u v'"),
         ],

@@ -120,6 +120,10 @@ class TestLoadGraph:
             (0, 1, 10**400),
             (0, 1, Fraction(10**400)),
             (0, 1, Decimal("sNaN")),
+            # a sequence among numbers, which numpy cannot make one column of
+            (0, 1, [1.0]),
+            ([0], 1, 1.0),
+            (0, 1, np.array([1.0])),
         ],
     )
     @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])
@@ -127,6 +131,12 @@ class TestLoadGraph:
         # a path, then the bad row: at n = 3 a small graph, at SMALL_GRAPH_EDGES + 2 one past the small path
         with pytest.raises(ParseError, match=f"^edge {n - 1}: "):
             Graph(n, [(v - 1, v, 1.0) for v in range(1, n)] + [row])
+
+    @pytest.mark.parametrize("row", [(0, 1, [1.0]), (0, 1, [1.0, 2.0]), ([0], [1], 1.0), (0, 1, np.array([1.0]))])
+    def test_sequence_in_every_row_named(self, row):
+        # numpy makes such a column with one more axis, or more than one value per edge
+        with pytest.raises(ParseError, match="^edge 0: "):
+            Graph(2, [row])
 
     def test_fraction_and_decimal_weights_are_read_as_floats(self):
         g = Graph(3, [(0, 1, Fraction(1, 3)), (1, 2, Decimal("0.1")), (0, 2, 2)])

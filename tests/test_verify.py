@@ -19,7 +19,7 @@ from mstverify import (
 from mstverify import grover, verify
 from mstverify.boruvka import build_boruvka_tree
 from mstverify.generate import perturbed_mst
-from mstverify.graph import spanning_tree
+from mstverify.graph import NotSpanningError, spanning_tree
 from mstverify.grover import SearchSpace, bbht_cutoff
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
@@ -102,6 +102,26 @@ class TestClassicalVerify:
             violators = [i for i in range(g.m) if i not in t and ws[i] < path_max(b, us[i], vs[i]).max_weight]
             expected = min(violators, key=lambda i: (ws[i], i))
             assert verdict.witness.violating_edge_id == expected
+
+
+class TestTreeOfAnotherGraph:
+    """A tree is checked against the graph's size before any charge: it would read the other graph's ids."""
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]),  # three ids, one too many, the triangle's m
+            Graph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (0, 1, 2.0), (1, 2, 2.0)]),  # a mask of 5 edges
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["classical", "edgelist", "adjacency"])
+    def test_rejected_before_any_charge(self, other, mode):
+        g = triangle()
+        t = spanning_tree(other, range(other.n - 1))
+        oracle = adj_oracle(g) if mode == "adjacency" else edge_oracle(g)
+        with pytest.raises(NotSpanningError, match="is not one of Graph\\(n=3, m=3\\)"):
+            classical_verify(g, t, oracle) if mode == "classical" else quantum_verify(g, t, oracle)
+        assert oracle.classical_queries == oracle.quantum_queries == 0
 
 
 class TestKruskal:
