@@ -330,7 +330,7 @@ class TestGenCommand:
 
 def test_cli_import_leaves_numpy_random_unloaded():
     # numpy.random takes some 15 ms to import, which every run of the CLI would pay;
-    # a numpy that imports it itself (numpy 1.x does) is not the package's doing
+    # numpy 2.4 loads it lazily, and a numpy that imports it with itself is not the package's doing
     src = str(Path(mstverify.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
