@@ -116,6 +116,14 @@ def _finite(x) -> bool:
         return False
 
 
+def _width(row) -> int | None:
+    """len(row), or None where row has no length."""
+    try:
+        return len(row)
+    except TypeError:
+        return None
+
+
 def pair_index(n: int, a, b):
     """The index of pair a < b among the n(n-1)/2 vertex pairs in (a, b) order: ints or int64 arrays, 0 <= a < b < n."""
     return a * (2 * n - a - 1) // 2 + b - a - 1
@@ -123,9 +131,14 @@ def pair_index(n: int, a, b):
 
 def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
     """Why edge eid is invalid, or None: the per-edge checks in their reporting order."""
-    if not (_is_real(u) and _is_real(v)):
+    real = _is_real(u) and _is_real(v)
+    try:
+        in_range = real and 0 <= u < n and 0 <= v < n
+    except ArithmeticError:  # a Decimal NaN signals when compared: it is no integer
+        real = False
+    if not real:
         return ParseError(f"edge {eid}: endpoints must be integers, got ({u!r}, {v!r})")
-    if not (0 <= u < n and 0 <= v < n):
+    if not in_range:
         return ParseError(f"edge {eid}: endpoint out of range [0, {n - 1}]")
     if u == v:
         return SelfLoopError(f"edge {eid}: self-loop at vertex {u}")
@@ -211,7 +224,9 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
         error = _edge_error(eid, u, v, x, n)
         if error is not None:
             raise error
-    raise ParseError("edge endpoints must be integers")
+    # every edge is valid, yet numpy read a column as another kind: int64 with uint64 endpoints make float64
+    uv = np.array([list(map(operator.index, us)), list(map(operator.index, vs))], dtype=np.int64)
+    return uv.min(axis=0), uv.max(axis=0), np.array(list(map(float, ws)))
 
 
 # Graphs with at most this many edges are checked for connectivity by a
@@ -274,14 +289,22 @@ class Graph:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, float]]):
-        rows = list(edges)
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ParseError(f"vertex count must be an integer, got {n!r}") from None
+        try:
+            rows = list(edges)
+        except TypeError:
+            raise ParseError(f"edges must be an iterable of (u, v, w) rows, got {edges!r}") from None
         try:
             columns = tuple(zip(*rows, strict=True)) if rows else ((), (), ())
-        except ValueError:  # rows of different lengths
+        except (TypeError, ValueError):  # a row that is no sequence, or rows of different lengths
             columns = ()
         if len(columns) != 3:
-            eid, row = next((eid, row) for eid, row in enumerate(rows) if len(row) != 3)
-            raise ParseError(f"edge {eid}: expected (u, v, w), got {len(row)} values")
+            eid, row = next((eid, row) for eid, row in enumerate(rows) if _width(row) != 3)
+            got = f"{row!r}" if _width(row) is None else f"{len(row)} values"
+            raise ParseError(f"edge {eid}: expected (u, v, w), got {got}")
         self._init(n, *columns)
 
     @classmethod

@@ -24,17 +24,10 @@ import numpy as np
 
 BBHT_GROWTH = 6 / 5
 # Rounds drawn per pair of Generator calls. An unmarked schedule, which runs
-# to the cutoff, averages about 30 rounds at N <= 512, so one or two chunks
-# cover it; a marked one stops after 3 to 13 rounds and discards the rest.
+# to the cutoff, averages 32 to 44 rounds at N = 16 to 512 at delta = 0.01,
+# so two chunks cover it; a marked one stops after 3 to 13 rounds and
+# discards the rest.
 ROUND_CHUNK = 32
-
-
-def bbht_cutoff(domain_size: int) -> int:
-    """Per-schedule ceiling on cumulative Grover iterations: 9 * ceil(sqrt(N))."""
-    r = math.isqrt(domain_size)
-    if r * r < domain_size:
-        r += 1
-    return 9 * r
 
 
 class SearchSpace:
@@ -76,7 +69,7 @@ class SearchSpace:
 
 @dataclass
 class BbhtStats:
-    """Accumulated run statistics over one or more schedule rounds."""
+    """Run statistics of one schedule: its Grover iterations and its rounds."""
 
     grover_iterations: int = 0
     rounds: int = 0
@@ -84,10 +77,6 @@ class BbhtStats:
     @property
     def oracle_applications(self) -> int:
         return self.grover_iterations + self.rounds  # one check per round
-
-    def merge(self, other: "BbhtStats") -> None:
-        self.grover_iterations += other.grover_iterations
-        self.rounds += other.rounds
 
 
 def success_probability(domain_size: int, marked: int, iterations: int) -> float:
@@ -140,19 +129,74 @@ def _round_ceilings(domain_size: int) -> np.ndarray:
     return rows
 
 
-def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, BbhtStats]:
-    """Search with an unknown number of marked elements (BBHT schedule).
+# q = 6444/10000 = 1611/2500 >= 1/2 + 1/(4 sqrt 3) = 0.64434: a capped round misses with probability at most q
+MISS_BOUND = (1611, 2500)
+
+
+@lru_cache(maxsize=256)
+def bbht_cutoff(domain_size: int, delta: float) -> int:
+    """Grover iterations one schedule may spend so that it misses with probability at most delta: W + j(c - 1).
+
+    c = ceil(sqrt N) is the capped ceiling, the last of _round_ceilings(N);
+    W is the sum of ceiling - 1 over the rounds before the first round
+    whose ceiling is c, fixed per N; and j is the least integer with
+    q^j <= delta, read in integer arithmetic off delta's integer ratio,
+    so that no rounding leaves it one short. At delta = 0.01, j = 11.
+
+    Proof, over a domain of N >= 2 indices (a power of two), k >= 1 of
+    them marked, with θ = arcsin(sqrt(k/N)):
+
+    - k = N. Round 0 draws r = 0 and hits with probability 1.
+    - N = 2, k = 1. θ = π/4, so every round hits with probability 1/2
+      whatever its r. W = 0 and a round spends at most c - 1 = 1
+      iteration, so a schedule that misses has missed at least j rounds:
+      probability at most 2^-j < q^j.
+    - N >= 4, 1 <= k <= N - 1.
+      (a) k(N-k) is concave in k, so on [1, N-1] it is least at an end:
+          N - 1. Hence M = 1/sin 2θ = N / (2 sqrt(k(N-k))) <= N / (2 sqrt(N-1)),
+          and that is at most sqrt(N/3) for N >= 4.
+      (b) A capped round draws r uniform below c >= sqrt N. By BBHT 1998,
+          Lemma 2, it hits with probability 1/2 - sin(4cθ) / (4c sin 2θ)
+          >= 1/2 - M/(4c) >= 1/2 - 1/(4 sqrt 3) > 0.3556: it misses with
+          probability at most q.
+      (c) A round spends at most its ceiling less one. So the rounds before
+          the first capped round spend at most W, and before the i-th
+          capped round, i <= j, at most W + (i-1)(c-1) are spent. That
+          leaves at least c - 1 >= 1 of the cutoff: the schedule reaches
+          the round (if it has not hit) and does not clamp its draw.
+      (d) Each of those j rounds draws its r and its outcome afresh, so by
+          (b) the schedule misses all of them with probability at most
+          q^j <= delta.
+
+    The bound is far from tight: at delta = 0.01 the exact law
+    (tests/reference.py, bbht_stop_law) puts the failure below 5.3e-4 for
+    every k at N = 4 and below 1.1e-8 from N = 32 to 2^9, and the tests
+    check it against delta for every k at every N up to 2^9.
+    """
+    ceilings = _round_ceilings(domain_size).ravel()
+    c = int(ceilings[-1])
+    first = int(np.argmax(ceilings == c))
+    num, den = MISS_BOUND
+    a, b = delta.as_integer_ratio()
+    j, missed, allowed = 0, b, a  # q^j > a/b exactly when num^j * b > a * den^j
+    while missed > allowed:
+        j, missed, allowed = j + 1, missed * num, allowed * den
+    return int(ceilings[:first].sum()) - first + j * (c - 1)
+
+
+def bbht_search(space: SearchSpace, rng_seed, oracle, cutoff: int) -> tuple[int | None, BbhtStats]:
+    """Search with an unknown number of marked elements (BBHT schedule), spending at most cutoff Grover iterations.
 
     Rounds draw a random iteration count below a bound that grows by 6/5
     per round (capped at sqrt(N)); a round that hits measures a marked
     index, which its classical check confirms, so a returned index is
     always marked. The schedule stops at a hit or once cumulative Grover
-    iterations reach 9 * ceil(sqrt(N)). Every Grover iteration and every
-    check is one quantum oracle application, recorded on `oracle` when one
-    is given.
+    iterations reach the cutoff, to which the last round's draw is
+    clamped; bbht_cutoff sizes it to a failure probability. Every Grover
+    iteration and every check is one quantum oracle application, recorded
+    on `oracle` unless it is None.
     """
     rng = np.random.default_rng(rng_seed)
-    cutoff = bbht_cutoff(space.domain_size)
     rows = _round_ceilings(space.domain_size)
     iterations = rounds = 0
     found = None
@@ -171,57 +215,3 @@ def bbht_search(space: SearchSpace, rng_seed, oracle=None) -> tuple[int | None, 
     if oracle is not None:
         oracle.count_quantum_applications(stats.oracle_applications)  # r iterations + 1 check per round
     return found, stats
-
-
-def bbht_restarts(delta: float) -> int:
-    """Schedules a search runs so that all of them miss with probability at most delta: the least R with 4^-R <= delta.
-
-    That is ceil(log4(1/delta)), read off delta's binary exponent so that
-    no rounding of 1/delta or of a logarithm leaves it one short: 4^-R is
-    a power of two, so 4^-R <= delta exactly when 4^-R <= 2^(e-1), the
-    largest power of two <= delta. At delta = 0.01 it is 4.
-
-    The count rests on one bound: over a domain of N >= 2 indices (a power
-    of two), k >= 1 of them marked, one schedule misses with probability
-    at most 1/4. Schedules draw independently, so R of them all miss with
-    probability at most 4^-R <= delta. Proof, with θ = arcsin(sqrt(k/N)),
-    c = ceil(sqrt N) and the cutoff C = 9c:
-
-    - k > 3N/4. Round 0's ceiling is 1, so it draws r = 0 and hits with
-      probability sin^2 θ = k/N > 3/4.
-    - N = 2, k = 1. θ = π/4, so every round hits with probability 1/2
-      whatever its r. A round spends at most c - 1 = 1 iteration, so a
-      schedule that misses has missed at least C = 18 rounds: probability
-      at most 2^-18.
-    - N >= 4, 1 <= k <= 3N/4.
-      (a) BBHT 1998, Lemma 2: a round whose r is uniform below m hits with
-          probability 1/2 - sin(4mθ) / (4m sin 2θ), so at least 1/4 once
-          m >= M = 1/sin 2θ.
-      (b) sin 2θ = 2 sqrt(k(N-k)) / N, and k(N-k) is concave in k, so on
-          [1, 3N/4] it is least at an end: N-1 at k = 1, and
-          3N^2/16 >= N-1 at k = 3N/4 since (3N-4)(N-4) >= 0. Hence
-          M <= N / (2 sqrt(N-1)) <= sqrt(N/3) < 0.578 sqrt N.
-      (c) Round i draws below ceil(b_i), where b_0 = 1 and
-          b_(i+1) = min(6/5 b_i, sqrt N), and spends at most
-          ceil(b_i) - 1 < b_i. The bounds only grow, and those below M
-          are below sqrt N, so uncapped: a geometric series of ratio 6/5
-          whose largest term is below M. Together those first rounds
-          spend less than 6M < 3.47 sqrt N iterations.
-      (d) Every later round has ceiling >= M and spends at most c - 1.
-          Before the fifth of them fewer than 3.47 sqrt N + 4(c - 1)
-          iterations are spent, which leaves more than 1.5c of C. So the
-          schedule reaches the first five later rounds (if it has not hit)
-          and the cutoff clamps none of their draws.
-      (e) Each of those rounds draws its r and its outcome afresh, so by
-          (a) it hits with probability at least 1/4 whatever came before,
-          and the schedule misses all five with probability at most
-          (3/4)^5 = 243/1024 < 1/4.
-
-    The float ratio BBHT_GROWTH sits a hair below 6/5, which the margin of
-    6/sqrt(3) = 3.464 under 3.47 absorbs. The bound is far from tight: the
-    exact failure probability (tests/reference.py, bbht_stop_law) is below
-    1.1e-5 for every k at every N up to 2^9, and the tests confirm it
-    against 1/4 there and for a few k at N = 1024 and 4096.
-    """
-    _, e = math.frexp(delta)  # delta = f * 2^e with 1/2 <= f < 1
-    return (2 - e) // 2

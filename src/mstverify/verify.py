@@ -20,7 +20,7 @@ import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree
 from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, spanning_tree
-from .grover import BbhtStats, SearchSpace, bbht_restarts, bbht_search
+from .grover import BbhtStats, SearchSpace, bbht_cutoff, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
 DEFAULT_DELTA = 0.01
@@ -69,10 +69,11 @@ class QueryReport:
 def validate_search_settings(delta: float) -> None:
     """Raise ValueError unless delta is in (0, 0.5) and 1/delta is a finite float.
 
-    A search runs bbht_restarts(delta) = ceil(log4(1/delta)) schedules: 4
-    at the default 0.01, 1 for any delta >= 1/4, and at most 512 over the
-    accepted range. Below about 5.6e-309 (subnormal deltas) 1/delta
-    overflows to inf, and such a delta is rejected.
+    A search runs one schedule, cut off at bbht_cutoff(N, delta) Grover
+    iterations, which leaves room for j capped rounds, j growing with
+    log(1/delta): 11 at the default 0.01, 2 near 0.5 and 1,616 at the
+    smallest accepted delta. Below about 5.6e-309 (subnormal deltas)
+    1/delta overflows to inf, and such a delta is rejected.
     """
     if not (0.0 < delta < 0.5):
         raise ValueError(f"delta must be in (0, 0.5), got {delta}")
@@ -185,9 +186,9 @@ def _verify(
     """Build the Boruvka tree, find a violating edge, certify it, report the cost.
 
     Mode "classical" scans the candidates in (w, id) order, charging one
-    weight query each; a quantum mode runs up to bbht_restarts(delta) =
-    ceil(log4(1/delta)) BBHT schedules over its search space, each of
-    which misses a marked index with probability at most 1/4. Both read
+    weight query each; a quantum mode runs one BBHT schedule over its
+    search space, cut off at bbht_cutoff(N, delta) Grover iterations, so
+    that it misses a marked index with probability at most delta. Both read
     the violation predicate that one batch evaluated before, which also
     names the tree edge the found edge replaces. A tree sized for another
     graph raises NotSpanningError before any charge.
@@ -204,13 +205,9 @@ def _verify(
     else:
         space, edge_of = _search_space(g, replaced, mode)
         if space.logical_size > 0:
-            rng = np.random.default_rng(rng_seed)
-            for _ in range(bbht_restarts(delta)):
-                index, run = bbht_search(space, rng, oracle)
-                stats.merge(run)
-                if index is not None:
-                    found = edge_of(index)
-                    break
+            index, stats = bbht_search(space, rng_seed, oracle, bbht_cutoff(space.domain_size, float(delta)))
+            if index is not None:
+                found = edge_of(index)
     verdict = Verdict(minimal=True)
     if found is not None:
         witness = Witness(found, int(replaced[found]))
@@ -252,14 +249,15 @@ def quantum_verify(
 
     The Boruvka tree is built classically (n-1 weight queries); the
     violation predicate then needs no further classical queries, so the
-    search runs the unknown-count schedule with ceil(log4(1/delta))
-    restarts (4 at the default delta). One schedule misses with
-    probability at most 1/4 (proved at grover.bbht_restarts), so a Minimal
-    verdict is wrong with probability at most delta. Every schedule of a
-    Minimal verdict ran to its cutoff, so over a domain of N indices it
-    costs ceil(log4(1/delta)) * 9 * ceil(sqrt N) Grover iterations. A
-    found index is certified before it is reported, making false
-    NotMinimal verdicts impossible.
+    search runs one unknown-count schedule, cut off at
+    grover.bbht_cutoff(N, delta) Grover iterations over a domain of N
+    indices, which misses with probability at most delta (proved there),
+    so a Minimal verdict is wrong with probability at most delta. The
+    schedule of a Minimal verdict ran to its cutoff, so it costs exactly
+    bbht_cutoff(N, delta) Grover iterations: 10.5 to 16.6 ceil(sqrt N)
+    at the default delta, for N from 16 to 2^17. A found index is
+    certified before it is reported, making false NotMinimal verdicts
+    impossible.
 
     mode selects the search domain: "edgelist" (over edge indices,
     O(sqrt(m)) applications) or "adjacency" (over vertex pairs, O(n)

@@ -43,7 +43,7 @@ import numpy as np
 
 from mstverify.boruvka import BoruvkaTree, SameVertexError
 from mstverify.graph import Graph, NotInGraphError, NotSpanningError, SpanningTree, UnionFind, spanning_tree
-from mstverify.grover import BBHT_GROWTH, ROUND_CHUNK, BbhtStats, SearchSpace, bbht_cutoff, success_probability
+from mstverify.grover import BBHT_GROWTH, ROUND_CHUNK, BbhtStats, SearchSpace, success_probability
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness
 
@@ -371,12 +371,11 @@ def rejection_round(space: SearchSpace, iterations: int, rng: np.random.Generato
     return int(unmarked[rng.integers(unmarked.size)])
 
 
-def loop_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtStats]:
+def loop_bbht_search(space: SearchSpace, rng_seed, cutoff: int) -> tuple[int | None, BbhtStats]:
     """The BBHT schedule one round at a time: an iteration count, a measured index and its check per round."""
     rng = np.random.default_rng(rng_seed)
     n = space.domain_size
     mask = marked_mask(space)
-    cutoff = bbht_cutoff(n)
     stats = BbhtStats()
     bound = 1.0
     while stats.grover_iterations < cutoff:
@@ -419,10 +418,9 @@ def _chunked_round(space: SearchSpace, iterations: int, uniform: float, rng: np.
     return None
 
 
-def chunked_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtStats]:
+def chunked_bbht_search(space: SearchSpace, rng_seed, cutoff: int) -> tuple[int | None, BbhtStats]:
     """The chunked BBHT schedule with a generator of rounds and counters on BbhtStats, round by round."""
     rng = np.random.default_rng(rng_seed)
-    cutoff = bbht_cutoff(space.domain_size)
     stats = BbhtStats()
     found = None
     for r, uniform in _chunked_rounds(space.domain_size, rng):
@@ -435,8 +433,8 @@ def chunked_bbht_search(space: SearchSpace, rng_seed) -> tuple[int | None, BbhtS
     return found, stats
 
 
-def bbht_stop_law(domain_size: int, marked: int, tail: float = 1e-15) -> tuple[float, np.ndarray]:
-    """Exact failure probability of one BBHT schedule and the law of its stop round.
+def bbht_stop_law(domain_size: int, marked, cutoff: int, tail: float = 1e-15) -> tuple:
+    """Exact failure probability of one BBHT schedule and the law of its stop round, for one marked count or many.
 
     Round i draws r uniform below ceil(bound_i), clamped at the iterations
     the cutoff leaves, and hits with probability sin^2((2r+1)θ); the
@@ -446,31 +444,32 @@ def bbht_stop_law(domain_size: int, marked: int, tail: float = 1e-15) -> tuple[f
     Rounds are followed until less than `tail` of the mass still runs;
     that remainder is counted as failure, so P_fail is an upper bound
     tight to `tail`. Returns (P_fail, stop) with stop[j] the probability
-    that the schedule stops after exactly j rounds (stop[0] = 0).
+    that the schedule stops after exactly j rounds (stop[0] = 0). Given an
+    array of marked counts, every count's law is followed at once, and
+    P_fail and stop gain a leading axis, one row per count.
     """
-    cutoff = bbht_cutoff(domain_size)
+    ks = np.atleast_1d(np.asarray(marked, dtype=np.float64))
     cap = math.sqrt(domain_size)
-    s = np.arange(cutoff)
-    theta = math.asin(math.sqrt(marked / domain_size))
-    # hit[r][s]: a round drawing r after s iterations runs min(r, cutoff - s) of them
-    hit = [np.sin((2 * np.minimum(r, cutoff - s) + 1) * theta) ** 2 for r in range(math.ceil(cap))]
-    running = np.zeros(cutoff)  # mass per iterations used so far, before the next round
-    running[0] = 1.0
-    stop = [0.0]
-    fail = 0.0
+    theta = np.arcsin(np.sqrt(ks / domain_size))[:, None]
+    # miss[:, r]: a round running r iterations misses
+    miss = 1.0 - np.sin((2 * np.arange(math.ceil(cap)) + 1) * theta) ** 2
+    running = np.zeros((ks.size, cutoff))  # mass per count and iterations used so far, before the next round
+    running[:, 0] = 1.0
+    stop = [np.zeros(ks.size)]
+    fail = np.zeros(ks.size)
     bound = 1.0
-    while running.sum() >= tail:
+    while running.sum(axis=1).max() >= tail:
         high = math.ceil(bound)
         share = running / high
-        after = np.zeros(cutoff)
-        stopped = 0.0
-        for r in range(high):
-            miss = share * (1.0 - hit[r])
-            ended = float(miss[cutoff - r :].sum()) if r else 0.0  # these reach the cutoff
-            stopped += float((share * hit[r]).sum()) + ended
-            fail += ended
-            after[r:] += miss[: cutoff - r]
-        stop.append(stopped)
+        after = np.zeros_like(running)
+        for r in range(high):  # a draw of r after s < cutoff - r iterations runs all r of them, and on a miss runs on
+            after[:, r:] += share[:, : cutoff - r] * miss[:, r : r + 1]
+        # after s >= cutoff - r iterations a draw of r runs t = cutoff - s of them, and a miss ends at the cutoff:
+        # each t in 1..high-1 is run by the high - t draws r >= t
+        t = np.arange(1, high)
+        fail += (share[:, cutoff - t] * (high - t) * miss[:, t]).sum(axis=1)
+        stop.append(running.sum(axis=1) - after.sum(axis=1))
         running = after
         bound = min(bound * BBHT_GROWTH, cap)
-    return fail + float(running.sum()), np.array(stop)
+    p_fail, stop = fail + running.sum(axis=1), np.stack(stop, axis=1)
+    return (p_fail, stop) if np.ndim(marked) else (float(p_fail[0]), stop[0])

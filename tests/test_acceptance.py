@@ -42,7 +42,6 @@ from .reference import (
 )
 
 DELTA = 0.01
-RESTARTS = math.ceil(math.log2(1 / DELTA) / 2)  # ceil(log4(1/delta))
 DYADIC = [k / 256 for k in range(1, 513)]  # exact float sums
 REPORT_PATH = Path(__file__).resolve().parent.parent / "build" / "scaling_report.json"
 
@@ -296,7 +295,7 @@ def test_criterion_6_quantum_agreement():
 
         domain = SearchSpace(g.m, lambda _: False).domain_size
         assert report.classical_weight_queries == n - 1
-        assert report.grover_iterations <= RESTARTS * bbht_cutoff(domain)
+        assert report.grover_iterations <= bbht_cutoff(domain, DELTA)
         assert report.quantum_oracle_applications == o.quantum_queries
         assert report.quantum_oracle_applications >= report.grover_iterations
 

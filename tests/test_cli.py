@@ -107,14 +107,15 @@ class TestVerifyCommand:
         with pytest.raises(ValueError, match="1/delta overflows"):
             validate_search_settings(float(delta))
 
-    @pytest.mark.parametrize("delta,restarts", [(1e-308, 512), (2.0**-1022, 511), (0.01, 4), (0.49, 1)])
-    def test_accepted_deltas_keep_their_restart_count(self, monkeypatch, delta, restarts):
+    @pytest.mark.parametrize("delta,capped", [(1e-308, 1614), (2.0**-1022, 1613), (0.01, 11), (0.49, 2)])
+    def test_accepted_deltas_run_one_search_to_its_cutoff(self, monkeypatch, delta, capped):
+        """One schedule per verify at both ends of the accepted range; over N = 4 edge indices the cutoff is j rounds of 1."""
         searches = []
         search = verify.bbht_search
-        monkeypatch.setattr(verify, "bbht_search", lambda *a: searches.append(1) or search(*a))
+        monkeypatch.setattr(verify, "bbht_search", lambda *a: searches.append(a[3]) or search(*a))
         g = Graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
-        verdict, _ = quantum_verify(g, spanning_tree(g, (0, 1)), InstrumentedOracle(g, OracleModel.EDGE_LIST), delta=delta)
-        assert verdict.minimal and len(searches) == restarts
+        verdict, report = quantum_verify(g, spanning_tree(g, (0, 1)), InstrumentedOracle(g, OracleModel.EDGE_LIST), delta=delta)
+        assert verdict.minimal and searches == [capped] and report.grover_iterations == capped
 
     @pytest.mark.parametrize("mode", ["classical", "edgelist", "adjacency"])
     @pytest.mark.parametrize("seed", [-1, -(2**63), 2**64])

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import pickle
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -159,6 +160,40 @@ class TestLoadGraph:
     def test_row_that_is_not_a_triple_named(self, rows, message):
         with pytest.raises(ParseError, match=message):
             Graph(3, rows)
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([5], "^edge 0: expected \\(u, v, w\\), got 5$"),
+            ([(0, 1, 1.0), None], "^edge 1: expected \\(u, v, w\\), got None$"),
+            (None, "^edges must be an iterable of \\(u, v, w\\) rows, got None$"),
+        ],
+    )
+    def test_row_or_edge_list_that_is_no_sequence_named(self, edges, message):
+        with pytest.raises(ParseError, match=message):
+            Graph(2, edges)
+
+    @pytest.mark.parametrize("n", [2.0, 3.5, "3", None, np.float64(3)])
+    def test_vertex_count_that_is_not_an_integer_named(self, n):
+        with pytest.raises(ParseError, match=f"^vertex count must be an integer, got {re.escape(repr(n))}$"):
+            Graph(n, [(0, 1, 1.0), (1, 2, 1.0)])
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.uint8(3)])
+    def test_vertex_count_of_an_integer_type_is_read_as_int(self, n):
+        g = Graph(n, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert type(g.n) is int and g.n == 3
+
+    @pytest.mark.parametrize("endpoint", [Decimal("NaN"), Decimal("sNaN")])
+    @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])
+    def test_decimal_nan_endpoint_named(self, endpoint, n):
+        # as a float endpoint is: Decimal NaNs signal when compared with the range
+        with pytest.raises(ParseError, match=f"^edge {n - 1}: endpoints must be integers"):
+            Graph(n, [(v - 1, v, 1.0) for v in range(1, n)] + [(0, endpoint, 1.0)])
+
+    def test_int64_beside_uint64_endpoints_build(self):
+        # numpy reads the two kinds together as float64, so only the edge-by-edge walk finds every edge valid
+        g = Graph(3, [(np.uint64(0), np.int64(1), 1.0), (np.int64(2), np.uint64(1), 2.0)])
+        assert (g.u.dtype, g.u.tolist(), g.v.tolist(), g.w.tolist()) == (np.int64, [0, 1], [1, 2], [1.0, 2.0])
 
 
 # few distinct weights, -0.0 beside 0.0, and values each check rejects

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from mstverify.grover import (
     SearchSpace,
     _closed_form_round,
     _round_ceilings,
+    MISS_BOUND,
     bbht_cutoff,
-    bbht_restarts,
     bbht_search,
     success_probability,
 )
@@ -31,9 +32,18 @@ from .reference import (
 )
 
 
+DELTA = 0.01
+Q = Fraction(*MISS_BOUND)
+
+
 def space(logical, marked):
     marked = set(marked)
     return SearchSpace(logical, lambda i: i in marked)
+
+
+def search(s, rng_seed, oracle=None):
+    """One schedule at the default delta's cutoff."""
+    return bbht_search(s, rng_seed, oracle, bbht_cutoff(s.domain_size, DELTA))
 
 
 def within_binomial(counts, trials, p) -> bool:
@@ -159,49 +169,43 @@ class TestBbht:
     def test_everything_marked_ends_in_first_round(self):
         s = space(8, range(8))
         for seed in range(10):
-            found, stats = bbht_search(s, seed)
+            found, stats = search(s, seed)
             assert found is not None and found in s.marked_indices()
             assert stats.oracle_applications <= 2
 
     def test_nothing_marked_respects_cutoff(self):
         s = space(64, [])
-        found, stats = bbht_search(s, 5)
+        found, stats = search(s, 5)
         assert found is None
-        assert stats.grover_iterations <= bbht_cutoff(64)
+        assert stats.grover_iterations == bbht_cutoff(64, DELTA)
         assert stats.oracle_applications == stats.grover_iterations + stats.rounds
 
     def test_counts_applications_on_oracle(self):
         s = space(16, [9])
         o = edge_oracle(triangle())
-        found, stats = bbht_search(s, 3, o)
+        found, stats = search(s, 3, o)
         assert found == 9
         assert o.quantum_queries == stats.oracle_applications
         assert o.classical_queries == 0
 
     def test_deterministic_per_seed(self):
         s = space(64, [5, 9])
-        assert bbht_search(s, 11) == bbht_search(s, 11)
+        assert search(s, 11) == search(s, 11)
 
     def test_success_rate_and_cost_with_known_density(self):
         # N=64, k=4: analytic mean cost is sqrt(N/k) = 4 iterations; allow 3x
-        # for the schedule overhead, and demand >= 95% success within one
-        # restart of the schedule.
+        # for the schedule overhead, and demand >= 99% success of one schedule.
         s = space(64, [7, 21, 40, 61])
         hits = 0
         applications = []
         trials = 2000
         for seed in range(trials):
-            rng = np.random.default_rng(seed)
-            found, stats = bbht_search(s, rng)
-            total = stats.oracle_applications
-            if found is None:
-                found, stats2 = bbht_search(s, rng)
-                total += stats2.oracle_applications
+            found, stats = search(s, seed)
             if found is not None:
                 assert found in s.marked_indices()
                 hits += 1
-            applications.append(total)
-        assert hits / trials >= 0.95
+            applications.append(stats.oracle_applications)
+        assert hits / trials >= 1 - DELTA
         assert sum(applications) / trials <= 3 * math.sqrt(64 / 4)
 
 
@@ -284,8 +288,9 @@ class TestScheduleAgainstReference:
         """Hit rate, mean rounds and mean iterations of the chunked schedule and the loop agree within 5 standard errors."""
         s = space(logical, marked)
         schedules = 2000
-        ours = [bbht_search(s, seed) for seed in range(schedules)]
-        loop = [loop_bbht_search(s, schedules + seed) for seed in range(schedules)]
+        cutoff = bbht_cutoff(s.domain_size, DELTA)
+        ours = [search(s, seed) for seed in range(schedules)]
+        loop = [loop_bbht_search(s, schedules + seed, cutoff) for seed in range(schedules)]
         for stat in (
             lambda found, stats: found is not None,
             lambda found, stats: stats.rounds,
@@ -296,40 +301,42 @@ class TestScheduleAgainstReference:
             assert abs(mean_a - mean_b) <= 5 * math.hypot(se_a, se_b) + 1e-12, (mean_a, mean_b)
         assert all(found is None or found in s.marked_indices() for found, _ in ours)
 
-    @pytest.mark.parametrize("n", [2**e for e in range(1, 10)])
-    def test_one_schedule_fails_with_probability_at_most_one_quarter(self, n):
-        """The premise of ceil(log4(1/delta)) restarts, exactly, for every marked count k >= 1.
+    @pytest.mark.parametrize("delta", [0.49, 0.26, 0.25, DELTA, 1e-6])
+    def test_one_schedule_fails_with_probability_at_most_delta(self, delta):
+        """The cutoff's guarantee, exactly, for every marked count k >= 1 at every N up to 2^9.
 
         2^9 is the largest domain a 32-vertex adjacency search has.
         """
-        for k in range(1, n + 1):
-            p_fail, stop = bbht_stop_law(n, k)
-            assert p_fail <= 0.25, (n, k, p_fail)
-            assert stop.sum() == pytest.approx(1.0, abs=1e-12)
+        for n in [2**e for e in range(1, 10)]:
+            p_fail, stop = bbht_stop_law(n, np.arange(1, n + 1), bbht_cutoff(n, delta))
+            assert (p_fail <= delta).all(), (n, int(p_fail.argmax()) + 1, p_fail.max())
+            assert stop.sum(axis=1) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n,k", [(1024, 1), (1024, 5), (4096, 1), (4096, 3)])
-    def test_one_schedule_fails_with_probability_at_most_one_quarter_at_larger_domains(self, n, k):
-        p_fail, _ = bbht_stop_law(n, k)
-        assert p_fail <= 0.25, (n, k, p_fail)
+    def test_one_schedule_fails_with_probability_at_most_delta_at_larger_domains(self, n, k):
+        p_fail, _ = bbht_stop_law(n, k, bbht_cutoff(n, DELTA))
+        assert p_fail <= DELTA, (n, k, p_fail)
 
-    @pytest.mark.parametrize("n", [2**e for e in range(2, 41)])
-    def test_five_rounds_past_the_lemma_bound_run_unclamped(self, n):
-        """Steps (c) and (d) of the 1/4 bound's proof, on the schedule's own ceilings.
+    @pytest.mark.parametrize("n", [2**e for e in range(1, 41)])
+    def test_capped_rounds_of_the_bound_run_unclamped(self, n):
+        """Steps (c) and (d) of the cutoff's proof, on the schedule's own ceilings.
 
-        For every k <= 3N/4, BBHT's Lemma 2 gives a round a hit chance of at
-        least 1/4 once its ceiling reaches M = 1/sin 2θ <= N / (2 sqrt(N-1)).
-        The rounds below that spend at most their ceilings less one, and so
-        do the next five, which must all fit under the cutoff.
+        The ceilings never fall, the last is c = ceil(sqrt N) (so a capped
+        round hits with the Lemma 2 bound), and every round up to the j-th
+        whose ceiling is c, each spending at most its ceiling less one,
+        fits under the cutoff, at deltas from 0.49 to 1e-308. j is
+        bbht_cutoff(4, delta), as TestCappedRounds checks.
         """
-        m = n / (2 * math.sqrt(n - 1))
         ceilings = _round_ceilings(n).ravel().tolist()
-        first = next(i for i, c in enumerate(ceilings) if c >= m)
-        assert all(a <= b for a, b in zip(ceilings, ceilings[1:]))
-        spent = sum(c - 1 for c in ceilings[: first + 5])
-        assert spent <= bbht_cutoff(n), (n, first, spent)
+        c = math.isqrt(n - 1) + 1
+        assert all(a <= b for a, b in zip(ceilings, ceilings[1:])) and ceilings[-1] == c
+        first = ceilings.index(c)
+        for delta in (0.49, 0.25, DELTA, 1e-308):
+            spent = sum(x - 1 for x in ceilings[:first]) + bbht_cutoff(4, delta) * (c - 1)
+            assert spent == bbht_cutoff(n, delta), (n, delta, first, spent)
 
     def test_nothing_marked_always_fails(self):
-        p_fail, _ = bbht_stop_law(64, 0)
+        p_fail, _ = bbht_stop_law(64, 0, bbht_cutoff(64, DELTA))
         assert p_fail == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("logical,marked", [(8, []), (64, [7, 21, 40, 61])])
@@ -340,9 +347,9 @@ class TestScheduleAgainstReference:
         so no bin's bound rests on a near-zero probability.
         """
         s = space(logical, marked)
-        p_fail, stop = bbht_stop_law(s.domain_size, s.marked_count)
+        p_fail, stop = bbht_stop_law(s.domain_size, s.marked_count, bbht_cutoff(s.domain_size, DELTA))
         schedules = 4000
-        runs = [bbht_search(s, seed) for seed in range(schedules)]
+        runs = [search(s, seed) for seed in range(schedules)]
         rounds = np.bincount([stats.rounds for _, stats in runs], minlength=stop.size)
         assert rounds.size == stop.size  # no schedule outlasts the law's rounds
         common = schedules * stop >= 5
@@ -359,28 +366,37 @@ class TestRandomStream:
     def test_draws_and_reports_equal_the_generator_schedule(self, logical, marked):
         """Seven schedules on one shared Generator: same index and BbhtStats per schedule, same Generator state after.
 
-        The last case (N = 2^17, cutoff 3267) runs about 45 rounds, past one
+        The last case (N = 2^17, cutoff 6011) runs 53 to 70 rounds, past one
         chunk and into rounds capped at sqrt(N).
         """
         s = space(logical, marked)
+        cutoff = bbht_cutoff(s.domain_size, DELTA)
         for seed in range(40):
             ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(7):
-                assert bbht_search(s, ours) == chunked_bbht_search(s, theirs), (logical, seed)
+                assert search(s, ours) == chunked_bbht_search(s, theirs, cutoff), (logical, seed)
             assert ours.bit_generator.state == theirs.bit_generator.state, (logical, seed)
 
 
-class TestRestarts:
-    FOURTHS = [4.0**-j for j in range(1, 11)]
+class TestCappedRounds:
+    POWERS = [float(Q**i) for i in range(2, 40)]
+
+    def test_miss_bound_covers_lemma_two(self):
+        """q >= 1/2 + 1/(4 sqrt 3), exactly: (4(q - 1/2))^2 * 3 >= 1."""
+        assert (4 * (Q - Fraction(1, 2))) ** 2 * 3 >= 1
+        assert Q == Fraction(6444, 10000)
 
     @pytest.mark.parametrize(
         "delta",
-        [1e-308, 2.0**-1022, 0.01, 0.49]
-        + [d for q in FOURTHS for d in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0))],
+        [1e-308, 2.0**-1022, 0.01, 0.49, 0.25, 0.26]
+        + [d for q in POWERS for d in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0))],
     )
     def test_count_is_the_least_whose_misses_fit_in_delta(self, delta):
-        """R schedules, each missing with probability at most 1/4, miss together with probability <= delta; R - 1 might not."""
-        restarts = bbht_restarts(delta)
-        assert restarts >= 1
-        assert 0.25**restarts <= delta
-        assert 0.25 ** (restarts - 1) > delta
+        """j capped rounds, each missing with probability at most q, miss together with probability <= delta; j - 1 might not.
+
+        At N = 4 the ceilings are 1, 2, 2, ..., so W = 0, c - 1 = 1 and the cutoff is j.
+        """
+        j = bbht_cutoff(4, delta)
+        assert j >= 2
+        assert Q**j <= Fraction(delta)
+        assert Q ** (j - 1) > Fraction(delta)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from mstverify import kruskal_mst, load_graph, load_tree
 from mstverify.cli import main
-from mstverify.grover import SearchSpace, bbht_cutoff, bbht_restarts
+from mstverify.grover import SearchSpace, bbht_cutoff
 from mstverify.verify import DEFAULT_DELTA, Witness, improve
 
 FIXTURE = Path(__file__).parent / "data" / "reports_golden.json"
@@ -66,8 +66,8 @@ def test_reports_hold_ground_truth():
 
     Classical reports are pinned by digest. Each quantum report matches
     Kruskal's verdict, its witness certifies, the build costs n-1 classical
-    queries and the iterations stay within the restarts' cutoffs, which a
-    minimal verdict's schedules all reach.
+    queries and the iterations stay within the schedule's cutoff, which a
+    minimal verdict's schedule reaches.
     """
     golden = _load()
     instances = golden["instances"]
@@ -88,11 +88,10 @@ def test_reports_hold_ground_truth():
             assert list(improve(g, t, witness).edge_ids) == doc["improved_tree_indices"], run
         assert doc["queries"]["classical"] == g.n - 1, run
         logical = g.m if mode == "edgelist" else g.n * (g.n - 1) // 2
-        restarts = bbht_restarts(float(_flag(run["args"], "--delta", DEFAULT_DELTA)))
         domain = SearchSpace(logical, lambda i: False).domain_size
-        budget = restarts * bbht_cutoff(domain)
+        budget = bbht_cutoff(domain, float(_flag(run["args"], "--delta", DEFAULT_DELTA)))
         assert doc["queries"]["grover_iterations"] <= budget, run
-        if minimal:  # every schedule ran to its cutoff
+        if minimal:  # the schedule ran to its cutoff
             assert doc["queries"]["grover_iterations"] == budget, run
     digest = hashlib.sha256(json.dumps(classical, sort_keys=True).encode()).hexdigest()
     assert (len(classical), digest) == (48, CLASSICAL_RUNS_SHA256)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,7 @@ from mstverify.verify import InvalidWitnessError, Witness, improve
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle, whole_tree
 from .reference import chunked_bbht_search, direct_path_max, is_violating, pair_min, path_max
 
-RESTARTS = math.ceil(math.log2(1 / 0.01) / 2)  # ceil(log4(1/delta)) at the default delta
+DELTA = verify.DEFAULT_DELTA
 
 
 class TestIsViolating:
@@ -226,13 +224,13 @@ class TestQuantumVerify:
         t = kruskal_mst(g)
         verdict, report = quantum_verify(g, t, edge_oracle(g), "edgelist", 9)
         assert verdict.minimal
-        # k = 0: nothing can ever certify, every schedule runs to its cutoff
+        # k = 0: nothing can ever certify, the schedule runs to its cutoff
         domain = SearchSpace(g.m, lambda i: False).domain_size
-        assert report.grover_iterations == RESTARTS * bbht_cutoff(domain)
+        assert report.grover_iterations == bbht_cutoff(domain, DELTA)
 
     @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
     def test_minimal_verdict_reports_the_first_schedules_of_its_stream(self, rng, mode):
-        """At the default delta a minimal verdict reports the summed BbhtStats of the first RESTARTS schedules on default_rng(seed)."""
+        """At the default delta a minimal verdict reports the BbhtStats of the first schedule on default_rng(seed)."""
         g = random_connected_graph(12, 30, rng)
         t = kruskal_mst(g)
         logical = g.m if mode == "edgelist" else g.n * (g.n - 1) // 2
@@ -240,11 +238,10 @@ class TestQuantumVerify:
         for seed in (0, 1, 7, 2**63):
             oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
             verdict, report = quantum_verify(g, t, oracle, mode, seed)
-            stream = np.random.default_rng(seed)
-            schedules = [chunked_bbht_search(unmarked, stream)[1] for _ in range(RESTARTS)]
+            _, schedule = chunked_bbht_search(unmarked, seed, bbht_cutoff(unmarked.domain_size, DELTA))
             assert verdict.minimal
-            assert report.grover_iterations == sum(s.grover_iterations for s in schedules)
-            assert report.quantum_oracle_applications == sum(s.oracle_applications for s in schedules)
+            assert report.grover_iterations == schedule.grover_iterations == bbht_cutoff(unmarked.domain_size, DELTA)
+            assert report.quantum_oracle_applications == schedule.oracle_applications
 
     def test_adjacency_mode_agrees(self, rng):
         for seed in range(6):
@@ -266,7 +263,7 @@ class TestQuantumVerify:
             verdict, report = quantum_verify(g, t, o, "edgelist", seed)
             domain = SearchSpace(g.m, lambda i: False).domain_size
             assert report.classical_weight_queries == n - 1
-            assert report.grover_iterations <= RESTARTS * bbht_cutoff(domain)
+            assert report.grover_iterations <= bbht_cutoff(domain, DELTA)
             assert report.quantum_oracle_applications == o.quantum_queries
 
     def test_adjacency_budget_linear_in_n(self, rng):
@@ -276,10 +273,11 @@ class TestQuantumVerify:
         assert verdict.minimal
         pairs = g.n * (g.n - 1) // 2
         domain = SearchSpace(pairs, lambda i: False).domain_size
-        budget = RESTARTS * bbht_cutoff(domain)
-        assert report.grover_iterations <= budget
-        # O(n): domain <= n^2 so the budget is <= 9 * restarts * n plus slack
-        assert budget <= 9 * RESTARTS * (g.n + 1)
+        budget = bbht_cutoff(domain, DELTA)
+        assert report.grover_iterations == budget
+        # O(n): domain < n^2, so c = ceil(sqrt N) <= n, and the cutoff is below
+        # 6c for the rounds before the cap plus 11(c - 1) for the capped ones
+        assert budget <= 17 * g.n
 
     def test_analytic_mode_same_verdict_and_flag(self, rng):
         g = random_connected_graph(16, 40, rng)
