@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 import math
 import operator
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence, Sized
 from dataclasses import dataclass, field
 from itertools import compress
 from numbers import Complex, Integral, Number, Real
@@ -114,14 +114,6 @@ def _finite(x) -> bool:
         return math.isfinite(x)
     except (OverflowError, ValueError):
         return False
-
-
-def _width(row) -> int | None:
-    """len(row), or None where row has no length."""
-    try:
-        return len(row)
-    except TypeError:
-        return None
 
 
 def pair_index(n: int, a, b):
@@ -302,8 +294,8 @@ class Graph:
         except (TypeError, ValueError):  # a row that is no sequence, or rows of different lengths
             columns = ()
         if len(columns) != 3:
-            eid, row = next((eid, row) for eid, row in enumerate(rows) if _width(row) != 3)
-            got = f"{row!r}" if _width(row) is None else f"{len(row)} values"
+            eid, row = next((eid, row) for eid, row in enumerate(rows) if not (isinstance(row, Sized) and len(row) == 3))
+            got = f"{len(row)} values" if isinstance(row, Sized) else repr(row)
             raise ParseError(f"edge {eid}: expected (u, v, w), got {got}")
         self._init(n, *columns)
 
