@@ -196,7 +196,8 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
     column does not hold one number of its kind per edge (integers for the
     endpoints; reals with a finite float value for the weights, so no
     string is parsed, and no sequence), they are walked one by one to
-    raise the first invalid edge's error.
+    raise the first invalid edge's error. Valid edges that numpy read as
+    another kind are then made into columns from their Python values.
     """
     try:
         uv, w = np.asarray((us, vs)), np.asarray(ws)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -299,6 +301,15 @@ class TestQuantumVerify:
         g = triangle()
         with pytest.raises(ValueError):
             quantum_verify(g, spanning_tree(g, (0, 1)), edge_oracle(g), "edgelist", 0, delta=0.7)
+
+    @pytest.mark.parametrize("delta", [np.float64(0.01), np.array(0.01), Fraction(1, 100)])
+    def test_delta_of_another_real_type_reports_as_its_float(self, rng, delta):
+        # the cutoff is cached per (N, delta), so a delta that cannot be hashed is read as its float
+        g = random_connected_graph(12, 30, rng)
+        t = kruskal_mst(g)
+        _, expected = quantum_verify(g, t, edge_oracle(g), "edgelist", 3)
+        _, report = quantum_verify(g, t, edge_oracle(g), "edgelist", 3, delta=delta)
+        assert report == expected
 
     def test_single_vertex_graph(self):
         g = Graph(1, [])
