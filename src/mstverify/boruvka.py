@@ -11,11 +11,13 @@ lock-step, O(log n) array gathers and zero oracle calls. The build takes
 the tree edges in (w, id) order from the graph's order column, and each
 node keeps the rank of its branch in that order, so neither the build
 nor a climb sorts, and a climb compares integers. A phase finds the
-components by following the picks, one algorithm in two forms: on arrays
-for trees above SMALL_TREE_VERTICES and on Python lists for smaller
-ones, where numpy's per-call cost would dominate. The batch also names each path's maximum edge, which is the
-tree edge a violating edge replaces, so certification needs no walk of
-T.
+components of the picked edges in one of two forms: on arrays by pointer
+jumping, for trees above SMALL_TREE_VERTICES, and on Python lists by a
+union-find, for smaller ones, where numpy's per-call cost would
+dominate. Both give the same arrays (tests/test_tree_arrays.py,
+test_array_phases_equal_python_phases). The batch also names each path's
+maximum edge, which is the tree edge a violating edge replaces, so
+certification needs no walk of T.
 """
 
 from __future__ import annotations
@@ -101,14 +103,14 @@ class BoruvkaTree:
 # Trees on at most this many vertices run the Boruvka phases on Python
 # lists, larger ones on arrays: an array phase costs some 25 numpy calls
 # however few aggregates it has, more than a whole Python build of a small
-# tree. Measured with the tree edges picked out of g.order as the build
-# picks them, weights k/2^20, as the median over 40 random trees of the
-# fastest of 100 builds (2-vCPU VM under load, Python 3.11, numpy 2.4):
-# n=64 114 us Python against 174 us arrays, n=96 180 against 195 us,
-# n=128 227 against 230 us, n=160 270 against 242 us. The crossover fell
-# between 112 and 160 in three runs, and near it the two forms are within
-# a few percent of each other. At n=20000, 56 against 5.3 ms.
-SMALL_TREE_VERTICES = 100
+# tree. Measured on the two phase functions alone, given the tree edges'
+# end columns in (w, id) order, weights k/2^20, as the median over 40
+# random trees of the fastest of 5 x 20 calls (2-vCPU VM, Python 3.11,
+# numpy 2.4): n=64 44 us lists against 80 us arrays, n=128 79 against 101
+# us, n=160 100 against 104 us, n=176 103-108 against 104-106 us, n=192
+# 111-117 against 107-108 us. Lists were faster on 25 to 37 of 40 trees at
+# n=160 and on 5 to 27 at n=176. At n=20000, 17.3 against 1.9 ms.
+SMALL_TREE_VERTICES = 160
 
 
 def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) -> BoruvkaTree:
@@ -123,15 +125,18 @@ def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) ->
     weight and id. A phase follows the picks. The active edges (those
     joining two aggregates) stay in rank order, their ends named by the
     current level's aggregate numbers 0..k-1 (node ids base..base+k-1).
-    Each aggregate picks its first active edge. The picked edges form a functional graph whose only
-    cycles are mutual pairs (two aggregates picking the same edge), so
-    rooting each pair at its smaller end and pointer jumping to a fixed
-    point finds the groups, numbered in order of their smallest member.
-    Edges within a group then drop out. Every group has at least two
-    members, so the height is at most ceil(log2 n). Trees above
-    SMALL_TREE_VERTICES run the phases on arrays, smaller ones on Python
-    lists; both give the same parent and branch_rank arrays, height and
-    build_work, and the rank-ordered weights and ids are gathered here.
+    Each aggregate picks its first active edge, and the components of the
+    picked edges are the groups, numbered in order of their smallest
+    member. Trees above SMALL_TREE_VERTICES find them on arrays: the
+    picked edges form a functional graph whose only cycles are mutual
+    pairs (two aggregates picking the same edge), so rooting each pair at
+    its smaller end and pointer jumping to a fixed point finds them.
+    Smaller trees find them on Python lists, joining each aggregate to the
+    other end of its pick in a union-find. Edges within a group then drop
+    out. Every group has at least two members, so the height is at most
+    ceil(log2 n). Both forms give the same parent and branch_rank arrays,
+    height and build_work, and the rank-ordered weights and ids are
+    gathered here.
     """
     lookup_weight = oracle.lookup_weight
     for i in t.edge_ids:
@@ -162,20 +167,33 @@ def _python_phases(n: int, au: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, 
         best = [0] * k
         for j in range(len(rank) - 1, -1, -1):
             best[au[j]] = best[av[j]] = j
-        to = [au[j] + av[j] - me for me, j in enumerate(best)]  # the picked edge's other end
-        root = [me if me < t and to[t] == me else t for me, t in enumerate(to)]
-        while True:
-            up = [root[r] for r in root]
-            if up == root:
-                break
-            root = up
-        # number the components in order of their smallest member: the first to name its root
-        number = {r: x for x, r in enumerate(dict.fromkeys(root))}
-        group = [number[r] for r in root]
+        # join each aggregate to the picked edge's other end by a union-find in line (a call
+        # per join cost more than the rest of the phase), each root the smallest of its set
+        up = list(range(k))
+        for me, j in enumerate(best):
+            a, b = me, au[j] + av[j] - me
+            while up[a] != a:
+                up[a] = a = up[up[a]]
+            while up[b] != b:
+                up[b] = b = up[up[b]]
+            if a < b:
+                up[b] = a
+            elif b < a:
+                up[a] = b
+        # every link points to a smaller aggregate, so one ascending pass numbers the
+        # groups in order of their smallest member, their root
+        group = []
+        groups = 0
+        for me, a in enumerate(up):
+            if a == me:
+                group.append(groups)
+                groups += 1
+            else:
+                group.append(group[a])
         parent += [base + k + x for x in group]
         branch_rank += [rank[j] for j in best]
         base += k
-        k = len(number)
+        k = groups
         keep = [j for j in range(len(rank)) if group[au[j]] != group[av[j]]]
         au, av = [group[au[j]] for j in keep], [group[av[j]] for j in keep]
         rank = [rank[j] for j in keep]

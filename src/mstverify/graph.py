@@ -223,15 +223,16 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
 
 
 # Graphs with at most this many edges are checked for connectivity by a
-# union-find, edge by edge; larger ones in array rounds, each of which
-# costs about a dozen numpy calls however few edges there are. Measured on random connected graphs
-# shaped like the tiny-batch ones (n from 9 to 32, m up to 4n), median of
-# the fastest of 5 x 100 calls, in us, union-find (with the tolist of the
-# arrays) against array rounds (2-vCPU VM, Python 3.11, numpy 2.4):
-# m in [33, 48) 11.3 against 20.9, [64, 80) 17.3 against 21.9, [80, 96)
-# 20.6 against 19.9, [96, 112) 23.9 against 19.4. Union-find was faster on
-# 43 of 45 graphs in [64, 80) and 12 of 33 in [80, 96).
-UNION_FIND_EDGES = 80
+# union-find in line, edge by edge; larger ones in array rounds, each of
+# which costs about a dozen numpy calls however few edges there are.
+# Measured on random connected graphs of n from 9 to 48 vertices, median
+# over 30 graphs per band of the fastest of 5 x 100 calls, in us,
+# union-find (with the tolist of the arrays) against array rounds (2-vCPU
+# VM, Python 3.11, numpy 2.4): m in [64, 80) 9.7 against 15.7, [96, 112)
+# 14.3 against 16.6, [112, 128) 16.3 against 17.7, [128, 144) 18.5 against
+# 18.6, [144, 160) 20.6 against 18.8. Union-find was faster on 19 to 22 of
+# 30 graphs in [112, 128), 14 to 15 in [128, 144) and 2 to 6 in [144, 160).
+UNION_FIND_EDGES = 128
 
 
 def _jump(root: np.ndarray) -> np.ndarray:
@@ -255,10 +256,18 @@ def _component_count(n: int, u: np.ndarray, v: np.ndarray) -> int:
     6.5 ms against 59 ms; n=8192 m=24576: 2.0 against 16.7 ms).
     """
     if u.size <= UNION_FIND_EDGES:
-        uf = UnionFind(n)
+        # UnionFind.union in line, with path halving and no sizes: a method call per edge was most of its cost
+        parent = list(range(n))
+        components = n
         for a, b in zip(u.tolist(), v.tolist()):
-            uf.union(a, b)
-        return uf.components
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+                components -= 1
+        return components
     root = np.arange(n)
     while True:
         ru, rv = root[u], root[v]

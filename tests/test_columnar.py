@@ -188,6 +188,21 @@ class TestConnectivity:
         assert checked >= 20
         assert union_find_sizes == {True, False}
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_component_count_at_the_union_find_threshold(self, rng, k, extra):
+        # UNION_FIND_EDGES edges take the union-find, one more the array rounds
+        n, m = 40, graph.UNION_FIND_EDGES + extra
+        block = n // k
+        edges = set()
+        for first in range(0, n, block):
+            edges |= {(first + int(rng.integers(i)), first + i) for i in range(1, block)}
+        while len(edges) < m:
+            a, b = sorted((block * int(rng.integers(k)) + rng.choice(block, 2, replace=False)).tolist())
+            edges.add((a, b))
+        uv = np.array(sorted(edges), dtype=np.int64)[rng.permutation(m)]
+        assert graph._component_count(n, uv[:, 0].copy(), uv[:, 1].copy()) == k
+
 
 class TestPathMaxBatch:
     def test_agrees_with_scalar_and_direct(self, rng):
