@@ -23,10 +23,13 @@ from typing import Callable, Iterable
 import numpy as np
 
 BBHT_GROWTH = 6 / 5
-# Rounds drawn per pair of Generator calls. An unmarked schedule, which runs
+# Rounds drawn per Generator call. An unmarked schedule, which runs
 # to the cutoff, averages 32 to 44 rounds at N = 16 to 512 at delta = 0.01,
 # so two chunks cover it; a marked one stops after 3 to 13 rounds and
-# discards the rest.
+# discards the rest. Chunks of 48 and 64 did not pay: on tiny-batch, in
+# one process with the order rotated every rep, 48 and 64 read 0.985 and
+# 0.999 of 32 at seed 1, 0.996 and 1.007 at seed 23, and 0.997 and 1.000
+# at seed 7, where an A/A copy of 32 read 1.035.
 ROUND_CHUNK = 32
 
 
@@ -129,6 +132,19 @@ def _round_ceilings(domain_size: int) -> np.ndarray:
     return rows
 
 
+def _round_counts(uniforms: np.ndarray, ceilings: np.ndarray) -> np.ndarray:
+    """Iteration counts floor(u * c) for uniforms u from Generator.random and ceilings c: each in 0..c-1.
+
+    u is a multiple of 2^-53 below 1, and for c < 2^52 the float product
+    stays below c even at u = 1 - 2^-53. Of the 2^53 values of u, each
+    count takes within two of 2^53 / c: the exact product splits them
+    within one, and rounding the product moves each end of a count's
+    range by at most one value of u (u = (2^54 - 1)/3 * 2^-53 and c = 3
+    give 2, not 1). So each count has probability within 2^-52 of 1/c.
+    """
+    return (uniforms * ceilings).astype(np.int64)
+
+
 # q = 6444/10000 = 1611/2500 >= 1/2 + 1/(4 sqrt 3) = 0.64434: a capped round misses with probability at most q
 MISS_BOUND = (1611, 2500)
 
@@ -158,7 +174,11 @@ def bbht_cutoff(domain_size: int, delta: float) -> int:
       (b) A capped round draws r uniform below c >= sqrt N. By BBHT 1998,
           Lemma 2, it hits with probability 1/2 - sin(4cθ) / (4c sin 2θ)
           >= 1/2 - M/(4c) >= 1/2 - 1/(4 sqrt 3) > 0.3556: it misses with
-          probability at most q.
+          probability at most q. The draw r = floor(u c) of a uniform u, a
+          multiple of 2^-53 (_round_counts), takes each value with
+          probability within 2^-52 of 1/c, which moves the miss probability
+          by at most c 2^-52 (below 1e-6 for any N < 2^63), inside the slack
+          of 6e-5 between q and 1/2 + 1/(4 sqrt 3).
       (c) A round spends at most its ceiling less one. So the rounds before
           the first capped round spend at most W, and before the i-th
           capped round, i <= j, at most W + (i-1)(c-1) are spent. That
@@ -201,9 +221,10 @@ def bbht_search(space: SearchSpace, rng_seed, oracle, cutoff: int) -> tuple[int 
     iterations = rounds = 0
     found = None
     while found is None and iterations < cutoff:
-        # one chunk: ROUND_CHUNK counts, then ROUND_CHUNK uniforms; the last row repeats
-        highs = rows[min(rounds // ROUND_CHUNK, len(rows) - 1)]
-        for r, uniform in zip(rng.integers(0, highs).tolist(), rng.random(ROUND_CHUNK).tolist()):
+        # one chunk, one call: ROUND_CHUNK uniforms for the counts, then ROUND_CHUNK success uniforms
+        draws = rng.random(2 * ROUND_CHUNK)
+        counts = _round_counts(draws[:ROUND_CHUNK], rows[min(rounds // ROUND_CHUNK, len(rows) - 1)])
+        for r, uniform in zip(counts.tolist(), draws[ROUND_CHUNK:].tolist()):
             if r > cutoff - iterations:
                 r = cutoff - iterations
             found = _closed_form_round(space, r, uniform, rng)

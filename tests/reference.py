@@ -391,7 +391,7 @@ def loop_bbht_search(space: SearchSpace, rng_seed, cutoff: int) -> tuple[int | N
 
 
 def _chunked_rounds(domain_size: int, rng: np.random.Generator) -> Iterator[tuple[int, float]]:
-    """(iteration count, success uniform) pairs: per chunk, rng.integers(0, highs), then rng.random(ROUND_CHUNK).
+    """(iteration count, success uniform) pairs: per chunk, rng.random(2 * ROUND_CHUNK), counts floor(u * ceiling) from its first half.
 
     Round i draws below ceil(bound_i), where bound_0 = 1 and each bound is
     6/5 of the last, capped at sqrt(N); the row of capped rounds repeats.
@@ -405,8 +405,9 @@ def _chunked_rounds(domain_size: int, rng: np.random.Generator) -> Iterator[tupl
     ceilings += [math.ceil(cap)] * ROUND_CHUNK
     rows = np.array(ceilings, dtype=np.int64).reshape(-1, ROUND_CHUNK)
     for c in itertools.count():
-        highs = rows[min(c, len(rows) - 1)]
-        yield from zip(rng.integers(0, highs).tolist(), rng.random(ROUND_CHUNK).tolist())
+        highs = rows[min(c, len(rows) - 1)].tolist()
+        draws = rng.random(2 * ROUND_CHUNK).tolist()
+        yield from zip([math.floor(u * h) for u, h in zip(draws, highs)], draws[ROUND_CHUNK:])
 
 
 def _chunked_round(space: SearchSpace, iterations: int, uniform: float, rng: np.random.Generator) -> int | None:

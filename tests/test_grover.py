@@ -12,6 +12,7 @@ from mstverify.grover import (
     SearchSpace,
     _closed_form_round,
     _round_ceilings,
+    _round_counts,
     MISS_BOUND,
     bbht_cutoff,
     bbht_search,
@@ -334,6 +335,14 @@ class TestScheduleAgainstReference:
         for delta in (0.49, 0.25, DELTA, 1e-308):
             spent = sum(x - 1 for x in ceilings[:first]) + bbht_cutoff(4, delta) * (c - 1)
             assert spent == bbht_cutoff(n, delta), (n, delta, first, spent)
+
+    @pytest.mark.parametrize("n", [2**e for e in range(1, 41)])
+    def test_count_draws_stay_below_their_ceilings(self, n):
+        """The schedule's count expression maps Generator.random's largest value, 1 - 2^-53, to c - 1 and 0 to 0 for every ceiling c."""
+        rows = _round_ceilings(n)
+        for row in rows:
+            assert _round_counts(np.full(row.size, 1 - 2.0**-53), row).tolist() == (row - 1).tolist()
+            assert _round_counts(np.zeros(row.size), row).tolist() == [0] * row.size
 
     def test_nothing_marked_always_fails(self):
         p_fail, _ = bbht_stop_law(64, 0, bbht_cutoff(64, DELTA))
