@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree
-from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, spanning_tree
+from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, _is_real, spanning_tree
 from .grover import BbhtStats, SearchSpace, bbht_cutoff, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
@@ -66,19 +66,30 @@ class QueryReport:
         return self.mode != "classical"
 
 
-def validate_search_settings(delta: float) -> None:
-    """Raise ValueError unless delta is in (0, 0.5) and 1/delta is a finite float.
+def validate_search_settings(delta) -> float:
+    """delta's float value; ValueError unless that is in (0, 0.5) and its reciprocal a finite float.
 
-    A search runs one schedule, cut off at bbht_cutoff(N, delta) Grover
-    iterations, which leaves room for j capped rounds, j growing with
-    log(1/delta): 11 at the default 0.01, 2 near 0.5 and 1,616 at the
-    smallest accepted delta. Below about 5.6e-309 (subnormal deltas)
-    1/delta overflows to inf, and such a delta is rejected.
+    delta may be any real number, a Decimal or a 0-d numeric array
+    included. Anything else, and a real with no float value (10**400,
+    Decimal("sNaN")), raises ValueError naming it. A search runs one
+    schedule, cut off at bbht_cutoff(N, delta) Grover iterations, which
+    leaves room for j capped rounds, j growing with log(1/delta): 11 at
+    the default 0.01, 2 near 0.5 and 1,616 at the smallest accepted
+    delta. Below about 5.6e-309 (subnormal deltas) 1/delta overflows to
+    inf, and such a delta is rejected.
     """
-    if not (0.0 < delta < 0.5):
+    value = delta.item() if isinstance(delta, np.ndarray) and delta.ndim == 0 else delta
+    try:
+        value = float(value) if _is_real(value) else None
+    except (OverflowError, ValueError):  # 10**400 overflows a float, Decimal("sNaN") signals
+        value = None
+    if value is None:
+        raise ValueError(f"delta must be a real number with a float value, got {delta!r}")
+    if not (0.0 < value < 0.5):
         raise ValueError(f"delta must be in (0, 0.5), got {delta}")
-    if math.isinf(1.0 / delta):
+    if math.isinf(1.0 / value):
         raise ValueError(f"delta {delta} is too small: 1/delta overflows a float")
+    return value
 
 
 def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree) -> np.ndarray:
@@ -205,7 +216,7 @@ def _verify(
     else:
         space, edge_of = _search_space(g, replaced, mode)
         if space.logical_size > 0:
-            index, stats = bbht_search(space, rng_seed, oracle, bbht_cutoff(space.domain_size, float(delta)))
+            index, stats = bbht_search(space, rng_seed, oracle, bbht_cutoff(space.domain_size, delta))
             if index is not None:
                 found = edge_of(index)
     verdict = Verdict(minimal=True)
@@ -263,7 +274,7 @@ def quantum_verify(
     O(sqrt(m)) applications) or "adjacency" (over vertex pairs, O(n)
     applications). It defaults to the oracle's own model and must match it.
     """
-    validate_search_settings(delta)
+    delta = validate_search_settings(delta)
     if mode is None:
         mode = oracle.model.value
     if mode != oracle.model.value:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -302,7 +303,7 @@ class TestQuantumVerify:
         with pytest.raises(ValueError):
             quantum_verify(g, spanning_tree(g, (0, 1)), edge_oracle(g), "edgelist", 0, delta=0.7)
 
-    @pytest.mark.parametrize("delta", [np.float64(0.01), np.array(0.01), Fraction(1, 100)])
+    @pytest.mark.parametrize("delta", [np.float64(0.01), np.array(0.01), Fraction(1, 100), Decimal("0.01")])
     def test_delta_of_another_real_type_reports_as_its_float(self, rng, delta):
         # the cutoff is cached per (N, delta), so a delta that cannot be hashed is read as its float
         g = random_connected_graph(12, 30, rng)
@@ -310,6 +311,16 @@ class TestQuantumVerify:
         _, expected = quantum_verify(g, t, edge_oracle(g), "edgelist", 3)
         _, report = quantum_verify(g, t, edge_oracle(g), "edgelist", 3, delta=delta)
         assert report == expected
+
+    @pytest.mark.parametrize(
+        "delta",
+        ["0.01", b"0.01", None, 0.01j, np.array([0.01]), np.array("0.01"), Decimal("sNaN"), 10**400],
+        ids=["str", "bytes", "None", "complex", "1-d array", "str array", "sNaN", "10**400"],
+    )
+    def test_delta_that_is_no_real_with_a_float_value_rejected(self, delta):
+        g = triangle()
+        with pytest.raises(ValueError, match="delta must be a real number with a float value, got "):
+            quantum_verify(g, spanning_tree(g, (0, 1)), edge_oracle(g), "edgelist", 0, delta=delta)
 
     def test_single_vertex_graph(self):
         g = Graph(1, [])
