@@ -169,7 +169,7 @@ def _python_phases(n: int, au: np.ndarray, av: np.ndarray) -> tuple[np.ndarray, 
             best[au[j]] = best[av[j]] = j
         # join each aggregate to the picked edge's other end by a union-find in line, each
         # root the smallest of its set: with a helper call per join the phases took 0.85 of
-        # the time of list pointer jumping, in line 0.78 to 0.81 (27 trees, n from 2 to 32)
+        # the time of list pointer jumping, in line 0.78 to 0.80 (27 trees, n from 2 to 32)
         up = list(range(k))
         for me, j in enumerate(best):
             a, b = me, au[j] + av[j] - me

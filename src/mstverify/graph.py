@@ -256,7 +256,7 @@ def _component_count(n: int, u: np.ndarray, v: np.ndarray) -> int:
     6.5 ms against 59 ms; n=8192 m=24576: 2.0 against 16.7 ms).
     """
     if u.size <= UNION_FIND_EDGES:
-        # UnionFind.union in line, with path halving and no sizes: a method call per edge was most of its cost
+        # UnionFind.union in line, with path halving and no sizes, to spare a method call per edge
         parent = list(range(n))
         components = n
         for a, b in zip(u.tolist(), v.tolist()):
