@@ -5,9 +5,9 @@ whose leaves are the vertices: every phase, each current node selects its
 minimum-(w, id) incident T-edge, and the connected components of the
 selected edges become the nodes of the next level. The maximum branch
 weight between two leaves equals the maximum edge weight on their T-path,
-so after one O(n)-query build, BoruvkaTree.path_max_batch answers any
-number of path-max queries together: all of them climb the tree in
-lock-step, O(log n) array gathers and zero oracle calls. The build takes
+so after one build (n-1 lookups the verifier charges), path_max_batch
+answers any number of path-max queries together: all of them climb the
+tree in lock-step, O(log n) array gathers, no oracle calls. The build takes
 the tree edges in (w, id) order from the graph's order column, and each
 node keeps the rank of its branch in that order, so neither the build
 nor a climb sorts, and a climb compares integers. A phase finds the
@@ -27,7 +27,6 @@ import math
 import numpy as np
 
 from .graph import Graph, SpanningTree, _jump, _read_only
-from .oracle import InstrumentedOracle
 
 
 class SameVertexError(ValueError):
@@ -113,34 +112,28 @@ class BoruvkaTree:
 SMALL_TREE_VERTICES = 160
 
 
-def build_boruvka_tree(g: Graph, t: SpanningTree, oracle: InstrumentedOracle) -> BoruvkaTree:
+def build_boruvka_tree(g: Graph, t: SpanningTree) -> BoruvkaTree:
     """Run Boruvka phases on T until one aggregate remains.
 
-    Each tree edge's weight is fetched through the oracle exactly once, in
-    the order of t.edge_ids, so the classical counter advances by exactly
-    n-1. The phases then take the tree edges in (w, id) order, g.order
-    picked by the tree's mask t.in_tree: the order a (w, id) sort of the
-    fetched weights gives, since lookup_weight returns each edge's own
-    stored weight. They carry each edge's rank in that order instead of its
-    weight and id. A phase follows the picks. The active edges (those
-    joining two aggregates) stay in rank order, their ends named by the
-    current level's aggregate numbers 0..k-1 (node ids base..base+k-1).
-    Each aggregate picks its first active edge, and the components of the
-    picked edges are the groups, numbered in order of their smallest
-    member. Trees above SMALL_TREE_VERTICES find them on arrays: the
-    picked edges form a functional graph whose only cycles are mutual
-    pairs (two aggregates picking the same edge), so rooting each pair at
-    its smaller end and pointer jumping to a fixed point finds them.
-    Smaller trees find them on Python lists, joining each aggregate to the
-    other end of its pick in a union-find. Edges within a group then drop
-    out. Every group has at least two members, so the height is at most
-    ceil(log2 n). Both forms give the same parent and branch_rank arrays,
-    height and build_work, and the rank-ordered weights and ids are
-    gathered here.
+    The build reads stored weights and charges no oracle: verify._verify
+    charges the n-1 tree edges first. The phases take the tree edges in
+    (w, id) order, g.order picked by the tree's mask t.in_tree, and carry
+    each edge's rank in that order instead of its weight and id. A phase
+    follows the picks. The active edges (those joining two aggregates)
+    stay in rank order, their ends named by the current level's aggregate
+    numbers 0..k-1 (node ids base..base+k-1). Each aggregate picks its
+    first active edge, and the components of the picked edges are the
+    groups, numbered in order of their smallest member. Trees above
+    SMALL_TREE_VERTICES find them on arrays: the picked edges form a
+    functional graph whose only cycles are mutual pairs (two aggregates
+    picking the same edge), so rooting each pair at its smaller end and
+    pointer jumping to a fixed point finds them. Smaller trees find them
+    on Python lists, joining each aggregate to the other end of its pick
+    in a union-find. Edges within a group then drop out. Every group has
+    at least two members, so the height is at most ceil(log2 n). Both
+    forms give the same parent and branch_rank arrays, height and
+    build_work, and the rank-ordered weights and ids are gathered here.
     """
-    lookup_weight = oracle.lookup_weight
-    for i in t.edge_ids:
-        lookup_weight(i)
     rank_id = g.order[t.in_tree[g.order]]
     phases = _python_phases if g.n <= SMALL_TREE_VERTICES else _array_phases
     parent, branch_rank, height, work = phases(g.n, g.u[rank_id], g.v[rank_id])

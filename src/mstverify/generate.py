@@ -8,7 +8,6 @@ import numpy as np
 
 from .boruvka import build_boruvka_tree
 from .graph import Graph, SpanningTree, pair_index, spanning_tree
-from .oracle import InstrumentedOracle, OracleModel
 from .verify import Witness, improve, kruskal_mst
 
 TREE_KINDS = ("mst", "perturbed", "random")
@@ -109,10 +108,9 @@ def perturbed_mst(g: Graph, rng: np.random.Generator) -> SpanningTree:
     (for example when the graph is a tree).
     """
     mst = kruskal_mst(g)
-    # one batched path-max over the non-tree edges, in id order; the build's
-    # n-1 weight lookups go to a throwaway oracle
+    # one batched path-max over the non-tree edges, in id order
     outside = np.flatnonzero(~mst.in_tree)
-    b = build_boruvka_tree(g, mst, InstrumentedOracle(g, OracleModel.EDGE_LIST))
+    b = build_boruvka_tree(g, mst)
     max_w, max_id = b.path_max_batch(g.u[outside], g.v[outside])
     increasing = g.w[outside] > max_w
     candidates = list(zip(outside[increasing].tolist(), max_id[increasing].tolist()))

@@ -204,7 +204,7 @@ def bbht_cutoff(domain_size: int, delta: float) -> int:
     return int(ceilings[:first].sum()) - first + j * (c - 1)
 
 
-def bbht_search(space: SearchSpace, rng_seed, oracle, cutoff: int) -> tuple[int | None, BbhtStats]:
+def bbht_search(space: SearchSpace, rng_seed, cutoff: int) -> tuple[int | None, BbhtStats]:
     """Search with an unknown number of marked elements (BBHT schedule), spending at most cutoff Grover iterations.
 
     Rounds draw a random iteration count below a bound that grows by 6/5
@@ -212,9 +212,9 @@ def bbht_search(space: SearchSpace, rng_seed, oracle, cutoff: int) -> tuple[int 
     index, which its classical check confirms, so a returned index is
     always marked. The schedule stops at a hit or once cumulative Grover
     iterations reach the cutoff, to which the last round's draw is
-    clamped; bbht_cutoff sizes it to a failure probability. Every Grover
-    iteration and every check is one quantum oracle application, recorded
-    on `oracle` unless it is None.
+    clamped; bbht_cutoff sizes it to a failure probability. Each Grover
+    iteration and each check is one quantum oracle application, counted in
+    the stats for the caller to charge; a Generator rng_seed is used as is.
     """
     rng = np.random.default_rng(rng_seed)
     rows = _round_ceilings(space.domain_size)
@@ -232,7 +232,4 @@ def bbht_search(space: SearchSpace, rng_seed, oracle, cutoff: int) -> tuple[int 
             rounds += 1
             if found is not None or iterations >= cutoff:
                 break
-    stats = BbhtStats(grover_iterations=iterations, rounds=rounds)
-    if oracle is not None:
-        oracle.count_quantum_applications(stats.oracle_applications)  # r iterations + 1 check per round
-    return found, stats
+    return found, BbhtStats(grover_iterations=iterations, rounds=rounds)

@@ -9,7 +9,8 @@ of a measured index, regardless of superposition width).
 
 Every classical charge is one call of edge() or weight(), each taking the
 counter lock once, so a caller (or a tracer wrapping those methods) sees
-one call per query; lookup_weight charges one edge by id that way.
+one call per query; lookup_weight charges one edge by id that way. Only
+verify.py charges: each tree edge, each scanned candidate, each search.
 
 Those two per-query methods take the lock with an explicit acquire() and
 a try/finally release() rather than a `with` block: the context-manager

@@ -7,7 +7,8 @@ candidates can be scanned classically or searched with the simulated
 Grover schedule. The same batched path maximum names the tree edge a
 violating edge replaces, and a witness is certified before it is
 reported by checking that the swap leaves a strictly lighter spanning
-tree, so a NotMinimal verdict carries one.
+tree, so a NotMinimal verdict carries one. Only this module charges the
+oracle: the build, the predicate and the search read stored data.
 """
 
 from __future__ import annotations
@@ -150,6 +151,13 @@ def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
     return improved
 
 
+def _charge(oracle: InstrumentedOracle, ids) -> None:
+    """One classical weight lookup per edge id, in the order given: every classical charge of a verify."""
+    lookup_weight = oracle.lookup_weight
+    for i in ids:
+        lookup_weight(i)
+
+
 def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedOracle) -> int | None:
     """The id of the first violating non-tree edge in (w, id) order, or None.
 
@@ -162,9 +170,7 @@ def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedO
     scan = g.order[~t.in_tree[g.order]]
     hits = np.flatnonzero(replaced[scan] >= 0)
     stop = int(hits[0]) + 1 if hits.size else scan.size
-    lookup_weight = oracle.lookup_weight
-    for i in scan[:stop].tolist():
-        lookup_weight(i)
+    _charge(oracle, scan[:stop].tolist())
     return int(scan[stop - 1]) if hits.size else None
 
 
@@ -191,24 +197,26 @@ def _verify(
     t: SpanningTree,
     oracle: InstrumentedOracle,
     mode: str,
-    rng_seed=0,
+    rng: np.random.Generator | None = None,
     delta: float = DEFAULT_DELTA,
 ) -> tuple[Verdict, QueryReport]:
     """Build the Boruvka tree, find a violating edge, certify it, report the cost.
 
-    Mode "classical" scans the candidates in (w, id) order, charging one
-    weight query each; a quantum mode runs one BBHT schedule over its
-    search space, cut off at bbht_cutoff(N, delta) Grover iterations, so
-    that it misses a marked index with probability at most delta. Both read
-    the violation predicate that one batch evaluated before, which also
-    names the tree edge the found edge replaces. A tree sized for another
-    graph raises NotSpanningError before any charge.
+    The n-1 tree edges are charged in t.edge_ids order just before the
+    build. Mode "classical" scans the candidates in (w, id) order, charging
+    one weight query each; a quantum mode runs one BBHT schedule with rng
+    over its search space, cut off at bbht_cutoff(N, delta) Grover
+    iterations, so that it misses a marked index with probability at most
+    delta, and charges its stats' oracle applications. Both read the
+    violation predicate that one batch evaluated before, which also names
+    the tree edge the found edge replaces. A tree sized for another graph
+    raises NotSpanningError before any charge.
     """
     if t.in_tree.size != g.m or len(t.edge_ids) != g.n - 1:
         raise NotSpanningError(f"tree of {len(t.edge_ids)} edges over {t.in_tree.size} edge ids is not one of {g!r}")
     c0 = oracle.classical_queries
-    b = build_boruvka_tree(g, t, oracle)
-    c_build = oracle.classical_queries
+    _charge(oracle, t.edge_ids)
+    b = build_boruvka_tree(g, t)
     replaced = _violations(g, t, b)
     found, stats = None, BbhtStats()
     if mode == "classical":
@@ -216,7 +224,8 @@ def _verify(
     else:
         space, edge_of = _search_space(g, replaced, mode)
         if space.logical_size > 0:
-            index, stats = bbht_search(space, rng_seed, oracle, bbht_cutoff(space.domain_size, delta))
+            index, stats = bbht_search(space, rng, bbht_cutoff(space.domain_size, delta))
+            oracle.count_quantum_applications(stats.oracle_applications)  # r iterations + 1 check per round
             if index is not None:
                 found = edge_of(index)
     verdict = Verdict(minimal=True)
@@ -226,7 +235,7 @@ def _verify(
         verdict = Verdict(False, witness, improve(g, t, witness), weight_delta=ws[found] - ws[witness.replaced_edge_id])
     # every predicate evaluation is one oracle query, classical in the scan and
     # quantum in the search, and costs one ascent plus one compare
-    evaluations = oracle.classical_queries - c_build + stats.oracle_applications
+    evaluations = oracle.classical_queries - c0 - len(t.edge_ids) + stats.oracle_applications
     report = QueryReport(
         classical_weight_queries=oracle.classical_queries - c0,
         quantum_oracle_applications=stats.oracle_applications,
@@ -273,10 +282,12 @@ def quantum_verify(
     mode selects the search domain: "edgelist" (over edge indices,
     O(sqrt(m)) applications) or "adjacency" (over vertex pairs, O(n)
     applications). It defaults to the oracle's own model and must match it.
+    A bad rng_seed raises numpy's ValueError or TypeError before any charge.
     """
     delta = validate_search_settings(delta)
+    rng = np.random.default_rng(rng_seed)
     if mode is None:
         mode = oracle.model.value
     if mode != oracle.model.value:
         raise ValueError(f"mode {mode!r} does not match the oracle model {oracle.model.value!r}")
-    return _verify(g, t, oracle, mode, rng_seed, delta)
+    return _verify(g, t, oracle, mode, rng, delta)

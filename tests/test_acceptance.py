@@ -26,6 +26,7 @@ from mstverify import (
     random_spanning_tree,
     tree_weight,
 )
+from mstverify import verify
 from mstverify.boruvka import build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import UnionFind, spanning_tree
@@ -67,7 +68,7 @@ def check_instance(g: Graph, t) -> bool:
     if not verdict.minimal:
         assert verdict.weight_delta < 0
         assert tree_weight(g, verdict.improved_tree) < tree_weight(g, t)
-    b = build_boruvka_tree(g, t, edge_oracle(g))
+    b = build_boruvka_tree(g, t)
     validate_structure(b, g.n)
     STATE["builds_validated"] += 1
     STATE["instances_checked"] += 1
@@ -193,7 +194,7 @@ def test_criterion_2_path_max_differential():
     pairs_checked = 0
     for g in trees:
         t = spanning_tree(g, range(g.m))
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         validate_structure(b, g.n)
         STATE["builds_validated"] += 1
         table = brute_all_pairs(g, t)
@@ -225,7 +226,7 @@ def test_criterion_3_structural_bounds():
         n = 2 + int(rng.integers(200))
         g = random_connected_graph(n, None, rng)
         t = random_spanning_tree(g, rng)
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         validate_structure(b, n)  # raises on any violated bound
         assert b.height <= math.ceil(math.log2(n))
         assert len(nodes(b)) <= 2 * n
@@ -236,19 +237,25 @@ def test_criterion_3_structural_bounds():
     )
 
 
-def test_criterion_4_build_query_budget():
-    """Building the Boruvka tree costs exactly n-1 weight queries."""
+def test_criterion_4_build_query_budget(monkeypatch):
+    """A quantum verify charges exactly n-1 weight queries, for its Boruvka build, and iterations + rounds of its search."""
     rng = np.random.default_rng(505)
+    schedules = []
+    search = verify.bbht_search
+    monkeypatch.setattr(verify, "bbht_search", lambda *a: schedules.append(search(*a)) or schedules[-1])
     for model in (OracleModel.EDGE_LIST, OracleModel.ADJACENCY):
-        for _ in range(100):
+        for seed in range(100):
             n = 1 + int(rng.integers(180))
             g = random_connected_graph(n, None, rng)
             t = random_spanning_tree(g, rng)
             o = InstrumentedOracle(g, model)
-            build_boruvka_tree(g, t, o)
-            assert o.classical_queries == n - 1
-            assert o.quantum_queries == 0
-    print("ACCEPTANCE 4 build-query-budget: PASS (200 builds, classical queries = n-1 exactly)")
+            schedules.clear()
+            _, report = quantum_verify(g, t, o, rng_seed=seed)
+            assert o.classical_queries == report.classical_weight_queries == n - 1
+            applications = sum(s.grover_iterations + s.rounds for _, s in schedules)
+            assert o.quantum_queries == report.quantum_oracle_applications == applications
+            assert len(schedules) == (n > 1)  # no search over an empty domain
+    print("ACCEPTANCE 4 build-query-budget: PASS (200 verifies, classical queries = n-1 exactly)")
 
 
 def test_criterion_5_grover_fidelity():

@@ -112,7 +112,7 @@ class TestVerifyCommand:
         """One schedule per verify at both ends of the accepted range; over N = 4 edge indices the cutoff is j rounds of 1."""
         searches = []
         search = verify.bbht_search
-        monkeypatch.setattr(verify, "bbht_search", lambda *a: searches.append(a[3]) or search(*a))
+        monkeypatch.setattr(verify, "bbht_search", lambda *a: searches.append(a[2]) or search(*a))
         g = Graph(3, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 3.0)])
         verdict, report = quantum_verify(g, spanning_tree(g, (0, 1)), InstrumentedOracle(g, OracleModel.EDGE_LIST), delta=delta)
         assert verdict.minimal and searches == [capped] and report.grover_iterations == capped

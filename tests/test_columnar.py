@@ -209,7 +209,7 @@ class TestPathMaxBatch:
         for n in [2, 3, 4, 5, 8, 17, 64, 200] + [int(x) for x in rng.integers(2, 201, size=12)]:
             g = random_tree_graph(rng, n)
             t = spanning_tree(g, range(g.m))
-            b = build_boruvka_tree(g, t, edge_oracle(g))
+            b = build_boruvka_tree(g, t)
             us, vs = np.triu_indices(n, 1) if n <= 64 else rng.choice(n, (2, 3000))
             keep = us != vs
             us, vs = us[keep], vs[keep]
@@ -223,7 +223,7 @@ class TestPathMaxBatch:
 
     def test_pairs_meet_at_every_level(self, rng):
         g = random_tree_graph(rng, 150)
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         us, vs = np.triu_indices(g.n, 1)
         lca_level = np.zeros(us.size, dtype=np.int64)
         a, c = us.copy(), vs.copy()
@@ -239,7 +239,7 @@ class TestPathMaxBatch:
 
     def test_empty_batch_and_same_vertex(self, rng):
         g = random_tree_graph(rng, 9)
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         max_w, max_id = b.path_max_batch([], [])
         assert max_w.size == max_id.size == 0
         with pytest.raises(SameVertexError):
@@ -247,7 +247,7 @@ class TestPathMaxBatch:
 
     def test_inputs_of_different_shapes_rejected(self, rng):
         g = random_tree_graph(rng, 9)
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         for us, vs, shapes in (
             ([0, 1], [3], r"\(2,\) and \(1,\)"),  # numpy would broadcast these
             ([0, 1], [3, 2, 1], r"\(2,\) and \(3,\)"),
@@ -263,7 +263,7 @@ class TestPathMaxBatch:
 
     def test_non_integer_vertices_raise_type_error(self, rng):
         g = random_tree_graph(rng, 9)
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         for us, vs in (([0.5], [2.2]), ([0], [2.0]), (np.array([0.0]), [2]), ([1], np.array([3], dtype=np.float32))):
             with pytest.raises(TypeError, match="vertices must be integers"):
                 b.path_max_batch(us, vs)
@@ -277,7 +277,7 @@ class TestPathMaxBatch:
 
     def test_vertex_outside_tree_rejected(self, rng):
         g = random_tree_graph(rng, 9)
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         assert len(b.parent) > g.n  # ids n.. are internal nodes, not vertices
         for bad in (9, len(b.parent) - 1, -1):
             with pytest.raises(IndexError, match=f"vertex {bad} out of range"):
@@ -291,7 +291,7 @@ class TestPathMaxBatch:
 
     def test_tree_arrays_read_only_and_match_nodes(self, rng):
         g = random_tree_graph(rng, 30)
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         with pytest.raises(ValueError):
             b.parent[0] = 1
         for node in nodes(b):
@@ -303,15 +303,17 @@ class TestPathMaxBatch:
     @pytest.mark.parametrize("n", [30, 300])  # the Python and the array phases
     def test_branch_ranks_are_read_only(self, rng, n):
         g = random_tree_graph(rng, n)
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         for name in ("branch_rank", "rank_w", "rank_id"):
             with pytest.raises(ValueError):
                 getattr(b, name)[0] = 0
 
 
 def reference_scan(g, t, oracle):
-    """Edge-by-edge classical scan: is_violating per candidate in (w, id) order; the first violator's id, or None."""
-    b = build_boruvka_tree(g, t, oracle)
+    """Edge-by-edge classical scan after charging the build's tree edges: is_violating per candidate in (w, id) order; the first violator's id, or None."""
+    for i in t.edge_ids:
+        oracle.lookup_weight(i)
+    b = build_boruvka_tree(g, t)
     ws = g.columns[2]
     return next((i for i in sorted(range(g.m), key=lambda i: (ws[i], i)) if is_violating(g, t, b, i, oracle)), None)
 

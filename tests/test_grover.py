@@ -19,7 +19,6 @@ from mstverify.grover import (
     success_probability,
 )
 
-from .conftest import edge_oracle, triangle
 from .reference import (
     KZeroError,
     StateVector,
@@ -42,9 +41,9 @@ def space(logical, marked):
     return SearchSpace(logical, lambda i: i in marked)
 
 
-def search(s, rng_seed, oracle=None):
+def search(s, rng_seed):
     """One schedule at the default delta's cutoff."""
-    return bbht_search(s, rng_seed, oracle, bbht_cutoff(s.domain_size, DELTA))
+    return bbht_search(s, rng_seed, bbht_cutoff(s.domain_size, DELTA))
 
 
 def within_binomial(counts, trials, p) -> bool:
@@ -180,14 +179,6 @@ class TestBbht:
         assert found is None
         assert stats.grover_iterations == bbht_cutoff(64, DELTA)
         assert stats.oracle_applications == stats.grover_iterations + stats.rounds
-
-    def test_counts_applications_on_oracle(self):
-        s = space(16, [9])
-        o = edge_oracle(triangle())
-        found, stats = search(s, 3, o)
-        assert found == 9
-        assert o.quantum_queries == stats.oracle_applications
-        assert o.classical_queries == 0
 
     def test_deterministic_per_seed(self):
         s = space(64, [5, 9])

@@ -103,3 +103,19 @@ def test_weights_are_sorted_only_in_weight_order():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         found.update((path.name, scope) for scope in visitor.found)
     assert found == {("graph.py", "_weight_order")}
+
+
+def test_only_verify_charges_the_oracle():
+    """Only verify.py charges: the build, the predicate and the search read stored data and take no oracle."""
+    stray, charges = [], set()
+    for path in sorted(Path(mstverify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "oracle":
+                if path.name not in ("verify.py", "cli.py", "__init__.py"):
+                    stray.append(f"{path.name}:{node.lineno} imports .oracle")
+            if isinstance(node, ast.Attribute) and node.attr in ("lookup_weight", "count_quantum_applications"):
+                charges.add(node.attr)
+                if path.name != "verify.py":
+                    stray.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert stray == []
+    assert charges == {"lookup_weight", "count_quantum_applications"}

@@ -91,7 +91,7 @@ class TestArrayBuild:
             python = boruvka._python_phases(g.n, au, av)
             array = boruvka._array_phases(g.n, au, av)
             assert fields(array) == fields(python)
-            built = build_boruvka_tree(g, spanning_tree(g, ids), edge_oracle(g))
+            built = build_boruvka_tree(g, spanning_tree(g, ids))
             assert fields((built.parent, built.branch_rank, built.height, built.build_work)) == fields(python)
 
     @pytest.mark.parametrize("shape", ["random", "path"])
@@ -100,7 +100,7 @@ class TestArrayBuild:
         g = tree_graph(rng, n, shape)
         ws = g.columns[2]
         by_rank = sorted(range(g.m), key=lambda i: (ws[i], i))
-        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)), edge_oracle(g))
+        b = build_boruvka_tree(g, spanning_tree(g, range(g.m)))
         branch_w, branch_id = b.rank_w[b.branch_rank], b.rank_id[b.branch_rank]
         assert (b.branch_rank[b.root], branch_w[b.root], branch_id[b.root]) == (-1, -math.inf, -1)
         for node in range(b.root):
@@ -110,7 +110,7 @@ class TestArrayBuild:
     def test_array_tree_answers_scalar_and_batched_queries(self, rng):
         g = tree_graph(rng, 300, "random")
         t = spanning_tree(g, range(g.m))
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         assert g.n > SMALL_TREE_VERTICES
         validate_structure(b, g.n)
         us, vs = rng.integers(g.n, size=200), rng.integers(g.n, size=200)
@@ -123,13 +123,15 @@ class TestArrayBuild:
     @pytest.mark.parametrize("make_oracle", [edge_oracle, adj_oracle])
     def test_exactly_n_minus_1_lookups_on_the_array_path(self, rng, monkeypatch, make_oracle):
         g = tree_graph(rng, 4 * SMALL_TREE_VERTICES, "random")
+        ids = rng.permutation(g.m).tolist()
         oracle = make_oracle(g)
         looked_up = []
         lookup = oracle.lookup_weight
         monkeypatch.setattr(oracle, "lookup_weight", lambda i: looked_up.append(i) or lookup(i))
-        build_boruvka_tree(g, spanning_tree(g, range(g.m)), oracle)
-        assert oracle.classical_queries == g.n - 1
-        assert sorted(looked_up) == list(range(g.m))
+        # a tree graph leaves no candidate to scan: the verify charges only the build's tree edges, in their given order
+        _, report = classical_verify(g, spanning_tree(g, ids), oracle)
+        assert oracle.classical_queries == report.classical_weight_queries == g.n - 1
+        assert looked_up == ids
 
 
 def outcome(check, g: Graph, ids) -> tuple:
@@ -225,7 +227,7 @@ def test_tree_path_equals_the_dfs_reference(rng, shape, n):
     # each pair also joined by a non-tree edge, so that a swap can enter the tree on its path
     g = Graph(n, [*zip(*base.columns), *((u, v, float(rng.integers(1, 4))) for u, v in pairs)])
     t = spanning_tree(g, tree)
-    b = build_boruvka_tree(g, t, edge_oracle(g))
+    b = build_boruvka_tree(g, t)
     for k, (u, v) in enumerate(pairs):
         path = dfs_tree_path_edges(g, t, u, v)
         on_path = set(path)

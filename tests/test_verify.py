@@ -35,19 +35,19 @@ class TestIsViolating:
     def test_lighter_chord_violates(self):
         g = triangle()
         t = spanning_tree(g, (0, 2))  # weight 4 tree
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         assert is_violating(g, t, b, 1, edge_oracle(g))
 
     def test_heavier_chord_does_not_violate(self):
         g = triangle()
         t = spanning_tree(g, (0, 1))  # the MST
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         assert not is_violating(g, t, b, 2, edge_oracle(g))
 
     def test_tree_edge_never_violates(self):
         g = triangle()
         t = spanning_tree(g, (0, 1))
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         o = edge_oracle(g)
         assert not is_violating(g, t, b, 0, o)
         assert o.classical_queries == 0  # rejected before any weight lookup
@@ -56,13 +56,13 @@ class TestIsViolating:
         # C4 with all weights equal: any tree is minimal, chords tie
         g = Graph(4, [(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0), (0, 3, 2.0)])
         t = spanning_tree(g, (0, 1, 2))
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         assert not is_violating(g, t, b, 3, edge_oracle(g))
 
     def test_costs_one_weight_query(self):
         g = triangle()
         t = spanning_tree(g, (0, 2))
-        b = build_boruvka_tree(g, t, edge_oracle(g))
+        b = build_boruvka_tree(g, t)
         o = edge_oracle(g)
         is_violating(g, t, b, 1, o)
         assert o.classical_queries == 1
@@ -98,7 +98,7 @@ class TestClassicalVerify:
             verdict, _ = classical_verify(g, t, edge_oracle(g))
             if verdict.minimal:
                 continue
-            b = build_boruvka_tree(g, t, edge_oracle(g))
+            b = build_boruvka_tree(g, t)
             us, vs, ws = g.columns
             violators = [i for i in range(g.m) if i not in t and ws[i] < path_max(b, us[i], vs[i]).max_weight]
             expected = min(violators, key=lambda i: (ws[i], i))
@@ -328,6 +328,15 @@ class TestQuantumVerify:
         assert verdict.minimal
         assert report.quantum_oracle_applications == 0
 
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), ("x", TypeError), (1.5, TypeError)])
+    @pytest.mark.parametrize("n", [1, 3])  # one vertex runs no search
+    def test_bad_seed_rejected_before_any_charge(self, seed, error, n):
+        g = triangle() if n == 3 else Graph(1, [])
+        oracle = edge_oracle(g)
+        with pytest.raises(error):
+            quantum_verify(g, spanning_tree(g, range(n - 1)), oracle, "edgelist", seed)
+        assert (oracle.classical_queries, oracle.quantum_queries) == (0, 0)
+
 
 def multigraph(rng, n: int) -> Graph:
     """Random connected graph with parallel edges and weights tied in {1, 2, 3}."""
@@ -366,36 +375,90 @@ def full_sort_charges(g: Graph, t, b) -> list[int]:
     return candidates[: first + 1]
 
 
+def scan_cases(rng):
+    """(g, t) pairs for the charge-order tests: 30 graphs, each with its MST, a perturbed MST and a random tree.
+
+    Weights are tied in {1, 2, 3} with parallel edges, or few distinct
+    weights on a simple graph; every third graph has 3 to 8 vertices, most
+    of them at most 32 edges.
+    """
+    for case in range(30):
+        n = 3 + int(rng.integers(6)) if case % 3 == 2 else 20 + int(rng.integers(40))
+        m = min(3 * n, n * (n - 1) // 2)
+        g = multigraph(rng, n) if case % 2 else random_connected_graph(n, m, rng, weight_alphabet=[0.0, 0.5, 1.0])
+        for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
+            yield g, t
+
+
+def spy_charges(monkeypatch) -> list:
+    """Every classical charge, in the order made: edge(i) recorded as i, weight(a, b) as (a, b)."""
+    charged = []
+    edge, weight = InstrumentedOracle.edge, InstrumentedOracle.weight
+    monkeypatch.setattr(InstrumentedOracle, "edge", lambda self, i: charged.append(i) or edge(self, i))
+    monkeypatch.setattr(InstrumentedOracle, "weight", lambda self, a, b: charged.append((a, b)) or weight(self, a, b))
+    return charged
+
+
+def as_charges(g: Graph, ids, model: str) -> list:
+    """What spy_charges records for lookups of ids in the model: the ids, or each edge's (u, v) pair."""
+    ids = list(ids)
+    return ids if model == "edgelist" else list(zip(g.u[ids].tolist(), g.v[ids].tolist()))
+
+
 class TestScanChargeOrder:
-    def test_charged_ids_are_the_full_sort_prefix(self, rng, monkeypatch):
-        charged = []
-        edge = InstrumentedOracle.edge
+    """The charged sequence in both models: the tree edges in t.edge_ids order, then the scan's prefix."""
 
-        def spy(self, i, **kwargs):
-            charged.append(i)
-            return edge(self, i, **kwargs)
-
-        monkeypatch.setattr(InstrumentedOracle, "edge", spy)
+    @staticmethod
+    def check_scan(rng, monkeypatch, model: str):
+        charged = spy_charges(monkeypatch)
         verdicts = set()
         tiny = 0
-        for case in range(30):
-            # tied weights in {1, 2, 3} with parallel edges, or few distinct weights on a simple graph;
-            # every third graph has 3 to 8 vertices, most of them at most 32 edges
-            n = 3 + int(rng.integers(6)) if case % 3 == 2 else 20 + int(rng.integers(40))
-            m = min(3 * n, n * (n - 1) // 2)
-            g = multigraph(rng, n) if case % 2 else random_connected_graph(n, m, rng, weight_alphabet=[0.0, 0.5, 1.0])
+        for g, t in scan_cases(rng):
             tiny += g.m <= 32
-            for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
-                b = build_boruvka_tree(g, t, edge_oracle(g))
-                replaced = verify._violations(g, t, b)
-                charged.clear()
-                found = verify._scan(g, t, replaced, edge_oracle(g))
-                expected = full_sort_charges(g, t, b)
-                assert charged == expected
-                assert (found is None) == (not is_violating(g, t, b, expected[-1]))
-                assert found is None or (found, replaced[found]) == (expected[-1], witness_edge(g, t, expected[-1]))
-                verdicts.add(found is None)
-        assert verdicts == {True, False} and tiny >= 5
+            b = build_boruvka_tree(g, t)
+            replaced = verify._violations(g, t, b)
+            charged.clear()
+            found = verify._scan(g, t, replaced, InstrumentedOracle(g, model))
+            expected = full_sort_charges(g, t, b)
+            assert charged == as_charges(g, expected, model)
+            assert (found is None) == (not is_violating(g, t, b, expected[-1]))
+            assert found is None or (found, replaced[found]) == (expected[-1], witness_edge(g, t, expected[-1]))
+            verdicts.add(found is None)
+        assert verdicts == {True, False} and tiny >= 3 * 5  # three trees per graph
+
+    def test_charged_ids_are_the_full_sort_prefix(self, rng, monkeypatch):
+        self.check_scan(rng, monkeypatch, "edgelist")
+
+    def test_adjacency_charged_pairs_are_the_full_sort_prefix(self, rng, monkeypatch):
+        self.check_scan(rng, monkeypatch, "adjacency")
+
+    @pytest.mark.parametrize("model", ["edgelist", "adjacency"])
+    def test_classical_verify_charges_the_tree_then_the_scan_prefix(self, rng, monkeypatch, model):
+        charged = spy_charges(monkeypatch)
+        for g, t in scan_cases(rng):
+            expected = [*t.edge_ids, *full_sort_charges(g, t, build_boruvka_tree(g, t))]
+            oracle = InstrumentedOracle(g, model)
+            charged.clear()
+            _, report = classical_verify(g, t, oracle)
+            assert charged == as_charges(g, expected, model)
+            assert oracle.classical_queries == report.classical_weight_queries == len(expected)
+            assert oracle.quantum_queries == 0
+
+    @pytest.mark.parametrize("model", ["edgelist", "adjacency"])
+    def test_quantum_verify_charges_exactly_the_tree_edges(self, rng, monkeypatch, model):
+        charged = spy_charges(monkeypatch)
+        schedules = []
+        search = verify.bbht_search
+        monkeypatch.setattr(verify, "bbht_search", lambda *a: schedules.append(search(*a)) or schedules[-1])
+        for seed, (g, t) in enumerate(scan_cases(rng)):
+            oracle = InstrumentedOracle(g, model)
+            charged.clear()
+            schedules.clear()
+            _, report = quantum_verify(g, t, oracle, model, seed)
+            assert charged == as_charges(g, t.edge_ids, model)
+            assert oracle.classical_queries == report.classical_weight_queries == g.n - 1
+            [(_, stats)] = schedules
+            assert oracle.quantum_queries == report.quantum_oracle_applications == stats.grover_iterations + stats.rounds
 
 
 class TestSearchDomain:
@@ -405,7 +468,7 @@ class TestSearchDomain:
             g = multigraph(rng, 2 + int(rng.integers(15)))
             parallel_graphs += len(set(zip(g.u.tolist(), g.v.tolist()))) < g.m
             for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
-                b = build_boruvka_tree(g, t, edge_oracle(g))
+                b = build_boruvka_tree(g, t)
                 replaced = verify._violations(g, t, b)
                 space, edge_of = verify._search_space(g, replaced, "adjacency")
                 expected = all_pairs_marked(g, t, b)
