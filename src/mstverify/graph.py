@@ -14,9 +14,9 @@ id by id only after a check of whole columns fails, to name its error.
 
 The loaders accept exactly what int() and float() accept. A large file in
 the layout serialize_graph writes is read by one np.loadtxt pass over its
-bytes, behind byte-level checks that keep from numpy every field it would
-read differently; any other file is read line by line, which names the
-first bad line.
+bytes, behind a byte-level check of its layout: numpy reads every field it
+accepts as int() or float() does, and a file with a field it rejects, or
+any other file, is read line by line, which names the first bad line.
 """
 
 from __future__ import annotations
@@ -488,54 +488,44 @@ def _columns(
 # layout: those of a decimal or exponent float (no inf, nan, underscore or hex).
 _DIGITS = b"0123456789"
 _FLOAT_CHARS = b".eE+-"
-# Any decimal of at most this many digits is below 2**63.
-_INT64_DIGITS = 18
-# Digits made zeros and newlines spaces: every field then starts the text or follows a space.
-_ZEROS_AND_SPACES = bytes.maketrans(_DIGITS + b"\n", b"0" * len(_DIGITS) + b" ")
 # One row of a graph file's edge lines, as numpy reads them.
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
-def _fast_fields(text: str, head: int, k: int, ints: int, rows: int) -> bytes | None:
+def _fast_fields(text: str, head: int, k: int, rows: int) -> bytes | None:
     """text as ASCII bytes, ending in a newline, if its fields are in the fast layout, else None.
 
     The fast layout is a line of head fields (none if head is 0), then rows
     lines of k fields: fields of digits and _FLOAT_CHARS only, one space
     between fields, a newline after every line (optional after the last)
-    and no other character. The first ints fields of each of the rows
-    lines are digits only, and no field starts with more than
-    _INT64_DIGITS digits, so that numpy's int64 parse and int() agree on
-    the integer fields on every numpy version (numpy before 2 reads "1e3"
-    or an overflowing integer as an int64 through a float). A field may be
-    empty here: np.loadtxt rejects an empty field as int() and float() do.
-    Every check is a bytes method, C speed on a large file (about 12 ms on
-    a 20000-vertex 80000-edge graph file) and a few us on a small one.
+    and no other character. Only the layout is checked here: a field may
+    be empty, "1e3" in an integer column or longer than any int64, and
+    np.loadtxt rejects each such field itself, where int() or float()
+    would read it differently. The check is one bytes copy and one
+    compare, C speed on a large file and a few us on a small one.
     """
     if not text.isascii():
         return None
     data = text.encode("ascii")
     if not data.endswith(b"\n"):
         data += b"\n"
-    rest = data.translate(None, _DIGITS)
-    seps = rest.translate(None, _FLOAT_CHARS)
+    seps = data.translate(None, _DIGITS + _FLOAT_CHARS)
     first = b" " * (head - 1) + b"\n" if head else b""
     line = b" " * (k - 1) + b"\n"
     # compared by length first, so a huge row count allocates nothing
     if len(seps) != len(first) + len(line) * rows or seps != first + line * rows:
         return None
-    # with the digits deleted, each line starts with its integer fields' separators
-    # (it is all separators when every field is an integer; else a head line comes first)
-    digits_only = rest == seps if ints == k else rest.count(b"\n" + line[:ints]) == rows
-    if not digits_only:
-        return None
-    run = b"0" * (_INT64_DIGITS + 1)
-    starts = data.translate(_ZEROS_AND_SPACES)
-    return None if starts.startswith(run) or b" " + run in starts else data
+    return data
 
 
-def _fast_rows(text: str, head: int, k: int, ints: int, rows: int, dtype: np.dtype) -> np.ndarray | None:
-    """The rows lines of text in _fast_fields' layout, read by np.loadtxt into dtype, else None."""
-    data = _fast_fields(text, head, k, ints, rows)
+def _fast_rows(text: str, head: int, k: int, rows: int, dtype: np.dtype) -> np.ndarray | None:
+    """The rows lines of text in _fast_fields' layout, read by np.loadtxt into dtype, else None.
+
+    None also when numpy rejects a field. Each field numpy accepts has the
+    value int() or float() gives it, so the caller's checks of the values
+    are the line parser's.
+    """
+    data = _fast_fields(text, head, k, rows)
     if data is None:
         return None
     try:
@@ -561,7 +551,7 @@ def _load_graph_fast(text: str) -> Graph | None:
     n, m = int(n_text), int(m_text)
     if not (SMALL_GRAPH_EDGES < m and 1 <= n <= m + 1):
         return None
-    rows = _fast_rows(text, 2, 3, 2, m, _EDGE_ROW)
+    rows = _fast_rows(text, 2, 3, m, _EDGE_ROW)
     if rows is None:
         return None
     # a contiguous copy of w, so that no column keeps the row array alive
@@ -572,8 +562,9 @@ def load_graph(text: str) -> Graph:
     """Parse the graph file format: a "n m" header, then m "u v w" lines.
 
     A file of more than SMALL_GRAPH_EDGES edges in the fast layout (one
-    space between fields, one newline after each line, digit endpoints)
-    is read by numpy's loadtxt; any other file is read line by line.
+    space between fields, one newline after each line) is read by numpy's
+    loadtxt; any other file, or one with a field numpy rejects, is read
+    line by line.
     Both accept exactly what int() and float() accept, with the same
     errors.
     """
@@ -613,13 +604,13 @@ def load_tree(text: str, g: Graph) -> SpanningTree:
     or "pairs" (each line "u v"; resolved to the minimum-(w, id) edge of
     that pair). Exactly n-1 data lines are required. An "indices" file of
     more than SMALL_GRAPH_EDGES lines in the fast layout of load_graph is
-    read by numpy's loadtxt and range-checked as one array; any other file
-    is read line by line, which names the first bad line.
+    read by numpy's loadtxt and range-checked as one array; any other file,
+    or one with an index out of range, is read line by line, which names
+    the first bad line.
     """
     if text.startswith("indices\n") and g.n - 1 > SMALL_GRAPH_EDGES:
-        ids = _fast_rows(text[len("indices\n") :], 0, 1, 1, g.n - 1, np.dtype(np.int64))
-        # digits only, so no index is negative
-        if ids is not None and (ids < g.m).all():
+        ids = _fast_rows(text[len("indices\n") :], 0, 1, g.n - 1, np.dtype(np.int64))
+        if ids is not None and 0 <= ids.min() and ids.max() < g.m:
             return spanning_tree(g, ids)
     linenos, counts, fields = _fields(text)
     if not linenos:
