@@ -499,9 +499,9 @@ def _fast_fields(text: str, head: int, k: int, rows: int) -> bytes | None:
     lines of k fields: fields of digits and _FLOAT_CHARS only, one space
     between fields, a newline after every line (optional after the last)
     and no other character. Only the layout is checked here: a field may
-    be empty, "1e3" in an integer column or longer than any int64, and
-    np.loadtxt rejects each such field itself, where int() or float()
-    would read it differently. The check is one bytes copy and one
+    be empty, "1e3" or "3.0" in an integer column, or beyond int64.
+    np.loadtxt rejects each such field itself, and reads every field it
+    accepts as int() or float() does. The check is one bytes copy and one
     compare, C speed on a large file and a few us on a small one.
     """
     if not text.isascii():
