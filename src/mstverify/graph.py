@@ -207,7 +207,8 @@ def _edge_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence) -> tuple[np.
         w = w.astype(np.float64)
     one_per_edge = uv.shape == (2, len(ws)) and w.shape == (len(ws),)  # a sequence in every row adds an axis
     if one_per_edge and (uv.size == 0 or uv.dtype.kind in "biu") and w.dtype.kind in "biuf":
-        uv, w = uv.astype(np.int64), w.astype(np.float64, copy=False)
+        # uv is asarray's own stack of us and vs, so an int64 one is used as it is
+        uv, w = uv.astype(np.int64, copy=False), w.astype(np.float64, copy=False)
         lo, hi = uv.min(axis=0), uv.max(axis=0)
         if ((lo >= 0) & (hi < n) & (lo != hi) & (w >= 0.0) & (w < math.inf)).all():
             return lo, hi, w
@@ -398,10 +399,18 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
     max) and the edges' component count are checked on all ids at once;
     only after one fails are the ids walked one by one, to raise the
     first error: a range error in id order, a wrong count, or a cycle.
+    A 1-d int64 array, as load_tree's fast path gives, has its range
+    checked by the array's own min() and max(); any other ids by the
+    builtins over their tuple.
     """
-    at = edge_ids if isinstance(edge_ids, np.ndarray) and edge_ids.dtype == np.int64 else None
-    ids = tuple(map(operator.index, edge_ids)) if at is None else tuple(at.tolist())
-    if len(ids) == g.n - 1 and 0 <= min(ids, default=0) and max(ids, default=-1) < g.m:
+    at = edge_ids if isinstance(edge_ids, np.ndarray) and edge_ids.dtype == np.int64 and edge_ids.ndim == 1 else None
+    if at is None:
+        ids = tuple(map(operator.index, edge_ids))
+        lo, hi = min(ids, default=0), max(ids, default=-1)
+    else:
+        ids = tuple(at.tolist())
+        lo, hi = (at.min(), at.max()) if at.size else (0, -1)  # min() of an empty array raises
+    if len(ids) == g.n - 1 and 0 <= lo and hi < g.m:
         at = np.array(ids, dtype=np.int64) if at is None else at
         if _component_count(g.n, g.u[at], g.v[at]) == 1:
             # n-1 edges connecting n vertices are necessarily acyclic

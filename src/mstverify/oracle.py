@@ -9,8 +9,10 @@ of a measured index, regardless of superposition width).
 
 Every classical charge is one call of edge() or weight(), each taking the
 counter lock once, so a caller (or a tracer wrapping those methods) sees
-one call per query; lookup_weight charges one edge by id that way. Only
-verify.py charges: each tree edge, each scanned candidate, each search.
+one call per query. lookup_weight charges one edge by id that way, for a
+single lookup. Only verify.py charges: each tree edge and each scanned
+candidate by a direct call of edge() or weight(), the model's own query,
+and each search by count_quantum_applications().
 
 Those two per-query methods take the lock with an explicit acquire() and
 a try/finally release() rather than a `with` block: the context-manager

@@ -152,10 +152,24 @@ def improve(g: Graph, t: SpanningTree, witness: Witness) -> SpanningTree:
 
 
 def _charge(oracle: InstrumentedOracle, ids) -> None:
-    """One classical weight lookup per edge id, in the order given: every classical charge of a verify."""
-    lookup_weight = oracle.lookup_weight
+    """One classical weight lookup per edge id, in the order given: every classical charge of a verify.
+
+    Each id is one call of the model's own query, picked once per batch:
+    oracle.edge(i) in the edge-list model, oracle.weight(u[i], v[i]) in
+    the adjacency model, its endpoints read from the memoryviews of the
+    oracle's graph. These are the calls oracle.lookup_weight(i) makes,
+    with no frame, range check or weight read of its own around them.
+    The ids are valid edge ids: t.edge_ids or the scan's candidates.
+    """
+    if oracle.model is OracleModel.EDGE_LIST:
+        edge = oracle.edge
+        for i in ids:
+            edge(i)
+        return
+    weight = oracle.weight
+    us, vs, _ = oracle.graph.columns
     for i in ids:
-        lookup_weight(i)
+        weight(us[i], vs[i])
 
 
 def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedOracle) -> int | None:

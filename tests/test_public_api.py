@@ -105,17 +105,26 @@ def test_weights_are_sorted_only_in_weight_order():
     assert found == {("graph.py", "_weight_order")}
 
 
+CHARGING_METHODS = ("edge", "weight", "lookup_weight", "count_quantum_applications")
+
+
 def test_only_verify_charges_the_oracle():
-    """Only verify.py charges: the build, the predicate and the search read stored data and take no oracle."""
+    """Only verify.py charges: the build, the predicate and the search read stored data and take no oracle.
+
+    A charging method read anywhere else is stray, except on self inside
+    oracle.py, where lookup_weight makes its lookup by self.edge or self.weight.
+    """
     stray, charges = [], set()
     for path in sorted(Path(mstverify.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "oracle":
                 if path.name not in ("verify.py", "cli.py", "__init__.py"):
                     stray.append(f"{path.name}:{node.lineno} imports .oracle")
-            if isinstance(node, ast.Attribute) and node.attr in ("lookup_weight", "count_quantum_applications"):
-                charges.add(node.attr)
-                if path.name != "verify.py":
+            if isinstance(node, ast.Attribute) and node.attr in CHARGING_METHODS:
+                if path.name == "verify.py":
+                    charges.add(node.attr)
+                elif not (path.name == "oracle.py" and isinstance(node.value, ast.Name) and node.value.id == "self"):
                     stray.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert stray == []
-    assert charges == {"lookup_weight", "count_quantum_applications"}
+    # verify.py charges by each model's own query and by the search's count, not through lookup_weight
+    assert charges == {"edge", "weight", "count_quantum_applications"}

@@ -14,10 +14,12 @@ from mstverify import boruvka, graph
 from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, SameVertexError, build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, _weight_order, spanning_tree
+from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle
 from .reference import dfs_tree_path_edges, direct_path_max, path_max, validate_structure, walk_improve, walk_spanning_tree
+from .test_verify import as_charges, spy_charges
 
 SIZES = [2, 3, 5, 17, SMALL_TREE_VERTICES - 1, SMALL_TREE_VERTICES, SMALL_TREE_VERTICES + 1, 257, 1500]
 
@@ -120,18 +122,16 @@ class TestArrayBuild:
             scalar, expected = path_max(b, u, v), direct_path_max(g, t, u, v)
             assert (scalar.max_weight, scalar.max_edge_id) == (w, i) == (expected.max_weight, expected.max_edge_id)
 
-    @pytest.mark.parametrize("make_oracle", [edge_oracle, adj_oracle])
-    def test_exactly_n_minus_1_lookups_on_the_array_path(self, rng, monkeypatch, make_oracle):
+    @pytest.mark.parametrize("model", ["edgelist", "adjacency"])
+    def test_exactly_n_minus_1_lookups_on_the_array_path(self, rng, monkeypatch, model):
         g = tree_graph(rng, 4 * SMALL_TREE_VERTICES, "random")
         ids = rng.permutation(g.m).tolist()
-        oracle = make_oracle(g)
-        looked_up = []
-        lookup = oracle.lookup_weight
-        monkeypatch.setattr(oracle, "lookup_weight", lambda i: looked_up.append(i) or lookup(i))
+        oracle = InstrumentedOracle(g, model)
+        charged = spy_charges(monkeypatch)
         # a tree graph leaves no candidate to scan: the verify charges only the build's tree edges, in their given order
         _, report = classical_verify(g, spanning_tree(g, ids), oracle)
         assert oracle.classical_queries == report.classical_weight_queries == g.n - 1
-        assert looked_up == ids
+        assert charged == as_charges(g, ids, model)
 
 
 def outcome(check, g: Graph, ids) -> tuple:
@@ -159,13 +159,30 @@ class TestSpanningTreeCheck:
             bad[int(rng.integers(len(bad)))] = -1 - int(rng.integers(3))
             cases.append(bad)
             cases.append(bad[1:])
-        arrays = [outcome(lambda g, ids: spanning_tree(g, ids).edge_ids, g, ids) for ids in cases]
+            # one id too high or too low alone, so that each end of the range check is tested by itself
+            for wrong in (g.m + int(rng.integers(3)), -1 - int(rng.integers(3))):
+                alone = list(ids)
+                alone[int(rng.integers(len(alone)))] = wrong
+                cases.append(alone)
+        checked = [outcome(lambda g, ids: spanning_tree(g, ids).edge_ids, g, ids) for ids in cases]
         walked = [outcome(walk_spanning_tree, g, ids) for ids in cases]
-        assert arrays == walked
+        assert checked == walked
+        # the same ids as an int64 array, as load_tree's fast path passes them, are range-checked by the array's min and max
+        as_arrays = [outcome(lambda g, ids: spanning_tree(g, np.array(ids, dtype=np.int64)).edge_ids, g, ids) for ids in cases]
+        assert as_arrays == walked
         kinds = {result[0] for result in walked}
         assert {"ok", graph.NotInGraphError, graph.NotSpanningError} <= kinds
         assert any("closes a cycle" in str(result[1]) for result in walked)
         assert any("expected" in str(result[1]) for result in walked)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_an_empty_int64_array_is_checked_as_an_empty_list(self, n):
+        """n = 1 takes no edge, so an empty array must pass without its min() or max(), which raise on no elements."""
+        g = Graph(n, [(0, 1, 1.0)] if n == 2 else [])
+        empty = np.array([], dtype=np.int64)
+        assert outcome(lambda g, ids: spanning_tree(g, ids).edge_ids, g, empty) == outcome(walk_spanning_tree, g, []) == (
+            ("ok", ()) if n == 1 else (graph.NotSpanningError, "expected 1 edges, got 0")
+        )
 
     @pytest.mark.parametrize("n", [3, SMALL_GRAPH_EDGES + 2])  # trees on either side of SMALL_GRAPH_EDGES
     def test_non_integer_ids_raise_type_error(self, n):
