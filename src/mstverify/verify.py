@@ -157,19 +157,19 @@ def _charge(oracle: InstrumentedOracle, ids) -> None:
     Each id is one call of the model's own query, picked once per batch:
     oracle.edge(i) in the edge-list model, oracle.weight(u[i], v[i]) in
     the adjacency model, its endpoints read from the memoryviews of the
-    oracle's graph. These are the calls oracle.lookup_weight(i) makes,
-    with no frame, range check or weight read of its own around them.
-    The ids are valid edge ids: t.edge_ids or the scan's candidates.
+    oracle's graph: the calls oracle.lookup_weight(i) makes, without its
+    frame, range check and weight read. The ids must be valid edge ids
+    (t.edge_ids or the scan's candidates): a memoryview wraps a negative one.
     """
     if oracle.model is OracleModel.EDGE_LIST:
         edge = oracle.edge
         for i in ids:
             edge(i)
-        return
-    weight = oracle.weight
-    us, vs, _ = oracle.graph.columns
-    for i in ids:
-        weight(us[i], vs[i])
+    else:
+        weight = oracle.weight
+        us, vs, _ = oracle.graph.columns
+        for i in ids:
+            weight(us[i], vs[i])
 
 
 def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedOracle) -> int | None:

@@ -105,9 +105,6 @@ def test_weights_are_sorted_only_in_weight_order():
     assert found == {("graph.py", "_weight_order")}
 
 
-CHARGING_METHODS = ("edge", "weight", "lookup_weight", "count_quantum_applications")
-
-
 def test_only_verify_charges_the_oracle():
     """Only verify.py charges: the build, the predicate and the search read stored data and take no oracle.
 
@@ -120,7 +117,7 @@ def test_only_verify_charges_the_oracle():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "oracle":
                 if path.name not in ("verify.py", "cli.py", "__init__.py"):
                     stray.append(f"{path.name}:{node.lineno} imports .oracle")
-            if isinstance(node, ast.Attribute) and node.attr in CHARGING_METHODS:
+            if isinstance(node, ast.Attribute) and node.attr in ("edge", "weight", "lookup_weight", "count_quantum_applications"):
                 if path.name == "verify.py":
                     charges.add(node.attr)
                 elif not (path.name == "oracle.py" and isinstance(node.value, ast.Name) and node.value.id == "self"):
