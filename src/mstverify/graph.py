@@ -339,15 +339,25 @@ class Graph:
         return memoryview(self.u), memoryview(self.v), memoryview(self.w)
 
     def pair_min_ids(self) -> Mapping[int, int]:
-        """Read-only map pair_index(n, a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use."""
+        """Read-only map pair_index(n, a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use.
+
+        The build also keeps the map as the two arrays pair_columns returns,
+        so that a search domain reads its keys without sorting them.
+        """
         if self._pair_min is None:
-            desc = self.order[::-1]  # descending (w, id) order, so the lightest edge of a pair is written last
-            keys = pair_index(self.n, self.u[desc], self.v[desc])
-            self._pair_min = MappingProxyType(dict(zip(keys.tolist(), desc.tolist())))
+            o = self.order  # a pair's first edge in (w, id) order is its minimum: np.unique's first occurrence
+            keys, first = np.unique(pair_index(self.n, self.u[o], self.v[o]), return_index=True)
+            self._pair_keys, self._pair_ids = _read_only(keys), _read_only(o[first])
+            self._pair_min = MappingProxyType(dict(zip(keys.tolist(), self._pair_ids.tolist())))
         return self._pair_min
 
+    def pair_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """pair_min_ids() as two read-only int64 arrays: its keys in increasing order, and each key's edge id."""
+        self.pair_min_ids()
+        return self._pair_keys, self._pair_ids
+
     def __getstate__(self) -> tuple:
-        """n, m and the four columns, made read-only again by __setstate__; the pair map is not pickled."""
+        """n, m and the four columns, made read-only again by __setstate__; the pair map and its arrays are not kept."""
         return self.n, self.m, self.u, self.v, self.w, self.order
 
     def __setstate__(self, state: tuple) -> None:

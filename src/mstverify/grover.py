@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -34,34 +34,33 @@ ROUND_CHUNK = 32
 
 
 class SearchSpace:
-    """Power-of-two search domain with a marking predicate.
+    """Power-of-two search domain with a vectorized marking predicate.
 
     logical_size L is the real problem size; indices L..N-1 are padding,
     forced unmarked, where N is the least power of two >= max(L, 2).
-    positions, sorted, are the only indices the predicate may mark
-    (default: all of 0..L-1); the predicate is evaluated once at each of
-    them and never anywhere else.
+    positions, a sorted int64 array, are the only indices that may be
+    marked (default: 0..L-1); marker maps them to a bool array, once.
     """
 
     def __init__(
         self,
         logical_size: int,
-        marker: Callable[[int], bool],
-        positions: Iterable[int] | None = None,
+        marker: Callable[[np.ndarray], np.ndarray],
+        positions: np.ndarray | None = None,
     ):
         if logical_size < 0:
             raise ValueError("logical size must be >= 0")
         self.logical_size = logical_size
         self.domain_size = 2 if logical_size <= 1 else 1 << (logical_size - 1).bit_length()
         self._raw_marker = marker
-        self._positions = range(logical_size) if positions is None else positions
+        self._positions = positions
         self._marked: np.ndarray | None = None
 
     def marked_indices(self) -> np.ndarray:
-        """Sorted indices of all marked elements (computed once, then cached); padding never is one."""
+        """Sorted indices of all marked elements, positions[marker(positions)] (computed once, then cached)."""
         if self._marked is None:
-            hits = [i for i in self._positions if self._raw_marker(i)]
-            self._marked = np.asarray(hits, dtype=np.int64)
+            positions = np.arange(self.logical_size, dtype=np.int64) if self._positions is None else self._positions
+            self._marked = positions[self._raw_marker(positions)]
         return self._marked
 
     @cached_property

@@ -9,18 +9,17 @@ of a measured index, regardless of superposition width).
 
 Every classical charge is one call of edge() or weight(), each taking the
 counter lock once, so a caller (or a tracer wrapping those methods) sees
-one call per query. lookup_weight charges one edge by id that way, for a
-single lookup. Only verify.py charges: each tree edge and each scanned
-candidate by a direct call of edge() or weight(), the model's own query,
-and each search by count_quantum_applications().
+one call per query. Only verify.py charges: each tree edge and each
+scanned candidate by a direct call of edge() or weight(), the model's own
+query, and each search by count_quantum_applications().
 
 Those two per-query methods take the lock with an explicit acquire() and
 a try/finally release() rather than a `with` block: the context-manager
 protocol was about a third of a charge's cost. Each checks its arguments
 (model, integer index, range) and reads its answer's row from memoryviews
 of the graph's numpy columns (no copy) before it takes the lock, so a
-rejected call is never charged. reset() and count_quantum_applications()
-run once per verify or per schedule and keep `with`.
+rejected call is never charged. count_quantum_applications() runs once
+per schedule and keeps `with`.
 """
 
 from __future__ import annotations
@@ -41,9 +40,9 @@ class InstrumentedOracle:
     """Counting front end over a graph's weight data.
 
     Counter increments are lock-protected and safe under concurrent
-    callers; the counters never decrease except through reset(). A
-    lookup is charged only once its arguments are accepted: a wrong
-    model, a non-integer index or one out of range raises uncharged.
+    callers; the counters never decrease. A lookup is charged only once
+    its arguments are accepted: a wrong model, a non-integer index or one
+    out of range raises uncharged.
     """
 
     def __init__(self, graph: Graph, model: OracleModel | str):
@@ -66,12 +65,6 @@ class InstrumentedOracle:
     @property
     def quantum_queries(self) -> int:
         return self._quantum
-
-    def reset(self) -> None:
-        """Zero both counters (the only way they ever decrease)."""
-        with self._lock:
-            self._classical = 0
-            self._quantum = 0
 
     def count_quantum_applications(self, k: int = 1) -> None:
         """Record k whole oracle applications issued by a quantum engine; k must be an integer."""
@@ -118,20 +111,3 @@ class InstrumentedOracle:
         finally:
             lock.release()
         return row
-
-    def lookup_weight(self, i: int) -> float:
-        """Weight of edge i, charged as one classical lookup in this oracle's model.
-
-        The lookup is a call of self.edge or self.weight, whichever the model
-        answers, so every charge passes through the method that counts it.
-        The weight of edge i itself is returned: the adjacency model serves a
-        pair by its minimum edge, which is not edge i when it is a heavier
-        parallel edge.
-        An i outside the edges raises IndexError in both models, uncharged.
-        """
-        if self._adjacency:
-            if not (0 <= i < self._m):
-                raise IndexError(f"edge index {i} outside [0, {self._m - 1}]")
-            self.weight(self._us[i], self._vs[i])
-            return self._ws[i]
-        return self.edge(i)[2]

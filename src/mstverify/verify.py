@@ -157,9 +157,8 @@ def _charge(oracle: InstrumentedOracle, ids) -> None:
     Each id is one call of the model's own query, picked once per batch:
     oracle.edge(i) in the edge-list model, oracle.weight(u[i], v[i]) in
     the adjacency model, its endpoints read from the memoryviews of the
-    oracle's graph: the calls oracle.lookup_weight(i) makes, without its
-    frame, range check and weight read. The ids must be valid edge ids
-    (t.edge_ids or the scan's candidates): a memoryview wraps a negative one.
+    oracle's graph. The ids must be valid edge ids (t.edge_ids or the
+    scan's candidates): a memoryview wraps a negative one.
     """
     if oracle.model is OracleModel.EDGE_LIST:
         edge = oracle.edge
@@ -195,15 +194,15 @@ def _search_space(g: Graph, replaced: np.ndarray, mode: str) -> tuple[SearchSpac
     unordered vertex pairs, pair (a, b) with a < b at index
     graph.pair_index(n, a, b). Only a pair's minimum-(w, id) edge can be
     marked: a non-edge pair has no candidate, and a heavier parallel edge
-    never violates where the pair minimum does not. So the marker reads
-    replaced, the batched predicate, only at the keys of the graph's pair
-    map, which is also the index -> edge map.
+    never violates where the pair minimum does not. So the positions are
+    the pair map's keys, which the graph sorts once, and the marker reads
+    replaced, the batched predicate, at their edge ids. Each marker is
+    called with its space's own positions; an index maps back by the map.
     """
-    marks = (replaced >= 0).tolist()
     if mode == OracleModel.EDGE_LIST.value:
-        return SearchSpace(g.m, marks.__getitem__), int
-    at = g.pair_min_ids()
-    return SearchSpace(g.n * (g.n - 1) // 2, lambda i: marks[at[i]], sorted(at)), at.__getitem__
+        return SearchSpace(g.m, lambda _: replaced >= 0), int
+    keys, ids = g.pair_columns()
+    return SearchSpace(g.n * (g.n - 1) // 2, lambda _: replaced[ids] >= 0, keys), g.pair_min_ids().__getitem__
 
 
 def _verify(

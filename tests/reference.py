@@ -13,8 +13,12 @@
   did up to 32 ids before it checked all ids at once at every size; it
   must give the same ids or the same error.
 - Verification: is_violating, the cycle-property test for one edge id, as
-  an edge-by-edge scan would call it.
+  an edge-by-edge scan would call it; charge_lookup charges one edge by id
+  in an oracle's model, as InstrumentedOracle.lookup_weight did.
 - Graphs: pair_min, the id of the minimum-(w, id) edge of a vertex pair.
+- Search domains: loop_marked_indices calls a scalar marker once per
+  position, as SearchSpace.marked_indices did before its marker took the
+  positions as one array.
 - Grover: the known-count optimal_iterations, and a dense state-vector
   simulation. The package samples every search round from the closed-form
   law sin^2((2r+1)θ); StateVector iterates the full real amplitude vector
@@ -44,7 +48,7 @@ import numpy as np
 from mstverify.boruvka import BoruvkaTree, SameVertexError
 from mstverify.graph import Graph, NotInGraphError, NotSpanningError, SpanningTree, UnionFind, spanning_tree
 from mstverify.grover import BBHT_GROWTH, ROUND_CHUNK, BbhtStats, SearchSpace, success_probability
-from mstverify.oracle import InstrumentedOracle
+from mstverify.oracle import InstrumentedOracle, OracleModel
 from mstverify.verify import InvalidWitnessError, Witness
 
 
@@ -243,14 +247,24 @@ def is_violating(
 ) -> bool:
     """True iff edge i is outside T and strictly lighter than its T-path maximum.
 
-    With an oracle, w(i) costs one weight-oracle call; without one the
-    stored weight is used. Equal weight does not violate.
+    With an oracle, w(i) is charged one weight-oracle call (charge_lookup);
+    the stored weight is compared. Equal weight does not violate.
     """
     if i in t:
         return False
+    if oracle is not None:
+        charge_lookup(oracle, i)
     us, vs, ws = g.columns
-    w = ws[i] if oracle is None else oracle.lookup_weight(i)
-    return w < path_max(b, us[i], vs[i]).max_weight
+    return ws[i] < path_max(b, us[i], vs[i]).max_weight
+
+
+def charge_lookup(oracle: InstrumentedOracle, i: int) -> None:
+    """Charge edge i as one call of the oracle's own query: edge(i), or weight() of edge i's endpoints."""
+    if oracle.model is OracleModel.EDGE_LIST:
+        oracle.edge(i)
+    else:
+        us, vs, _ = oracle.graph.columns
+        oracle.weight(us[i], vs[i])
 
 
 def pair_min(g: Graph, a: int, b: int) -> int | None:
@@ -271,6 +285,11 @@ def optimal_iterations(domain_size: int, marked: int) -> int:
     if not (1 <= marked <= domain_size):
         raise ValueError(f"need 1 <= k <= N, got k={marked} N={domain_size}")
     return int(math.pi / 4 * math.sqrt(domain_size / marked))
+
+
+def loop_marked_indices(positions, marker) -> np.ndarray:
+    """The positions a scalar marker marks, in order, calling it once per position: an int64 array."""
+    return np.asarray([i for i in positions if marker(i)], dtype=np.int64)
 
 
 def marked_mask(space: SearchSpace) -> np.ndarray:

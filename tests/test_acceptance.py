@@ -266,7 +266,7 @@ def test_criterion_5_grover_fidelity():
         n = 1 << exp
         for k in range(0, min(n, 8) + 1):
             marked = set(int(i) for i in rng.choice(n, size=k, replace=False))
-            space = SearchSpace(n, lambda i, s=marked: i in s)
+            space = SearchSpace(n, lambda positions, s=sorted(marked): np.isin(positions, s))
             mask = marked_mask(space)
             state = StateVector(space.domain_size)
             r_max = 2 * optimal_iterations(n, k) if k else 8

@@ -23,7 +23,7 @@ from mstverify.generate import perturbed_mst
 from mstverify.graph import DisconnectedError, NotInGraphError, pair_index, spanning_tree
 
 from .conftest import adj_oracle, edge_oracle
-from .reference import direct_path_max, is_violating, nodes, pair_min, path_max
+from .reference import charge_lookup, direct_path_max, is_violating, nodes, pair_min, path_max
 
 
 def tied_multigraph(rng, n: int, extra: int) -> Graph:
@@ -68,6 +68,33 @@ class TestColumnarGraph:
         assert pair_min(g, 0, 2) is None
         g = load_graph("3 3\n0 1 1.0\n2 1 2.0\n0 2 3.0\n")  # the row "2 1" is stored as (1, 2)
         assert pair_min(g, 2, 1) == pair_min(g, 1, 2) == 1
+
+    @pytest.mark.parametrize("n,extra", [(2, 3), (6, 12), (40, 150)])
+    def test_pair_columns_are_the_sorted_pair_map(self, rng, n, extra):
+        """Keys in increasing order, each beside its minimum-(w, id) edge, on parallel edges with tied weights."""
+        parallel = 0
+        for _ in range(10):
+            g = tied_multigraph(rng, n, extra)
+            parallel += len(set(zip(g.u.tolist(), g.v.tolist()))) < g.m
+            keys, ids = g.pair_columns()
+            assert keys.dtype == ids.dtype == np.int64
+            assert list(zip(keys.tolist(), ids.tolist())) == sorted(g.pair_min_ids().items())
+            pairs = sorted(set(zip(g.u.tolist(), g.v.tolist())))
+            assert keys.tolist() == [pair_index(n, a, b) for a, b in pairs]
+            assert ids.tolist() == [pair_min(g, a, b) for a, b in pairs]
+        assert parallel > 0
+
+    def test_pair_columns_of_a_graph_without_edges_are_empty(self):
+        keys, ids = Graph(1, []).pair_columns()
+        assert keys.dtype == ids.dtype == np.int64 and keys.size == ids.size == 0
+
+    def test_pair_columns_are_read_only(self, rng):
+        for g in (tied_multigraph(rng, 5, 4), tied_multigraph(rng, 40, 150)):
+            for column in g.pair_columns():
+                with pytest.raises(ValueError):
+                    column[0] = column[-1]
+                with pytest.raises(ValueError):
+                    column.flags.writeable = True
 
     def test_too_few_edges_rejected_before_allocation(self):
         tracemalloc.start()
@@ -312,7 +339,7 @@ class TestPathMaxBatch:
 def reference_scan(g, t, oracle):
     """Edge-by-edge classical scan after charging the build's tree edges: is_violating per candidate in (w, id) order; the first violator's id, or None."""
     for i in t.edge_ids:
-        oracle.lookup_weight(i)
+        charge_lookup(oracle, i)
     b = build_boruvka_tree(g, t)
     ws = g.columns[2]
     return next((i for i in sorted(range(g.m), key=lambda i: (ws[i], i)) if is_violating(g, t, b, i, oracle)), None)

@@ -475,7 +475,7 @@ class TestPickle:
     )
     def test_round_trip_is_equal_and_read_only(self, rng, round_trip):
         for g in some_graphs(rng):
-            g.pair_min_ids()  # its cached mappingproxy cannot be pickled
+            keys, ids = g.pair_columns()  # its cached mappingproxy cannot be pickled
             g.columns  # nor could a memoryview kept on the instance
             t = random_spanning_tree(g, rng)
             g2, t2 = round_trip((g, t))
@@ -489,6 +489,10 @@ class TestPickle:
                     b.flags.writeable = True
             assert np.shares_memory(np.asarray(g2.columns[2]), g2.w)
             assert g2.pair_min_ids() == g.pair_min_ids()
+            for a, b in zip((keys, ids), g2.pair_columns()):  # rebuilt, not shared with the original
+                assert b.dtype == np.int64 and a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
+                with pytest.raises(ValueError):
+                    b.flags.writeable = True
             assert t2 == t and t2.in_tree.tobytes() == t.in_tree.tobytes()
             with pytest.raises(ValueError):
                 t2.in_tree[0] = not t2.in_tree[0]

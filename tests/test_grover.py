@@ -37,8 +37,8 @@ Q = Fraction(*MISS_BOUND)
 
 
 def space(logical, marked):
-    marked = set(marked)
-    return SearchSpace(logical, lambda i: i in marked)
+    marked = np.array(sorted(set(marked)), dtype=np.int64)
+    return SearchSpace(logical, lambda positions: np.isin(positions, marked))
 
 
 def search(s, rng_seed):
@@ -90,7 +90,7 @@ class TestSearchSpace:
             SearchSpace(-1, bool)
 
     def test_padding_never_marked(self):
-        s = SearchSpace(3, lambda i: True)
+        s = SearchSpace(3, lambda positions: np.ones(positions.size, dtype=bool))
         assert marked_mask(s).tolist() == [True, True, True, False]
         assert s.marked_count == 3
 

@@ -56,12 +56,6 @@ class TestAdjacencyModel:
         o = InstrumentedOracle(g, OracleModel.ADJACENCY)
         assert o.weight(0, 1) == 1.0
 
-    def test_edge_weight_of_heavier_parallel_edge_is_its_own(self):
-        g = load_graph("2 2\n0 1 2.0\n0 1 1.0\n")
-        o = InstrumentedOracle(g, OracleModel.ADJACENCY)
-        assert o.lookup_weight(0) == 2.0
-        assert o.classical_queries == 1
-
     def test_wrong_model_call_rejected(self):
         o = adj_oracle(triangle())
         with pytest.raises(ValueError):
@@ -129,13 +123,6 @@ class TestCounters:
             o.count_quantum_applications(-1)
         assert o.quantum_queries == 0
 
-    def test_reset(self):
-        o = edge_oracle(triangle())
-        o.edge(0)
-        o.count_quantum_applications(2)
-        o.reset()
-        assert (o.classical_queries, o.quantum_queries) == (0, 0)
-
     def test_exactness_against_shadow_counter(self, rng):
         g = triangle()
         o = adj_oracle(g)
@@ -175,10 +162,9 @@ class TestCounters:
         "model,charge",
         [
             (OracleModel.ADJACENCY, lambda o, i: o.weight(i % 3, (i + 1) % 3)),
-            (OracleModel.ADJACENCY, lambda o, i: o.lookup_weight(i % 3)),
-            (OracleModel.EDGE_LIST, lambda o, i: o.lookup_weight(i % 3)),
+            (OracleModel.EDGE_LIST, lambda o, i: o.edge(i % 3)),
         ],
-        ids=["adjacency-weight", "adjacency-lookup_weight", "edgelist-lookup_weight"],
+        ids=["adjacency-weight", "edgelist-edge"],
     )
     def test_every_per_query_method_counts_exactly_under_concurrent_callers(self, model, charge):
         o = InstrumentedOracle(triangle(), model)
@@ -207,10 +193,8 @@ class TestCounters:
         [
             (OracleModel.EDGE_LIST, lambda o: o.edge(0)),
             (OracleModel.ADJACENCY, lambda o: o.weight(0, 1)),
-            (OracleModel.ADJACENCY, lambda o: o.lookup_weight(0)),
-            (OracleModel.EDGE_LIST, lambda o: o.lookup_weight(0)),
         ],
-        ids=["edgelist-edge", "adjacency-weight", "adjacency-lookup_weight", "edgelist-lookup_weight"],
+        ids=["edgelist-edge", "adjacency-weight"],
     )
     def test_a_charge_waits_for_the_counter_lock(self, model, charge):
         # the interpreter rarely switches threads inside `+=`, so an exact count alone would not show a missing lock
@@ -252,14 +236,6 @@ class TestCallContract:
                 assert report.classical_weight_queries == oracle.classical_queries >= n - 1
 
     @pytest.mark.parametrize("model", [OracleModel.EDGE_LIST, OracleModel.ADJACENCY])
-    @pytest.mark.parametrize("i", [-1, 3])
-    def test_lookup_weight_rejects_an_edge_index_outside_the_graph_uncharged(self, model, i):
-        o = InstrumentedOracle(triangle(), model)
-        with pytest.raises(IndexError, match=re.escape(f"edge index {i} outside [0, 2]")):
-            o.lookup_weight(i)
-        assert o.classical_queries == 0
-
-    @pytest.mark.parametrize("model", [OracleModel.EDGE_LIST, OracleModel.ADJACENCY])
     def test_a_rejected_call_is_uncharged_and_leaves_the_lock_free(self, model):
         o = InstrumentedOracle(triangle(), model)
         if model is OracleModel.ADJACENCY:
@@ -282,7 +258,6 @@ class TestCallContract:
                 (ValueError, o.weight, (0, 1)),
                 (ValueError, o.weight, (0.5, 1)),
             ]
-        rejected += [(IndexError, o.lookup_weight, (3,)), (TypeError, o.lookup_weight, (1.0,))]
         for exc, method, args in rejected:
             with pytest.raises(exc):
                 method(*args)
@@ -293,10 +268,10 @@ class TestCallContract:
         edge_list, adjacency = edge_oracle(triangle()), adj_oracle(triangle())
         assert edge_list.edge(np.int64(2)) == edge_list.edge(2) == (0, 2, 3.0)
         assert edge_list.edge(True) == edge_list.edge(1) == (1, 2, 2.0)
-        assert edge_list.lookup_weight(np.int32(1)) == 2.0
+        assert edge_list.edge(np.int32(1)) == (1, 2, 2.0)
         assert adjacency.weight(np.int64(0), True) == adjacency.weight(0, 1) == 1.0
         assert adjacency.weight(np.uint8(2), np.int16(0)) == 3.0
-        assert adjacency.lookup_weight(np.int64(2)) == 3.0
+        assert adjacency.weight(np.int64(0), np.int32(2)) == 3.0
         assert edge_list.classical_queries == 5
         assert adjacency.classical_queries == 4
 
@@ -326,7 +301,6 @@ class TestAnswersAreExactPythonNumbers:
                 u, v, w = edge_list.edge(i)
                 assert (type(u), type(v), type(w)) == (int, int, float)
                 assert type(adjacency.weight(u, v)) is type(adjacency.weight(v, v)) is float
-                assert type(edge_list.lookup_weight(i)) is type(adjacency.lookup_weight(i)) is float
             mst = kruskal_mst(g)
             assert type(tree_weight(g, mst)) is float
             t = perturbed_mst(g, rng)

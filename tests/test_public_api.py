@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mstverify
-from mstverify import boruvka, graph, grover, verify
+from mstverify import boruvka, graph, grover, oracle, verify
 
 PUBLIC = [
     "BoruvkaTree",
@@ -58,6 +58,8 @@ def test_public_name_resolves(name):
         (boruvka.BoruvkaTree, "nodes"),
         (boruvka.BoruvkaTree, "dump"),
         (verify, "is_violating"),
+        (oracle.InstrumentedOracle, "lookup_weight"),
+        (oracle.InstrumentedOracle, "reset"),
         (boruvka.BoruvkaTree, "path_max"),
         (boruvka, "PathMaxAnswer"),
         (boruvka, "tree_path_edges"),
@@ -108,8 +110,7 @@ def test_weights_are_sorted_only_in_weight_order():
 def test_only_verify_charges_the_oracle():
     """Only verify.py charges: the build, the predicate and the search read stored data and take no oracle.
 
-    A charging method read anywhere else is stray, except on self inside
-    oracle.py, where lookup_weight makes its lookup by self.edge or self.weight.
+    A charging method read anywhere else is stray, inside oracle.py too.
     """
     stray, charges = [], set()
     for path in sorted(Path(mstverify.__file__).parent.glob("*.py")):
@@ -120,8 +121,8 @@ def test_only_verify_charges_the_oracle():
             if isinstance(node, ast.Attribute) and node.attr in ("edge", "weight", "lookup_weight", "count_quantum_applications"):
                 if path.name == "verify.py":
                     charges.add(node.attr)
-                elif not (path.name == "oracle.py" and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                else:
                     stray.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert stray == []
-    # verify.py charges by each model's own query and by the search's count, not through lookup_weight
+    # verify.py charges by each model's own query and by the search's count
     assert charges == {"edge", "weight", "count_quantum_applications"}

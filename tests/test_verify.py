@@ -26,7 +26,7 @@ from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
 
 from .conftest import adj_oracle, edge_oracle, path_graph, triangle, whole_tree
-from .reference import chunked_bbht_search, direct_path_max, is_violating, pair_min, path_max
+from .reference import chunked_bbht_search, direct_path_max, is_violating, loop_marked_indices, pair_min, path_max
 
 DELTA = verify.DEFAULT_DELTA
 
@@ -479,15 +479,36 @@ class TestSearchDomain:
         assert marked_total > 0 and parallel_graphs > 0
 
     @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
+    def test_marked_indices_equal_the_per_position_reference(self, rng, mode):
+        """The vectorized marker marks what the scalar marker marked, one call per position, in the same order."""
+        marked_total = 0
+        for _ in range(40):
+            g = multigraph(rng, 2 + int(rng.integers(15)))
+            for t in (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng)):
+                replaced = verify._violations(g, t, build_boruvka_tree(g, t))
+                space, _ = verify._search_space(g, replaced, mode)
+                if mode == "edgelist":
+                    expected = loop_marked_indices(range(g.m), lambda i: replaced[i] >= 0)
+                else:
+                    at = g.pair_min_ids()
+                    expected = loop_marked_indices(sorted(at), lambda i: replaced[at[i]] >= 0)
+                marked = space.marked_indices()
+                assert marked.dtype == np.int64 and marked.tolist() == expected.tolist()
+                marked_total += marked.size
+        assert marked_total > 0
+
+    @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
     def test_predicate_evaluated_at_most_m_times(self, rng, monkeypatch, mode):
         calls = []
         total = 0
 
         def counting_space(logical_size, marker, *args, **kwargs):
             # the search's only view of the predicate is the marker its SearchSpace receives
-            def counting(i):
-                calls.append(i)
-                return marker(i)
+            def counting(positions):
+                marks = marker(positions)
+                assert marks.dtype == bool and marks.shape == positions.shape
+                calls.append(positions.tolist())
+                return marks
 
             return SearchSpace(logical_size, counting, *args, **kwargs)
 
@@ -498,9 +519,11 @@ class TestSearchDomain:
             oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
             calls.clear()
             quantum_verify(g, t, oracle, mode, i)
-            assert len(calls) <= g.m
-            assert len(set(calls)) == len(calls)
-            total += len(calls)
+            [evaluated] = calls  # one marker call per search
+            assert len(evaluated) <= g.m
+            assert len(set(evaluated)) == len(evaluated)
+            assert set(evaluated) <= (set(range(g.m)) if mode == "edgelist" else set(g.pair_min_ids()))
+            total += len(evaluated)
         assert total > 0
 
 
