@@ -5,8 +5,8 @@ whose leaves are the vertices: every phase, each current node selects its
 minimum-(w, id) incident T-edge, and the connected components of the
 selected edges become the nodes of the next level. The maximum branch
 weight between two leaves equals the maximum edge weight on their T-path,
-so after one build (n-1 lookups the verifier charges), path_max_batch
-answers any number of path-max queries together: all of them climb the
+so after one build (n-1 lookups the verifier charges), one batched climb
+answers the path maxima of all non-tree edges together: they climb the
 tree in lock-step, O(log n) array gathers, no oracle calls. The build takes
 the tree edges in (w, id) order from the graph's order column, and each
 node keeps the rank of its branch in that order, so neither the build
@@ -15,7 +15,7 @@ components of the picked edges in one of two forms: on arrays by pointer
 jumping, for trees above SMALL_TREE_VERTICES, and on Python lists by a
 union-find, for smaller ones, where numpy's per-call cost would
 dominate. Both give the same arrays (tests/test_tree_arrays.py,
-test_array_phases_equal_python_phases). The batch also names each path's
+test_array_phases_equal_python_phases). The climb also names each path's
 maximum edge, which is the tree edge a violating edge replaces, so
 certification needs no walk of T.
 """
@@ -27,10 +27,6 @@ import math
 import numpy as np
 
 from .graph import Graph, SpanningTree, _jump, _read_only
-
-
-class SameVertexError(ValueError):
-    """A path query needs two distinct vertices."""
 
 
 class BoruvkaTree:
@@ -58,38 +54,21 @@ class BoruvkaTree:
         self.rank_w = _read_only(rank_w)
         self.rank_id = _read_only(rank_id)
 
-    def path_max_batch(self, us, vs) -> tuple[np.ndarray, np.ndarray]:
-        """Maximum-(w, id) edge of the T-path of each vertex pair: (max weights, max edge ids).
-
-        The maximum branch on the two synchronized ascents from u and v to
-        their LCA is the maximum-(w, id) edge of their T-path. All pairs
-        climb together, one gather per level for `height` levels; a pair
-        stops taking maxima once its two ascents meet at the LCA. Branches
-        are compared by the ranks the build stored, so each level costs one
-        integer maximum, and two gathers map the winning ranks to weights
-        and ids. Nothing is sorted, and no oracle queries. us and vs must
-        have the same shape (ValueError), and vertices must be integers: a
-        non-empty input of another dtype raises TypeError.
-        """
-        a, b = np.asarray(us), np.asarray(vs)
-        if a.shape != b.shape:
-            raise ValueError(f"vertex arrays differ in shape: {a.shape} and {b.shape}")
-        for x in (a, b):
-            if x.size and x.dtype.kind not in "biu":
-                raise TypeError(f"vertices must be integers, got dtype {x.dtype}")
-        a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-        same = a == b
-        if same.any():
-            raise SameVertexError(f"path query needs distinct vertices, got {int(a[same.argmax()])} twice")
-        outside = (a < 0) | (a >= self.n) | (b < 0) | (b >= self.n)
-        if outside.any():
-            k = int(outside.argmax())
-            x = int(a[k]) if not (0 <= a[k] < self.n) else int(b[k])
-            raise IndexError(f"vertex {x} out of range [0, {self.n - 1}]")
-        return self._climb(a, b)
-
     def _climb(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """path_max_batch without its checks: a and b are int64 vertex arrays of one shape, a != b everywhere."""
+        """Maximum-(w, id) edge of the T-path of each vertex pair a[k], b[k]: (max weights, max edge ids).
+
+        The maximum branch on the two synchronized ascents from a[k] and
+        b[k] to their LCA is the maximum-(w, id) edge of their T-path. All
+        pairs climb together, one gather per level for `height` levels; a
+        pair stops taking maxima once its two ascents meet at the LCA.
+        Branches are compared by the ranks the build stored, so each level
+        costs one integer maximum, and two gathers map the winning ranks to
+        weights and ids. Nothing is sorted, and no oracle queries.
+
+        Unchecked precondition: a and b are int64 vertex arrays of one
+        shape, every vertex is in 0..n-1, and a != b everywhere, as a
+        Graph's endpoint columns are on every row.
+        """
         rank, parent = self.branch_rank, self.parent
         best = np.full(a.shape, -1, dtype=np.int64)
         for _ in range(self.height):

@@ -111,7 +111,7 @@ def perturbed_mst(g: Graph, rng: np.random.Generator) -> SpanningTree:
     # one batched path-max over the non-tree edges, in id order
     outside = np.flatnonzero(~mst.in_tree)
     b = build_boruvka_tree(g, mst)
-    max_w, max_id = b.path_max_batch(g.u[outside], g.v[outside])
+    max_w, max_id = b._climb(g.u[outside], g.v[outside])
     increasing = g.w[outside] > max_w
     candidates = list(zip(outside[increasing].tolist(), max_id[increasing].tolist()))
     if not candidates:

@@ -15,11 +15,11 @@ query, and each search by count_quantum_applications().
 
 Those two per-query methods take the lock with an explicit acquire() and
 a try/finally release() rather than a `with` block: the context-manager
-protocol was about a third of a charge's cost. Each checks its arguments
-(model, integer index, range) and reads its answer's row from memoryviews
-of the graph's numpy columns (no copy) before it takes the lock, so a
-rejected call is never charged. count_quantum_applications() runs once
-per schedule and keeps `with`.
+protocol was about a third of a charge's cost. Each runs every check that
+can reject the call (model, integer index, range) before it charges, so a
+rejected call is never charged, and reads its answer from memoryviews of
+the graph's numpy columns (no copy). count_quantum_applications() runs
+once per schedule and keeps `with`.
 """
 
 from __future__ import annotations

@@ -102,9 +102,9 @@ def _violations(g: Graph, t: SpanningTree, b: BoruvkaTree) -> np.ndarray:
     Tree edges never violate. Equal weight does not violate: an equally
     heavy alternative never refutes minimality. The non-tree edges are
     those t.in_tree leaves False. No oracle calls: callers charge the
-    lookups their query model requires. The batch skips path_max_batch's
-    checks: a Graph's endpoint columns are int64 vertices with u < v on
-    every row.
+    lookups their query model requires. A Graph's endpoint columns are
+    int64 vertices with u < v on every row, which is the climb's
+    precondition.
     """
     outside = np.flatnonzero(~t.in_tree)
     replaced = np.full(g.m, -1, dtype=np.int64)

@@ -3,8 +3,8 @@
 - Boruvka trees: validate_structure checks a tree's structural bounds.
   path_max is the scalar ascent, one vertex pair at a time over Python
   lists, and direct_path_max the brute-force T-path maximum: the batched
-  BoruvkaTree.path_max_batch must equal both. nodes and dump read a tree's
-  arrays as one BNode per node.
+  climb BoruvkaTree._climb must equal both. Both raise ValueError on
+  u == v. nodes and dump read a tree's arrays as one BNode per node.
 - Tree paths: dfs_tree_path_edges, the path's edge ids by a depth-first
   search over Python adjacency lists. walk_improve certifies a swap by walking the incoming
   edge's T-path, as the package did before it checked the swapped tree
@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from mstverify.boruvka import BoruvkaTree, SameVertexError
+from mstverify.boruvka import BoruvkaTree
 from mstverify.graph import Graph, NotInGraphError, NotSpanningError, SpanningTree, UnionFind, spanning_tree
 from mstverify.grover import BBHT_GROWTH, ROUND_CHUNK, BbhtStats, SearchSpace, success_probability
 from mstverify.oracle import InstrumentedOracle, OracleModel
@@ -145,7 +145,7 @@ def path_max(b: BoruvkaTree, u: int, v: int) -> PathMaxAnswer:
     O(height) work, no oracle queries.
     """
     if u == v:
-        raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
+        raise ValueError(f"path query needs distinct vertices, got {u} twice")
     for x in (u, v):
         if not (0 <= x < b.n):
             raise IndexError(f"vertex {x} out of range [0, {b.n - 1}]")
@@ -175,7 +175,7 @@ def direct_path_max(g: Graph, t: SpanningTree, u: int, v: int) -> PathMaxAnswer:
 def dfs_tree_path_edges(g: Graph, t: SpanningTree, u: int, v: int) -> list[int]:
     """The edge ids of the unique T-path between u and v in u -> v order, by a depth-first search over adjacency lists."""
     if u == v:
-        raise SameVertexError(f"path query needs distinct vertices, got {u} twice")
+        raise ValueError(f"path query needs distinct vertices, got {u} twice")
     us, vs, _ = g.columns
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # vertex -> (neighbor, edge id)
     for i in t.edge_ids:

@@ -3,7 +3,9 @@
 The fixture holds the graph and tree texts themselves plus, for every
 run, the argument list, the exit code and the exact stdout. Running this
 module as a script regenerates the corpus and re-records the expected
-reports; do that only when a report change is intended.
+reports; do that only when a report change is intended. The corpus is
+drawn from one seed by the package's generators, and a test checks that
+they still draw the stored instances.
 """
 
 from __future__ import annotations
@@ -15,7 +17,17 @@ import json
 import math
 from pathlib import Path
 
-from mstverify import kruskal_mst, load_graph, load_tree
+import numpy as np
+
+from mstverify import (
+    kruskal_mst,
+    load_graph,
+    load_tree,
+    random_connected_graph,
+    serialize_graph,
+    serialize_tree,
+    tree_of_kind,
+)
 from mstverify.cli import main
 from mstverify.grover import SearchSpace, bbht_cutoff
 from mstverify.verify import DEFAULT_DELTA, Witness, improve
@@ -97,13 +109,8 @@ def test_reports_hold_ground_truth():
     assert (len(classical), digest) == (48, CLASSICAL_RUNS_SHA256)
 
 
-def _record():
-    import tempfile
-
-    import numpy as np
-
-    from mstverify import random_connected_graph, serialize_graph, serialize_tree, tree_of_kind
-
+def _instances():
+    """The corpus: 24 graphs and trees drawn by the package's generators from one seed."""
     rng = np.random.default_rng(20261017)
     instances = []
     for i in range(24):
@@ -113,6 +120,18 @@ def _record():
         g = random_connected_graph(n, None, rng, weight_alphabet=alphabet)
         t = tree_of_kind(g, kind, rng)
         instances.append({"kind": kind, "graph": serialize_graph(g), "tree": serialize_tree(g, t)})
+    return instances
+
+
+def test_generators_draw_the_stored_instances():
+    """A generator that drifts per seed would change the corpus a re-record writes."""
+    assert _instances() == _load()["instances"]
+
+
+def _record():
+    import tempfile
+
+    instances = _instances()
     runs = [
         {"instance": i, "args": ["--mode", mode, "--seed", str(seed)]}
         for i in range(len(instances))

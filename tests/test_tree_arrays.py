@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mstverify import Graph, GraphError, classical_verify, kruskal_mst, quantum_verify, random_spanning_tree, tree_weight
 from mstverify import boruvka, graph
-from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, SameVertexError, build_boruvka_tree
+from mstverify.boruvka import SMALL_TREE_VERTICES, BoruvkaTree, build_boruvka_tree
 from mstverify.generate import perturbed_mst
 from mstverify.graph import SMALL_GRAPH_EDGES, _weight_order, spanning_tree
 from mstverify.oracle import InstrumentedOracle
@@ -117,7 +117,7 @@ class TestArrayBuild:
         validate_structure(b, g.n)
         us, vs = rng.integers(g.n, size=200), rng.integers(g.n, size=200)
         us, vs = us[us != vs], vs[us != vs]
-        max_w, max_id = b.path_max_batch(us, vs)
+        max_w, max_id = b._climb(us, vs)
         for u, v, w, i in zip(us.tolist(), vs.tolist(), max_w.tolist(), max_id.tolist()):
             scalar, expected = path_max(b, u, v), direct_path_max(g, t, u, v)
             assert (scalar.max_weight, scalar.max_edge_id) == (w, i) == (expected.max_weight, expected.max_edge_id)
@@ -250,7 +250,7 @@ def test_tree_path_equals_the_dfs_reference(rng, shape, n):
         on_path = set(path)
         for a, c in ((u, v), (v, u)):
             expected = direct_path_max(g, t, a, c)
-            ws, ids = b.path_max_batch([a], [c])
+            ws, ids = b._climb(np.array([a]), np.array([c]))
             assert (float(ws[0]), int(ids[0])) == (expected.max_weight, expected.max_edge_id)
         off_path = sorted(set(t.edge_ids) - on_path)
         sample = [int(i) for i in rng.permutation(sorted(on_path))[:16]]
@@ -258,14 +258,11 @@ def test_tree_path_equals_the_dfs_reference(rng, shape, n):
         for out in sample:
             result = certified(improve, g, t, Witness(base.m + k, out))
             assert (result[0] == "ok" or "not on the tree path" not in result[1]) == (out in on_path), (u, v, out)
-    x = int(rng.integers(n))
-    with pytest.raises(SameVertexError):
-        b.path_max_batch([x], [x])
 
 
 def test_witness_is_the_brute_force_path_max(monkeypatch):
     batches = []
-    climb = BoruvkaTree._climb  # every batch, checked at path_max_batch or not, runs through it
+    climb = BoruvkaTree._climb  # the one batched path maximum, which _violations calls once per verify
 
     def counted(self, *args):
         batches.append(args)
