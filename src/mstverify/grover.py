@@ -2,9 +2,11 @@
 
 From the uniform start a Grover state stays in the span of the uniform
 marked and the uniform unmarked state, so a round's measurement law is
-the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1). Every round of the
-schedule samples that law directly, at O(1) per round whatever the domain
-size. A round's iteration count never depends on earlier outcomes, so the
+the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1), and a search needs
+only the domain size N and the marked indices, which a SearchSpace reads
+once from its marker. Every round of the schedule samples that law
+directly, at O(1) per round whatever the domain size, drawing from the
+caller's Generator. A round's iteration count never depends on earlier outcomes, so the
 schedule draws its rounds' counts and success uniforms ROUND_CHUNK rounds
 at a time, and it draws an index only on a hit: on a miss the measured
 index would only feed a check that must fail. The dense state-vector
@@ -34,33 +36,26 @@ ROUND_CHUNK = 32
 
 
 class SearchSpace:
-    """Power-of-two search domain with a vectorized marking predicate.
+    """Power-of-two search domain and its marked indices.
 
     logical_size L is the real problem size; indices L..N-1 are padding,
-    forced unmarked, where N is the least power of two >= max(L, 2).
-    positions, a sorted int64 array, are the only indices that may be
-    marked (default: 0..L-1); marker maps them to a bool array, once.
+    where N is the least power of two >= max(L, 2). marker takes no
+    argument and returns the sorted int64 marked indices, all below L;
+    marked_indices() calls it once.
     """
 
-    def __init__(
-        self,
-        logical_size: int,
-        marker: Callable[[np.ndarray], np.ndarray],
-        positions: np.ndarray | None = None,
-    ):
+    def __init__(self, logical_size: int, marker: Callable[[], np.ndarray]):
         if logical_size < 0:
             raise ValueError("logical size must be >= 0")
         self.logical_size = logical_size
         self.domain_size = 2 if logical_size <= 1 else 1 << (logical_size - 1).bit_length()
-        self._raw_marker = marker
-        self._positions = positions
+        self._marker = marker
         self._marked: np.ndarray | None = None
 
     def marked_indices(self) -> np.ndarray:
-        """Sorted indices of all marked elements, positions[marker(positions)] (computed once, then cached)."""
+        """Sorted indices of all marked elements, marker() (computed once, then cached)."""
         if self._marked is None:
-            positions = np.arange(self.logical_size, dtype=np.int64) if self._positions is None else self._positions
-            self._marked = positions[self._raw_marker(positions)]
+            self._marked = self._marker()
         return self._marked
 
     @cached_property
@@ -203,7 +198,7 @@ def bbht_cutoff(domain_size: int, delta: float) -> int:
     return int(ceilings[:first].sum()) - first + j * (c - 1)
 
 
-def bbht_search(space: SearchSpace, rng_seed, cutoff: int) -> tuple[int | None, BbhtStats]:
+def bbht_search(space: SearchSpace, rng: np.random.Generator, cutoff: int) -> tuple[int | None, BbhtStats]:
     """Search with an unknown number of marked elements (BBHT schedule), spending at most cutoff Grover iterations.
 
     Rounds draw a random iteration count below a bound that grows by 6/5
@@ -213,9 +208,8 @@ def bbht_search(space: SearchSpace, rng_seed, cutoff: int) -> tuple[int | None, 
     iterations reach the cutoff, to which the last round's draw is
     clamped; bbht_cutoff sizes it to a failure probability. Each Grover
     iteration and each check is one quantum oracle application, counted in
-    the stats for the caller to charge; a Generator rng_seed is used as is.
+    the stats for the caller to charge. Every draw comes from rng.
     """
-    rng = np.random.default_rng(rng_seed)
     rows = _round_ceilings(space.domain_size)
     iterations = rounds = 0
     found = None

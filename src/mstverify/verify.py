@@ -194,15 +194,15 @@ def _search_space(g: Graph, replaced: np.ndarray, mode: str) -> tuple[SearchSpac
     unordered vertex pairs, pair (a, b) with a < b at index
     graph.pair_index(n, a, b). Only a pair's minimum-(w, id) edge can be
     marked: a non-edge pair has no candidate, and a heavier parallel edge
-    never violates where the pair minimum does not. So the positions are
-    the pair map's keys, which the graph sorts once, and the marker reads
-    replaced, the batched predicate, at their edge ids. Each marker is
-    called with its space's own positions; an index maps back by the map.
+    never violates where the pair minimum does not. So the marked indices
+    are the sorted pair-map keys whose edge ids replaced, the batched
+    predicate, marks. Either marker returns sorted int64 indices below the
+    logical size, never padding; an index maps back by the map.
     """
     if mode == OracleModel.EDGE_LIST.value:
-        return SearchSpace(g.m, lambda _: replaced >= 0), int
+        return SearchSpace(g.m, lambda: np.flatnonzero(replaced >= 0)), int
     keys, ids = g.pair_columns()
-    return SearchSpace(g.n * (g.n - 1) // 2, lambda _: replaced[ids] >= 0, keys), g.pair_min_ids().__getitem__
+    return SearchSpace(g.n * (g.n - 1) // 2, lambda: keys[replaced[ids] >= 0]), g.pair_min_ids().__getitem__
 
 
 def _verify(

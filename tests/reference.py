@@ -17,8 +17,8 @@
   in an oracle's model, as InstrumentedOracle.lookup_weight did.
 - Graphs: pair_min, the id of the minimum-(w, id) edge of a vertex pair.
 - Search domains: loop_marked_indices calls a scalar marker once per
-  position, as SearchSpace.marked_indices did before its marker took the
-  positions as one array.
+  position, as SearchSpace.marked_indices did before its marker returned
+  the marked indices themselves.
 - Grover: the known-count optimal_iterations, and a dense state-vector
   simulation. The package samples every search round from the closed-form
   law sin^2((2r+1)θ); StateVector iterates the full real amplitude vector
@@ -28,8 +28,9 @@
   calls, as the package did before it drew rounds in chunks; the chunked
   schedule must match the loop in distribution. chunked_bbht_search is
   the chunked schedule as it ran with a generator of rounds and
-  dataclass counters; bbht_search must make the same Generator calls in
-  the same order and report the same. bbht_stop_law is the exact law of
+  dataclass counters; bbht_search, given the same Generator, must make
+  the same calls on it in the same order and report the same. These
+  references take a seed or a Generator, as default_rng does. bbht_stop_law is the exact law of
   a schedule's stop round and of its failure, a dynamic program over
   (round, cumulative iterations).
 """

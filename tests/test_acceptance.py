@@ -265,8 +265,8 @@ def test_criterion_5_grover_fidelity():
     for exp in range(1, 11):
         n = 1 << exp
         for k in range(0, min(n, 8) + 1):
-            marked = set(int(i) for i in rng.choice(n, size=k, replace=False))
-            space = SearchSpace(n, lambda positions, s=sorted(marked): np.isin(positions, s))
+            marked = np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
+            space = SearchSpace(n, lambda: marked)
             mask = marked_mask(space)
             state = StateVector(space.domain_size)
             r_max = 2 * optimal_iterations(n, k) if k else 8
@@ -300,7 +300,7 @@ def test_criterion_6_quantum_agreement():
         runs += 1
         agree += verdict.minimal == expected.minimal
 
-        domain = SearchSpace(g.m, lambda _: False).domain_size
+        domain = SearchSpace(g.m, lambda: np.empty(0, np.int64)).domain_size
         assert report.classical_weight_queries == n - 1
         assert report.grover_iterations <= bbht_cutoff(domain, DELTA)
         assert report.quantum_oracle_applications == o.quantum_queries

@@ -8,6 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mstverify import random_connected_graph, random_spanning_tree, verify
+from mstverify.boruvka import build_boruvka_tree
 from mstverify.grover import (
     SearchSpace,
     _closed_form_round,
@@ -38,12 +40,12 @@ Q = Fraction(*MISS_BOUND)
 
 def space(logical, marked):
     marked = np.array(sorted(set(marked)), dtype=np.int64)
-    return SearchSpace(logical, lambda positions: np.isin(positions, marked))
+    return SearchSpace(logical, lambda: marked)
 
 
 def search(s, rng_seed):
-    """One schedule at the default delta's cutoff."""
-    return bbht_search(s, rng_seed, bbht_cutoff(s.domain_size, DELTA))
+    """One schedule at the default delta's cutoff, on default_rng(rng_seed): a Generator is used as is."""
+    return bbht_search(s, np.random.default_rng(rng_seed), bbht_cutoff(s.domain_size, DELTA))
 
 
 def within_binomial(counts, trials, p) -> bool:
@@ -89,10 +91,21 @@ class TestSearchSpace:
         with pytest.raises(ValueError, match="logical size must be >= 0"):
             SearchSpace(-1, bool)
 
-    def test_padding_never_marked(self):
-        s = SearchSpace(3, lambda positions: np.ones(positions.size, dtype=bool))
-        assert marked_mask(s).tolist() == [True, True, True, False]
-        assert s.marked_count == 3
+    @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
+    def test_padding_never_marked(self, mode):
+        """A verify's search space marks only indices below its logical size, so the padding up to N stays unmarked."""
+        rng = np.random.default_rng(3)
+        padded = marked_total = 0
+        for _ in range(40):
+            g = random_connected_graph(int(rng.integers(3, 24)), None, rng)
+            t = random_spanning_tree(g, rng)
+            s, _ = verify._search_space(g, verify._violations(g, t, build_boruvka_tree(g, t)), mode)
+            marked = s.marked_indices()
+            assert marked.dtype == np.int64 and (marked < s.logical_size).all()
+            assert not marked_mask(s)[s.logical_size :].any()
+            padded += s.logical_size < s.domain_size
+            marked_total += marked.size
+        assert padded > 0 and marked_total > 0
 
 
 class TestGroverSearch:

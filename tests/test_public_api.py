@@ -79,6 +79,14 @@ def test_improve_takes_no_path():
     assert "path" not in inspect.signature(verify.improve).parameters
 
 
+def test_search_space_takes_a_size_and_a_marker_of_its_indices():
+    assert list(inspect.signature(grover.SearchSpace).parameters) == ["logical_size", "marker"]
+
+
+def test_bbht_search_takes_the_verify_generator():
+    assert list(inspect.signature(grover.bbht_search).parameters) == ["space", "rng", "cutoff"]
+
+
 class _WeightSorts(ast.NodeVisitor):
     """The enclosing function of every argsort, lexsort, and sorted() or .sort() given a key, in one module."""
 

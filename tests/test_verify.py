@@ -228,7 +228,7 @@ class TestQuantumVerify:
         verdict, report = quantum_verify(g, t, edge_oracle(g), "edgelist", 9)
         assert verdict.minimal
         # k = 0: nothing can ever certify, the schedule runs to its cutoff
-        domain = SearchSpace(g.m, lambda i: False).domain_size
+        domain = SearchSpace(g.m, lambda: np.empty(0, np.int64)).domain_size
         assert report.grover_iterations == bbht_cutoff(domain, DELTA)
 
     @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
@@ -237,7 +237,7 @@ class TestQuantumVerify:
         g = random_connected_graph(12, 30, rng)
         t = kruskal_mst(g)
         logical = g.m if mode == "edgelist" else g.n * (g.n - 1) // 2
-        unmarked = SearchSpace(logical, lambda i: False)
+        unmarked = SearchSpace(logical, lambda: np.empty(0, np.int64))
         for seed in (0, 1, 7, 2**63):
             oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
             verdict, report = quantum_verify(g, t, oracle, mode, seed)
@@ -264,7 +264,7 @@ class TestQuantumVerify:
             t = random_spanning_tree(g, rng)
             o = edge_oracle(g)
             verdict, report = quantum_verify(g, t, o, "edgelist", seed)
-            domain = SearchSpace(g.m, lambda i: False).domain_size
+            domain = SearchSpace(g.m, lambda: np.empty(0, np.int64)).domain_size
             assert report.classical_weight_queries == n - 1
             assert report.grover_iterations <= bbht_cutoff(domain, DELTA)
             assert report.quantum_oracle_applications == o.quantum_queries
@@ -275,7 +275,7 @@ class TestQuantumVerify:
         verdict, report = quantum_verify(g, t, adj_oracle(g), "adjacency", 4)
         assert verdict.minimal
         pairs = g.n * (g.n - 1) // 2
-        domain = SearchSpace(pairs, lambda i: False).domain_size
+        domain = SearchSpace(pairs, lambda: np.empty(0, np.int64)).domain_size
         budget = bbht_cutoff(domain, DELTA)
         assert report.grover_iterations == budget
         # O(n): domain < n^2, so c = ceil(sqrt N) <= n, and the cutoff is below
@@ -499,18 +499,17 @@ class TestSearchDomain:
 
     @pytest.mark.parametrize("mode", ["edgelist", "adjacency"])
     def test_predicate_evaluated_at_most_m_times(self, rng, monkeypatch, mode):
+        """A verify calls its space's marker once, and it returns distinct sorted int64 edge ids or pair-map keys."""
         calls = []
         total = 0
 
-        def counting_space(logical_size, marker, *args, **kwargs):
+        def counting_space(logical_size, marker):
             # the search's only view of the predicate is the marker its SearchSpace receives
-            def counting(positions):
-                marks = marker(positions)
-                assert marks.dtype == bool and marks.shape == positions.shape
-                calls.append(positions.tolist())
-                return marks
+            def counting():
+                calls.append(marker())
+                return calls[-1]
 
-            return SearchSpace(logical_size, counting, *args, **kwargs)
+            return SearchSpace(logical_size, counting)
 
         monkeypatch.setattr(verify, "SearchSpace", counting_space)
         for i in range(12):
@@ -519,11 +518,11 @@ class TestSearchDomain:
             oracle = edge_oracle(g) if mode == "edgelist" else adj_oracle(g)
             calls.clear()
             quantum_verify(g, t, oracle, mode, i)
-            [evaluated] = calls  # one marker call per search
-            assert len(evaluated) <= g.m
-            assert len(set(evaluated)) == len(evaluated)
-            assert set(evaluated) <= (set(range(g.m)) if mode == "edgelist" else set(g.pair_min_ids()))
-            total += len(evaluated)
+            [marked] = calls  # one marker call per verify
+            assert marked.dtype == np.int64 and marked.ndim == 1 and marked.size <= g.m
+            assert (np.diff(marked) > 0).all()  # sorted, hence distinct
+            assert set(marked.tolist()) <= (set(range(g.m)) if mode == "edgelist" else set(g.pair_min_ids()))
+            total += marked.size
         assert total > 0
 
 
