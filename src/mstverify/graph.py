@@ -440,8 +440,15 @@ def spanning_tree(g: Graph, edge_ids: Sequence[int]) -> SpanningTree:
     raise AssertionError("n-1 acyclic edges on n vertices span them")
 
 
+def _check_tree_of(g: Graph, t: SpanningTree) -> None:
+    """Raise NotSpanningError unless t's mask and edge count fit g: a tree of another graph would read g's ids."""
+    if t.in_tree.size != g.m or len(t.edge_ids) != g.n - 1:
+        raise NotSpanningError(f"tree of {len(t.edge_ids)} edges over {t.in_tree.size} edge ids is not one of {g!r}")
+
+
 def tree_weight(g: Graph, t: SpanningTree) -> float:
-    """Total weight of the tree, from stored edge data (no oracle calls)."""
+    """Total weight of the tree, from stored edge data (no oracle calls); NotSpanningError for a tree of another graph."""
+    _check_tree_of(g, t)
     return sum(map(g.columns[2].__getitem__, t.edge_ids), 0.0)
 
 
@@ -662,7 +669,8 @@ def load_tree(text: str, g: Graph) -> SpanningTree:
 
 
 def serialize_tree(g: Graph, t: SpanningTree, fmt: str = "indices") -> str:
-    """Canonical tree file in the requested format."""
+    """Canonical tree file in the requested format; NotSpanningError for a tree of another graph."""
+    _check_tree_of(g, t)
     if fmt == "indices":
         lines = ["indices"] + [str(i) for i in t.edge_ids]
     elif fmt == "pairs":

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .boruvka import BoruvkaTree, build_boruvka_tree
-from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, _is_real, spanning_tree
+from .graph import Graph, NotSpanningError, SpanningTree, UnionFind, _check_tree_of, _is_real, spanning_tree
 from .grover import BbhtStats, SearchSpace, bbht_cutoff, bbht_search
 from .oracle import InstrumentedOracle, OracleModel
 
@@ -223,10 +223,12 @@ def _verify(
     delta, and charges its stats' oracle applications. Both read the
     violation predicate that one batch evaluated before, which also names
     the tree edge the found edge replaces. A tree sized for another graph
-    raises NotSpanningError before any charge.
+    raises NotSpanningError, and an oracle built over another graph
+    ValueError, before any charge.
     """
-    if t.in_tree.size != g.m or len(t.edge_ids) != g.n - 1:
-        raise NotSpanningError(f"tree of {len(t.edge_ids)} edges over {t.in_tree.size} edge ids is not one of {g!r}")
+    _check_tree_of(g, t)
+    if oracle.graph is not g:
+        raise ValueError(f"the oracle is built over another graph than {g!r}")
     c0 = oracle.classical_queries
     _charge(oracle, t.edge_ids)
     b = build_boruvka_tree(g, t)

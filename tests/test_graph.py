@@ -329,6 +329,25 @@ class TestTreeWeight:
         assert tree_weight(g, spanning_tree(g, ids)) == expected
 
 
+class TestTreeOfAnotherGraph:
+    """tree_weight and serialize_tree check a tree's size against the graph, as a verify does, before they read its ids."""
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Graph(3, [(0, 1, 1.0), (1, 2, 2.0)]),  # the triangle's tree (1, 2) fits its edge count, not its 2 ids
+            Graph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]),  # 3 edge ids like the triangle, one vertex more
+        ],
+    )
+    @pytest.mark.parametrize(
+        "call", [tree_weight, serialize_tree, lambda g, t: serialize_tree(g, t, "pairs")], ids=["weight", "indices", "pairs"]
+    )
+    def test_rejected_with_not_spanning_error(self, other, call):
+        t = spanning_tree(triangle(), (1, 2))
+        with pytest.raises(NotSpanningError, match=f"tree of 2 edges over 3 edge ids is not one of Graph\\(n={other.n}, m={other.m}\\)"):
+            call(other, t)
+
+
 graph_texts = st.builds(
     lambda n, extra, weights: _graph_text(n, extra, weights),
     st.integers(min_value=1, max_value=12),

@@ -125,6 +125,28 @@ class TestTreeOfAnotherGraph:
         assert oracle.classical_queries == oracle.quantum_queries == 0
 
 
+class TestOracleOfAnotherGraph:
+    """An oracle is checked against the verify's graph before any charge: it would answer for the other graph's edges."""
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Graph(3, [(0, 1, 1.0), (1, 2, 2.0)]),  # two edges: the triangle's edge 2 is past its ids
+            Graph(3, [(0, 1, 5.0), (1, 2, 2.0), (0, 2, 3.0)]),  # the triangle's m, but another graph's weights
+        ],
+    )
+    @pytest.mark.parametrize("model", ["edgelist", "adjacency"])
+    @pytest.mark.parametrize("search", [False, True], ids=["classical", "quantum"])
+    def test_rejected_before_any_charge(self, other, model, search):
+        g = triangle()
+        t = spanning_tree(g, (1, 2))
+        oracle = InstrumentedOracle(other, model)
+        with pytest.raises(ValueError, match="oracle is built over another graph than Graph\\(n=3, m=3\\)") as raised:
+            quantum_verify(g, t, oracle) if search else classical_verify(g, t, oracle)
+        assert raised.type is ValueError
+        assert oracle.classical_queries == oracle.quantum_queries == 0
+
+
 class TestKruskal:
     def test_triangle(self):
         g = triangle()
