@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +226,35 @@ class TestVerifyCommand:
             fresh.append(run(capsys, *argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [3, 3, 3, 1, 0]
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_section(title: str) -> str:
+    """README's `## title` section, up to the next `## ` heading."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else len(text)]
+
+
+class TestReadmeExamples:
+    """README's CLI and Library blocks run as printed, in process, in an empty directory."""
+
+    def test_cli_lines_exit_zero_or_three(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        lines = [line for line in readme_section("CLI").splitlines() if line.startswith("mstverify ")]
+        assert len(lines) == 5
+        for line in lines:
+            code = main(shlex.split(line)[1:])
+            assert code in (0, 3), (line, capsys.readouterr().err)
+
+    def test_library_block_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        block = re.search(r"^```python\n(.*?)^```$", readme_section("Library"), re.S | re.M)
+        assert block and block.group(1).strip()
+        exec(compile(block.group(1), str(README), "exec"), {"__name__": "readme_library"})
 
 
 class TestGenCommand:

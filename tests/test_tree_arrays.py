@@ -143,7 +143,8 @@ def outcome(check, g: Graph, ids) -> tuple:
 
 
 class TestSpanningTreeCheck:
-    @pytest.mark.parametrize("n", [12, SMALL_GRAPH_EDGES + 1, SMALL_GRAPH_EDGES + 2, 120])
+    # n - 1 = UNION_FIND_EDGES + 1 tree ids take the array connectivity rounds before the walk
+    @pytest.mark.parametrize("n", [12, SMALL_GRAPH_EDGES + 1, SMALL_GRAPH_EDGES + 2, 120, graph.UNION_FIND_EDGES + 2])
     def test_same_error_as_the_edge_walk(self, rng, n):
         g = multigraph(rng, n, lambda: float(rng.integers(1, 4)))
         tree = list(kruskal_mst(g).edge_ids)
