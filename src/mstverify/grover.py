@@ -6,13 +6,13 @@ the closed form sin^2((2r+1)θ) (BBHT 1998, Lemma 1), and a search needs
 only the domain size N and the marked indices, which a SearchSpace reads
 once from its marker. Every round of the schedule samples that law
 directly, at O(1) per round whatever the domain size, drawing from the
-caller's Generator. A round's iteration count never depends on earlier outcomes, so the
-schedule draws its rounds' counts and success uniforms ROUND_CHUNK rounds
-at a time, and it draws an index only on a hit: on a miss the measured
-index would only feed a check that must fail. The dense state-vector
-simulation that the closed form is tested against, and the round-by-round
-loop this schedule is tested against, live with the tests, in
-tests/reference.py.
+caller's Generator. A round's iteration count never depends on earlier
+outcomes, so the schedule draws its rounds' counts and success uniforms
+ROUND_CHUNK rounds at a time, and it draws an index only on a hit: on a
+miss the measured index would only feed a check that must fail. The
+dense state-vector simulation that the closed form is tested against,
+and the round-by-round loop this schedule is tested against, live with
+the tests, in tests/reference.py.
 """
 
 from __future__ import annotations
