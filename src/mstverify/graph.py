@@ -24,11 +24,11 @@ from __future__ import annotations
 import io
 import math
 import operator
-from collections.abc import Callable, Mapping, Sequence, Sized
+from bisect import bisect_left
+from collections.abc import Callable, Sequence, Sized
 from dataclasses import dataclass, field
 from itertools import compress
 from numbers import Complex, Integral, Number, Real
-from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -119,6 +119,12 @@ def _finite(x) -> bool:
 def pair_index(n: int, a, b):
     """The index of pair a < b among the n(n-1)/2 vertex pairs in (a, b) order: ints or int64 arrays, 0 <= a < b < n."""
     return a * (2 * n - a - 1) // 2 + b - a - 1
+
+
+def key_position(keys: memoryview, key: int) -> int:
+    """The position of key in keys, a memoryview of increasing int64 keys, or -1 if key is not among them."""
+    i = bisect_left(keys, key)
+    return i if i < len(keys) and keys[i] == key else -1
 
 
 def _edge_error(eid: int, u, v, w, n: int) -> GraphError | None:
@@ -326,7 +332,7 @@ class Graph:
         u, v, w = _edge_columns(n, us, vs, ws) if columns is None else columns
         self.n = n
         self.m = w.size
-        self._pair_min: Mapping[int, int] | None = None
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
         components = _component_count(n, u, v)
         if components != 1:
             raise DisconnectedError(f"graph has {components} components, expected 1")
@@ -338,32 +344,22 @@ class Graph:
         """u, v and w as read-only memoryviews, for reads one edge at a time: no copy, and exact Python numbers."""
         return memoryview(self.u), memoryview(self.v), memoryview(self.w)
 
-    def pair_min_ids(self) -> Mapping[int, int]:
-        """Read-only map pair_index(n, a, b) -> id of the minimum-(w, id) edge joining a < b; built on first use.
-
-        The build also keeps the map as the two arrays pair_columns returns,
-        so that a search domain reads its keys without sorting them.
-        """
-        if self._pair_min is None:
+    def pair_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Built once, read-only int64: sorted pair_index keys of edge-joined pairs, each one's minimum-(w, id) edge id."""
+        if self._pairs is None:
             o = self.order  # a pair's first edge in (w, id) order is its minimum: np.unique's first occurrence
             keys, first = np.unique(pair_index(self.n, self.u[o], self.v[o]), return_index=True)
-            self._pair_keys, self._pair_ids = _read_only(keys), _read_only(o[first])
-            self._pair_min = MappingProxyType(dict(zip(keys.tolist(), self._pair_ids.tolist())))
-        return self._pair_min
-
-    def pair_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """pair_min_ids() as two read-only int64 arrays: its keys in increasing order, and each key's edge id."""
-        self.pair_min_ids()
-        return self._pair_keys, self._pair_ids
+            self._pairs = _read_only(keys), _read_only(o[first])
+        return self._pairs
 
     def __getstate__(self) -> tuple:
-        """n, m and the four columns, made read-only again by __setstate__; the pair map and its arrays are not kept."""
+        """n, m and the four columns, made read-only again by __setstate__; the pair columns are not kept."""
         return self.n, self.m, self.u, self.v, self.w, self.order
 
     def __setstate__(self, state: tuple) -> None:
         self.n, self.m, *columns = state
         self.u, self.v, self.w, self.order = map(_read_only, columns)
-        self._pair_min = None
+        self._pairs = None
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -656,16 +652,19 @@ def load_tree(text: str, g: Graph) -> SpanningTree:
         (ids,) = _columns(linenos, counts, fields, (int,), "expected one edge index", "non-integer index", check_index)
         return spanning_tree(g, ids)
 
-    pair_min = g.pair_min_ids()
+    keys, pair_ids = map(memoryview, g.pair_columns())
+    ids = []  # each checked line's pair minimum; an error discards them
 
     def check_pair(lineno: int, a: int, b: int) -> None:
         if not (0 <= a < g.n and 0 <= b < g.n):
             raise NotInGraphError(f"line {lineno}: vertex out of range")
-        if a == b or pair_index(g.n, min(a, b), max(a, b)) not in pair_min:  # (a, a) would alias another pair
+        at = key_position(keys, pair_index(g.n, min(a, b), max(a, b))) if a != b else -1  # (a, a) would alias another pair
+        if at < 0:
             raise NotInGraphError(f"line {lineno}: ({a}, {b}) is not an edge of the graph")
+        ids.append(pair_ids[at])
 
-    a_s, b_s = _columns(linenos, counts, fields, (int, int), "expected 'u v'", "non-integer endpoint", check_pair)
-    return spanning_tree(g, [pair_min[pair_index(g.n, min(a, b), max(a, b))] for a, b in zip(a_s, b_s)])
+    _columns(linenos, counts, fields, (int, int), "expected 'u v'", "non-integer endpoint", check_pair)
+    return spanning_tree(g, ids)
 
 
 def serialize_tree(g: Graph, t: SpanningTree, fmt: str = "indices") -> str:

@@ -16,10 +16,10 @@ query, and each search by count_quantum_applications().
 Those two per-query methods take the lock with an explicit acquire() and
 a try/finally release() rather than a `with` block: the context-manager
 protocol was about a third of a charge's cost. Each runs every check that
-can reject the call (model, integer index, range) before it charges, so a
-rejected call is never charged, and reads its answer from memoryviews of
-the graph's numpy columns (no copy). count_quantum_applications() runs
-once per schedule and keeps `with`.
+can reject the call (model, integer index, range) before it charges, and
+reads its answer from memoryviews of the graph's numpy columns, weight()
+by a graph.key_position binary search of the sorted pair keys.
+count_quantum_applications() runs once per schedule and keeps `with`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import operator
 import threading
 from enum import Enum
 
-from .graph import INFINITE_WEIGHT, Graph, pair_index
+from .graph import INFINITE_WEIGHT, Graph, key_position, pair_index
 
 
 class OracleModel(Enum):
@@ -53,7 +53,7 @@ class InstrumentedOracle:
         # made once: a lookup reads its cells of the columns as exact Python numbers, with no copy
         self._us, self._vs, self._ws = graph.columns
         self._m = graph.m
-        self._pair_min = graph.pair_min_ids() if self._adjacency else {}
+        self._keys, self._ids = map(memoryview, graph.pair_columns()) if self._adjacency else ((), ())
         self._lock = threading.Lock()
         self._classical = 0
         self._quantum = 0
@@ -94,8 +94,8 @@ class InstrumentedOracle:
             lock.release()
         if a == b:  # before pair_index, for which (a, a) would alias another pair
             return INFINITE_WEIGHT
-        i = self._pair_min.get(pair_index(n, a, b) if a < b else pair_index(n, b, a))
-        return INFINITE_WEIGHT if i is None else self._ws[i]
+        at = key_position(self._keys, pair_index(n, a, b) if a < b else pair_index(n, b, a))
+        return INFINITE_WEIGHT if at < 0 else self._ws[self._ids[at]]
 
     def edge(self, i: int) -> tuple[int, int, float]:
         """The edge-list model's lookup: endpoints and weight of edge i."""

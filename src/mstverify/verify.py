@@ -53,7 +53,7 @@ class Verdict:
 
 @dataclass
 class QueryReport:
-    """Exact per-run accounting of oracle traffic and coarse work."""
+    """Exact per-run accounting of oracle traffic and coarse work: a verify's own charges, whoever shares its oracle."""
 
     classical_weight_queries: int
     quantum_oracle_applications: int
@@ -171,8 +171,8 @@ def _charge(oracle: InstrumentedOracle, ids) -> None:
             weight(us[i], vs[i])
 
 
-def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedOracle) -> int | None:
-    """The id of the first violating non-tree edge in (w, id) order, or None.
+def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedOracle) -> tuple[int | None, int]:
+    """The id of the first violating non-tree edge in (w, id) order, or None, and the number of candidates charged.
 
     Each candidate up to and including the first violation is charged one
     weight lookup, in scan order, exactly as an edge-by-edge scan charges
@@ -184,7 +184,7 @@ def _scan(g: Graph, t: SpanningTree, replaced: np.ndarray, oracle: InstrumentedO
     hits = np.flatnonzero(replaced[scan] >= 0)
     stop = int(hits[0]) + 1 if hits.size else scan.size
     _charge(oracle, scan[:stop].tolist())
-    return int(scan[stop - 1]) if hits.size else None
+    return (int(scan[stop - 1]) if hits.size else None), stop
 
 
 def _search_space(g: Graph, replaced: np.ndarray, mode: str) -> tuple[SearchSpace, Callable[[int], int]]:
@@ -195,14 +195,14 @@ def _search_space(g: Graph, replaced: np.ndarray, mode: str) -> tuple[SearchSpac
     graph.pair_index(n, a, b). Only a pair's minimum-(w, id) edge can be
     marked: a non-edge pair has no candidate, and a heavier parallel edge
     never violates where the pair minimum does not. So the marked indices
-    are the sorted pair-map keys whose edge ids replaced, the batched
+    are the keys of g.pair_columns() whose edge ids replaced, the batched
     predicate, marks. Either marker returns sorted int64 indices below the
-    logical size, never padding; an index maps back by the map.
+    logical size, never padding; a key maps back to the edge id beside it.
     """
     if mode == OracleModel.EDGE_LIST.value:
         return SearchSpace(g.m, lambda: np.flatnonzero(replaced >= 0)), int
     keys, ids = g.pair_columns()
-    return SearchSpace(g.n * (g.n - 1) // 2, lambda: keys[replaced[ids] >= 0]), g.pair_min_ids().__getitem__
+    return SearchSpace(g.n * (g.n - 1) // 2, lambda: keys[replaced[ids] >= 0]), lambda k: int(ids[keys.searchsorted(k)])
 
 
 def _verify(
@@ -229,13 +229,12 @@ def _verify(
     _check_tree_of(g, t)
     if oracle.graph is not g:
         raise ValueError(f"the oracle is built over another graph than {g!r}")
-    c0 = oracle.classical_queries
     _charge(oracle, t.edge_ids)
     b = build_boruvka_tree(g, t)
     replaced = _violations(g, t, b)
-    found, stats = None, BbhtStats()
+    found, scanned, stats = None, 0, BbhtStats()
     if mode == "classical":
-        found = _scan(g, t, replaced, oracle)
+        found, scanned = _scan(g, t, replaced, oracle)
     else:
         space, edge_of = _search_space(g, replaced, mode)
         if space.logical_size > 0:
@@ -250,9 +249,9 @@ def _verify(
         verdict = Verdict(False, witness, improve(g, t, witness), weight_delta=ws[found] - ws[witness.replaced_edge_id])
     # every predicate evaluation is one oracle query, classical in the scan and
     # quantum in the search, and costs one ascent plus one compare
-    evaluations = oracle.classical_queries - c0 - len(t.edge_ids) + stats.oracle_applications
+    evaluations = scanned + stats.oracle_applications
     report = QueryReport(
-        classical_weight_queries=oracle.classical_queries - c0,
+        classical_weight_queries=len(t.edge_ids) + scanned,
         quantum_oracle_applications=stats.oracle_applications,
         grover_iterations=stats.grover_iterations,
         mode=mode,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -64,7 +66,7 @@ class TestColumnarGraph:
     def test_pair_min_breaks_weight_ties_by_id(self):
         g = Graph(3, [(0, 1, 2.0), (1, 2, 1.0), (1, 0, 1.0), (0, 1, 1.0), (2, 1, 1.0)])
         assert pair_min(g, 1, 0) == 2 and pair_min(g, 1, 2) == 1
-        assert dict(g.pair_min_ids()) == {0: 2, 2: 1}
+        assert [column.tolist() for column in g.pair_columns()] == [[0, 2], [2, 1]]
         assert pair_min(g, 0, 2) is None
         g = load_graph("3 3\n0 1 1.0\n2 1 2.0\n0 2 3.0\n")  # the row "2 1" is stored as (1, 2)
         assert pair_min(g, 2, 1) == pair_min(g, 1, 2) == 1
@@ -78,7 +80,6 @@ class TestColumnarGraph:
             parallel += len(set(zip(g.u.tolist(), g.v.tolist()))) < g.m
             keys, ids = g.pair_columns()
             assert keys.dtype == ids.dtype == np.int64
-            assert list(zip(keys.tolist(), ids.tolist())) == sorted(g.pair_min_ids().items())
             pairs = sorted(set(zip(g.u.tolist(), g.v.tolist())))
             assert keys.tolist() == [pair_index(n, a, b) for a, b in pairs]
             assert ids.tolist() == [pair_min(g, a, b) for a, b in pairs]
@@ -170,6 +171,36 @@ class TestColumnarGraph:
         g = load_graph("5 4\n0 1 1\n1 2 1\n2 3 1\n3 4 1\n")
         with pytest.raises(error, match=message):
             load_tree("\n".join(body) + "\n", g)
+
+
+class TestPairMinima:
+    """Every reader of the pair columns against the brute-force pair_min, on tied multigraphs with parallel edges."""
+
+    @pytest.mark.parametrize("n,extra", [(2, 3), (6, 12), (17, 40)])
+    def test_weight_of_every_ordered_pair(self, rng, n, extra):
+        """weight(a, b) for every (a, b), a == b included, on a graph and on a pickled copy of it."""
+        for _ in range(3):
+            g = tied_multigraph(rng, n, extra)
+            oracles = [adj_oracle(g)]
+            oracles.append(adj_oracle(pickle.loads(pickle.dumps(g))))  # the copy rebuilds the pair columns
+            for oracle in oracles:
+                for a in range(n):
+                    for b in range(n):
+                        i = pair_min(g, a, b)
+                        assert oracle.weight(a, b) == (math.inf if i is None else g.w[i]), (a, b)
+                assert oracle.classical_queries == n * n
+
+    @pytest.mark.parametrize("n,extra", [(2, 3), (6, 12), (17, 40)])
+    def test_pairs_file_in_either_orientation(self, rng, n, extra):
+        """Each line of a pairs file loads as its pair's minimum edge, written u v, v u or mixed."""
+        for _ in range(5):
+            g = tied_multigraph(rng, n, extra)
+            t = random_spanning_tree(g, rng)
+            expected = tuple(pair_min(g, int(g.u[i]), int(g.v[i])) for i in t.edge_ids)
+            mixed = rng.integers(2, size=len(t)).tolist()
+            for flips in ([0] * len(t), [1] * len(t), mixed):
+                ends = [(g.v[i], g.u[i]) if flip else (g.u[i], g.v[i]) for i, flip in zip(t.edge_ids, flips)]
+                assert load_tree("pairs\n" + "".join(f"{a} {b}\n" for a, b in ends), g).edge_ids == expected
 
 
 def planted_components(rng, sizes: list[int], extra: int) -> tuple[int, list[tuple[int, int, float]]]:

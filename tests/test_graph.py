@@ -42,7 +42,7 @@ from mstverify.graph import (
 )
 from mstverify.verify import Witness, classical_verify, improve
 
-from .conftest import TRIANGLE_TEXT, edge_oracle, triangle
+from .conftest import TRIANGLE_TEXT, adj_oracle, edge_oracle, triangle
 from .reference import pair_min
 
 
@@ -494,8 +494,9 @@ class TestPickle:
     )
     def test_round_trip_is_equal_and_read_only(self, rng, round_trip):
         for g in some_graphs(rng):
-            keys, ids = g.pair_columns()  # its cached mappingproxy cannot be pickled
-            g.columns  # nor could a memoryview kept on the instance
+            keys, ids = g.pair_columns()  # cached, yet not pickled
+            adj_oracle(g)  # the oracle keeps its memoryviews of the pair columns, not the graph: none could be pickled
+            g.columns
             t = random_spanning_tree(g, rng)
             g2, t2 = round_trip((g, t))
             assert (g2.n, g2.m) == (g.n, g.m)
@@ -507,7 +508,6 @@ class TestPickle:
                 with pytest.raises(ValueError):
                     b.flags.writeable = True
             assert np.shares_memory(np.asarray(g2.columns[2]), g2.w)
-            assert g2.pair_min_ids() == g.pair_min_ids()
             for a, b in zip((keys, ids), g2.pair_columns()):  # rebuilt, not shared with the original
                 assert b.dtype == np.int64 and a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
                 with pytest.raises(ValueError):

@@ -52,6 +52,7 @@ def test_public_name_resolves(name):
         (grover, "optimal_iterations"),
         (grover, "KZeroError"),
         (graph.Graph, "pair_min"),
+        (graph.Graph, "pair_min_ids"),
         (graph, "Edge"),
         (graph.Graph, "edge"),
         (graph.Graph, "edges"),

@@ -20,7 +20,7 @@ from mstverify import (
 from mstverify import grover, verify
 from mstverify.boruvka import build_boruvka_tree
 from mstverify.generate import perturbed_mst
-from mstverify.graph import NotSpanningError, spanning_tree
+from mstverify.graph import NotSpanningError, pair_index, spanning_tree
 from mstverify.grover import SearchSpace, bbht_cutoff
 from mstverify.oracle import InstrumentedOracle
 from mstverify.verify import InvalidWitnessError, Witness, improve
@@ -145,6 +145,39 @@ class TestOracleOfAnotherGraph:
             quantum_verify(g, t, oracle) if search else classical_verify(g, t, oracle)
         assert raised.type is ValueError
         assert oracle.classical_queries == oracle.quantum_queries == 0
+
+
+class TestSharedOracle:
+    @pytest.mark.parametrize("model", ["edgelist", "adjacency"])
+    @pytest.mark.parametrize("search", [False, True], ids=["classical", "quantum"])
+    def test_report_counts_only_its_own_charges(self, rng, model, search):
+        """Another caller's lookups on the verify's oracle leave its report as on a fresh oracle.
+
+        The other caller is stood in for by a wrapper of the model's query
+        that charges one extra lookup per call, as a thread sharing the
+        oracle would between the verify's own lookups.
+        """
+        verdicts = set()
+        for i in range(12):
+            g = multigraph(rng, 2 + int(rng.integers(14)))
+            t = (kruskal_mst(g), perturbed_mst(g, rng), random_spanning_tree(g, rng))[i % 3]
+
+            def run(oracle):
+                return quantum_verify(g, t, oracle, model, i) if search else classical_verify(g, t, oracle)
+
+            expected = run(InstrumentedOracle(g, model))
+            shared = InstrumentedOracle(g, model)
+            query = shared.edge if model == "edgelist" else shared.weight
+
+            def charged_twice(*args):
+                query(*args)  # the other caller's lookup
+                return query(*args)
+
+            setattr(shared, query.__name__, charged_twice)
+            assert run(shared) == expected
+            assert shared.classical_queries == 2 * expected[1].classical_weight_queries >= 2 * (g.n - 1)
+            verdicts.add(expected[0].minimal)
+        assert verdicts == {True, False}
 
 
 class TestKruskal:
@@ -440,9 +473,9 @@ class TestScanChargeOrder:
             b = build_boruvka_tree(g, t)
             replaced = verify._violations(g, t, b)
             charged.clear()
-            found = verify._scan(g, t, replaced, InstrumentedOracle(g, model))
+            found, scanned = verify._scan(g, t, replaced, InstrumentedOracle(g, model))
             expected = full_sort_charges(g, t, b)
-            assert charged == as_charges(g, expected, model)
+            assert charged == as_charges(g, expected, model) and scanned == len(expected)
             assert (found is None) == (not is_violating(g, t, b, expected[-1]))
             assert found is None or (found, replaced[found]) == (expected[-1], witness_edge(g, t, expected[-1]))
             verdicts.add(found is None)
@@ -512,7 +545,7 @@ class TestSearchDomain:
                 if mode == "edgelist":
                     expected = loop_marked_indices(range(g.m), lambda i: replaced[i] >= 0)
                 else:
-                    at = g.pair_min_ids()
+                    at = {pair_index(g.n, a, b): pair_min(g, a, b) for a, b in zip(g.u.tolist(), g.v.tolist())}
                     expected = loop_marked_indices(sorted(at), lambda i: replaced[at[i]] >= 0)
                 marked = space.marked_indices()
                 assert marked.dtype == np.int64 and marked.tolist() == expected.tolist()
@@ -543,7 +576,8 @@ class TestSearchDomain:
             [marked] = calls  # one marker call per verify
             assert marked.dtype == np.int64 and marked.ndim == 1 and marked.size <= g.m
             assert (np.diff(marked) > 0).all()  # sorted, hence distinct
-            assert set(marked.tolist()) <= (set(range(g.m)) if mode == "edgelist" else set(g.pair_min_ids()))
+            pairs = set(pair_index(g.n, g.u, g.v).tolist())
+            assert set(marked.tolist()) <= (set(range(g.m)) if mode == "edgelist" else pairs)
             total += marked.size
         assert total > 0
 
