@@ -668,12 +668,26 @@ def load_tree(text: str, g: Graph) -> SpanningTree:
 
 
 def serialize_tree(g: Graph, t: SpanningTree, fmt: str = "indices") -> str:
-    """Canonical tree file in the requested format; NotSpanningError for a tree of another graph."""
+    """Canonical tree file in the requested format; NotSpanningError for a tree of another graph.
+
+    load_tree reads a pairs line as its pair's minimum-(w, id) edge, so the
+    pairs format raises ValueError at the first tree edge that is a heavier
+    parallel edge, rather than write another tree.
+    """
     _check_tree_of(g, t)
     if fmt == "indices":
         lines = ["indices"] + [str(i) for i in t.edge_ids]
     elif fmt == "pairs":
+        at = np.array(t.edge_ids, dtype=np.int64)
+        keys, ids = g.pair_columns()
+        minimum = ids[keys.searchsorted(pair_index(g.n, g.u[at], g.v[at]))]  # every tree edge's pair is a key
+        heavier = np.flatnonzero(minimum != at)
         us, vs, _ = g.columns
+        if heavier.size:
+            i, j = t.edge_ids[heavier[0]], int(minimum[heavier[0]])
+            raise ValueError(
+                f"tree edge {i} ({us[i]}, {vs[i]}) is not its pair's minimum-(w, id) edge {j}: a pairs file would load {j}"
+            )
         lines = ["pairs"] + [f"{us[i]} {vs[i]}" for i in t.edge_ids]
     else:
         raise ValueError(f"unknown tree format {fmt!r}")

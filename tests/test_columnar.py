@@ -18,6 +18,7 @@ from mstverify import (
     load_tree,
     random_connected_graph,
     random_spanning_tree,
+    serialize_tree,
 )
 from mstverify import graph
 from mstverify.boruvka import build_boruvka_tree
@@ -201,6 +202,32 @@ class TestPairMinima:
             for flips in ([0] * len(t), [1] * len(t), mixed):
                 ends = [(g.v[i], g.u[i]) if flip else (g.u[i], g.v[i]) for i, flip in zip(t.edge_ids, flips)]
                 assert load_tree("pairs\n" + "".join(f"{a} {b}\n" for a, b in ends), g).edge_ids == expected
+
+    def test_serialize_refuses_a_heavier_parallel_tree_edge(self):
+        """A pairs file names a pair, which loads as the pair's minimum edge: it cannot name a heavier one."""
+        g = Graph(2, [(0, 1, 2.0), (0, 1, 1.0)])
+        with pytest.raises(ValueError, match=r"tree edge 0 \(0, 1\) is not its pair's minimum-\(w, id\) edge 1"):
+            serialize_tree(g, spanning_tree(g, [0]), "pairs")
+        assert serialize_tree(g, spanning_tree(g, [0])) == "indices\n0\n"
+        assert serialize_tree(g, spanning_tree(g, [1]), "pairs") == "pairs\n0 1\n"
+
+    @pytest.mark.parametrize("n,extra", [(2, 3), (6, 12), (17, 40)])
+    def test_serialize_round_trips_every_tree_of_pair_minima(self, rng, n, extra):
+        """A tree of pair minima loads back equal from its pairs file; any other tree raises, naming its first heavier edge."""
+        kept = refused = 0
+        for _ in range(20):
+            g = tied_multigraph(rng, n, extra)
+            for t in (kruskal_mst(g), random_spanning_tree(g, rng)):
+                heavier = [(i, pair_min(g, int(g.u[i]), int(g.v[i]))) for i in t.edge_ids]
+                heavier = [(i, j) for i, j in heavier if i != j]
+                if heavier:
+                    (i, j), refused = heavier[0], refused + 1
+                    with pytest.raises(ValueError, match=rf"tree edge {i} \(\d+, \d+\) is not its pair's minimum-\(w, id\) edge {j}:"):
+                        serialize_tree(g, t, "pairs")
+                else:
+                    kept += 1
+                    assert load_tree(serialize_tree(g, t, "pairs"), g) == t
+        assert kept > 0 and refused > 0
 
 
 def planted_components(rng, sizes: list[int], extra: int) -> tuple[int, list[tuple[int, int, float]]]:
