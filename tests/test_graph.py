@@ -494,9 +494,9 @@ class TestPickle:
     )
     def test_round_trip_is_equal_and_read_only(self, rng, round_trip):
         for g in some_graphs(rng):
-            keys, ids = g.pair_columns()  # cached, yet not pickled
-            adj_oracle(g)  # the oracle keeps its memoryviews of the pair columns, not the graph: none could be pickled
-            g.columns
+            keys, ids = g.pair_columns()  # cached on the graph, yet not pickled
+            adj_oracle(g)  # its memoryviews of the pair columns stay on the oracle: a memoryview cannot be pickled
+            g.columns  # nor are these kept on the graph
             t = random_spanning_tree(g, rng)
             g2, t2 = round_trip((g, t))
             assert (g2.n, g2.m) == (g.n, g.m)
